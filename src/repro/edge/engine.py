@@ -198,6 +198,29 @@ class QReLU(EdgeOp):
         return np.clip(out, self.out_qp.qmin, self.out_qp.qmax).astype(np.int32)
 
 
+def _max_pool_taps(src: np.ndarray, kernel: int, stride: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Max over the ``kernel**2`` strided tap views of padded NCHW ``src``.
+
+    Each tap ``src[:, :, i::stride, j::stride]`` (cropped to ``out``'s
+    spatial shape) is one elementwise ``np.maximum`` into ``out`` — the
+    same values as a reduction over window axes, without the strided
+    per-window reduce.  The one pooling routine of the eager op and the
+    compiled program.
+    """
+    oh, ow = out.shape[2], out.shape[3]
+    hs = stride * (oh - 1) + 1
+    ws = stride * (ow - 1) + 1
+    for i in range(kernel):
+        for j in range(kernel):
+            tap = src[:, :, i:i + hs:stride, j:j + ws:stride]
+            if i == 0 and j == 0:
+                np.copyto(out, tap)
+            else:
+                np.maximum(out, tap, out=out)
+    return out
+
+
 @dataclass
 class QMaxPool2d(EdgeOp):
     """Max pooling commutes with monotone quantization: pool the ints."""
@@ -207,15 +230,17 @@ class QMaxPool2d(EdgeOp):
     padding: int = 0
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        from ..nn.functional import _im2col
         stride = self.stride if self.stride is not None else self.kernel
         qq = q
         if self.padding:
             qq = np.pad(q, ((0, 0), (0, 0), (self.padding,) * 2,
                             (self.padding,) * 2),
                         constant_values=np.iinfo(np.int32).min)
-        cols, (oh, ow) = _im2col(qq, self.kernel, self.kernel, stride, stride, 0, 0)
-        return cols.max(axis=(2, 3)).astype(np.int32)
+        N, C, H, W = qq.shape
+        oh = (H - self.kernel) // stride + 1
+        ow = (W - self.kernel) // stride + 1
+        out = np.empty((N, C, oh, ow), dtype=np.int32)
+        return _max_pool_taps(qq, self.kernel, stride, out)
 
 
 class QFlatten(EdgeOp):

@@ -5,7 +5,7 @@ fused execution path.
 op list into a pipeline planned for one (batch, input shape, dtype), the
 fourth and final leg of the compiled-executor architecture
 (``nn/graph.py`` forward replay, ``attacks/engine.py`` paired attacks,
-``nn/train_graph.py`` training).  Three lowerings do the work:
+``nn/train_graph.py`` training).  Four lowerings do the work:
 
 **Zero-point folding.**  The eager ``QConv2d``/``QLinear`` center the
 whole activation tensor before the matmul (``q - z_in``, an
@@ -35,18 +35,24 @@ construction).
 accumulators, sign masks, activations) is pre-sized per program from a
 :class:`~repro.nn.graph.ScratchPool` shared across the model's per-shape
 programs, with activation buffers ping-ponged so producers and consumers
-never alias.  The integer matmul runs as a float64 GEMM: with int8
-weights and sub-9-bit activations every product and partial sum is an
-integer below 2**53, so BLAS dgemm returns the exact integer
-accumulator (the bound ``Σ|w|·max|q| + |bias|`` is checked per filter
-at plan time, against both the 2**53 exactness limit and the int64
-requantization headroom; layers that exceed it refuse to lower).  The
-requantization multiply-round-shift then runs in place on one int64
-buffer with broadcast-shaped ``m0``/``shift``/rounding constants built
-at plan time, and the final clamp writes straight into the next int32
-activation buffer — accumulators live in the narrowest width that is
-provably safe (int8-valued float64 weights, int32 activations, one
-int64 requantize buffer).
+never alias.  Convolutions are tap-major: the window view is copied
+straight into an ``(N, G, Kg, P)`` scratch and contracted as
+``(G, Fg, Kg) @ (N, G, Kg, P)``, so the accumulator is already NCHW and
+requantization writes each activation contiguously.  Max pooling is a
+tap-wise ``np.maximum`` of the ``k*k`` strided tap views into the planned
+output (shared with the eager op), not a reduction over window axes.
+
+**Narrowest exact GEMM width.**  The integer matmul runs as a float
+GEMM whose every product and partial sum is an integer bounded by the
+per-filter ``Σ|w|·max|q| + |bias|``, checked at plan time.  Below 2**24
+float32 holds all of them exactly, so the layer runs sgemm; below 2**53
+it runs dgemm; either way BLAS returns the exact integer accumulator
+whatever its summation order.  Bounds past the int64 requantization
+headroom (2**31) refuse to lower.  The requantization
+multiply-round-shift then runs in place on one int64 buffer with
+broadcast-shaped ``m0``/``shift``/rounding constants built at plan time,
+and the final clamp writes straight into the next int32 activation
+buffer.
 
 Safety mirrors ``graph.py``/``train_graph.py``: a freshly planned
 program replays the build batch and must match the eager op loop
@@ -64,8 +70,11 @@ import numpy as np
 from ..nn.graph import ScratchPool
 from ..serve import faults
 from .engine import (Dequantize, EdgeModel, QConv2d, QFlatten, QLinear,
-                     QMaxPool2d, QReLU, QuantizeInput, _prep_requant)
+                     QMaxPool2d, QReLU, QuantizeInput, _max_pool_taps,
+                     _prep_requant)
 
+#: float32 GEMM exactness limit: integer sums must stay below 2**24
+_F32_EXACT = np.int64(1) << 24
 #: float64 GEMM exactness limit: integer sums must stay below 2**53
 _F64_EXACT = np.int64(1) << 53
 #: requantize headroom: |acc| * m0 (< 2**31) must stay inside int64
@@ -154,7 +163,7 @@ class _MatmulMixin:
         """(z_out, lo, hi, m0, rounding, total) for the output clamp.
 
         ``chan_shape`` reshapes per-channel multipliers to broadcast
-        against the accumulator layout (convs: ``(G, 1, 1, 1, Fg)``);
+        against the accumulator layout (convs: ``(G, Fg, 1)``);
         per-tensor multipliers stay size-1 and broadcast untouched.
         """
         _, z1, lo1, hi1 = _scalar_qp(op.out_qp)
@@ -179,7 +188,14 @@ class _MatmulMixin:
         return op.bias_q - z_in * w.sum(axis=1)
 
     @staticmethod
-    def _check_bounds(op, eff_bias: np.ndarray) -> None:
+    def _check_bounds(op, eff_bias: np.ndarray) -> type:
+        """The narrowest float dtype whose GEMM is exact for ``op``.
+
+        Every partial sum of ``W @ q + bias`` is an integer bounded by
+        the per-filter ``Σ|w|·max|q| + |bias|``; float32 represents all
+        of them exactly below 2**24, float64 below 2**53.  Bounds past
+        the requantization headroom refuse to lower.
+        """
         w = op.q_weight.reshape(op.q_weight.shape[0], -1)
         qabs = max(abs(int(op.in_qp.qmin)), abs(int(op.in_qp.qmax)))
         bound = (np.abs(w).sum(axis=1) * qabs + np.abs(eff_bias)).max()
@@ -187,9 +203,10 @@ class _MatmulMixin:
             raise EdgeLoweringError(
                 f"accumulator bound {bound} exceeds the exact-GEMM / "
                 "requantization headroom")
+        return np.float32 if bound < _F32_EXACT else np.float64
 
     def _requant_clamp_store(self, out_view: np.ndarray) -> None:
-        """Exact-int float64 accumulator -> requantized int32 output.
+        """Exact-int float accumulator -> requantized int32 output.
 
         The multiply-round-shift runs in place on the planned int64
         buffer; the final clamp writes straight into ``out_view``.  The
@@ -208,7 +225,15 @@ class _MatmulMixin:
 
 
 class _ConvStep(_Step, _MatmulMixin):
-    """Zero-point-folded integer convolution via exact float64 GEMM."""
+    """Zero-point-folded integer convolution via a tap-major exact GEMM.
+
+    The window view is copied straight into an ``(N, G, Kg, P)`` scratch
+    (``Kg = Cg·kh·kw`` taps, ``P = OH·OW`` positions, no transpose) and
+    contracted as ``(G, Fg, Kg) @ (N, G, Kg, P)``, the layout of
+    ``nn/graph.py``'s float conv: the accumulator lands in NCHW order,
+    so requantization writes the activation contiguously.  The GEMM runs
+    in the narrowest float width :meth:`_check_bounds` proves exact.
+    """
 
     def __init__(self, op: QConv2d, n: int, shape, pool,
                  fused_relu: Optional[QReLU], out: np.ndarray):
@@ -219,19 +244,17 @@ class _ConvStep(_Step, _MatmulMixin):
         st, p = op.stride, op.padding
         oh = (H + 2 * p - kh) // st + 1
         ow = (W + 2 * p - kw) // st + 1
-        self.kh, self.kw, self.st, self.p = kh, kw, st, p
-        self.G, self.Cg = G, Cg
+        self.kh, self.kw, self.st = kh, kw, st
         Kg = Cg * kh * kw
+        P = oh * ow
         eff_bias = self._fold_bias(op)
-        self._check_bounds(op, eff_bias)
-        self.biasf = eff_bias.astype(np.float64).reshape(G, 1, 1, 1, Fg)
-        # (G, Kg, Fg) float64 weight panels for the batched dgemm
+        self.gemm_dtype = self._check_bounds(op, eff_bias)
+        self.biasf = eff_bias.astype(self.gemm_dtype).reshape(G, Fg, 1)
+        # (G, Fg, Kg) weight panels, broadcast over the batch
         self.wf = np.ascontiguousarray(
-            op.q_weight.reshape(G, Fg, Kg).transpose(0, 2, 1)
-            .astype(np.float64))
+            op.q_weight.reshape(G, Fg, Kg).astype(self.gemm_dtype))
         (self.z_out, self.lo, self.hi, self.m0, self.rounding,
-         self.total) = self._plan_requant(op, fused_relu, (G, 1, 1, 1, Fg))
-        M = N * oh * ow
+         self.total) = self._plan_requant(op, fused_relu, (G, Fg, 1))
         if p:
             z_in = int(op.in_qp.zero_point)
             # padding width keys the buffer too: same padded shape with a
@@ -242,49 +265,38 @@ class _ConvStep(_Step, _MatmulMixin):
             _fill_border(pad, p, z_in)
             self.pad = pad
             self.pad_interior = pad[:, :, p:-p, p:-p]
-            view, _, _ = _window_view(pad, kh, kw, st, st)
-            self.src = view.reshape(N, G, Cg, kh, kw, oh, ow).transpose(
-                1, 0, 5, 6, 2, 3, 4)
+            self.src, _, _ = _window_view(pad, kh, kw, st, st)
         else:
             self.pad = None
-
-        def scratch(tag, per_elem, dtype):
-            # group-major scratch carved from a flat pooled slab: the
-            # pool's growable axis stays the batch, the (G, N, ...)
-            # layout the batched GEMM needs is a plain reshape of it
-            flat = pool.acquire((tag,), n, (G * per_elem,), dtype, None)[:n]
-            return flat.reshape(G, N, oh, ow, -1)
-
-        self.colsf = scratch("edge-colsf", oh * ow * Kg, np.float64)
-        self.accf = scratch("edge-accf", oh * ow * Fg, np.float64)
-        self.acci = scratch("edge-acci", oh * ow * Fg, np.int64)
-        self.neg = scratch("edge-neg", oh * ow * Fg, np.bool_)
-        # (G, N, OH, OW, Fg) write view of the (N, F, OH, OW) activation
+        # (N, C, kh, kw, OH, OW) is (N, G, Kg, P) in memory order
+        self.cols = pool.acquire(("edge-cols",), n, (G, Kg, P),
+                                 self.gemm_dtype, None)[:n]
+        self.cols_view = self.cols.reshape(N, C, kh, kw, oh, ow)
+        self.accf = pool.acquire(("edge-accf",), n, (G, Fg, P),
+                                 self.gemm_dtype, None)[:n]
+        self.acci = pool.acquire(("edge-acci",), n, (G, Fg, P), np.int64,
+                                 None)[:n]
+        self.neg = pool.acquire(("edge-neg",), n, (G, Fg, P), np.bool_,
+                                None)[:n]
         self.out = out
-        self.out_view = out.reshape(N, G, Fg, oh, ow).transpose(1, 0, 3, 4, 2)
-        self.Kg = Kg
-        self.M, self.Fg = M, Fg
+        self.out_view = out.reshape(N, G, Fg, P)
 
     def run(self, q: np.ndarray) -> np.ndarray:
         if self.pad is not None:
             np.copyto(self.pad_interior, q)
             src = self.src
         else:
-            view, oh, ow = _window_view(q, self.kh, self.kw, self.st, self.st)
-            N = q.shape[0]
-            src = view.reshape(N, self.G, self.Cg, self.kh, self.kw,
-                               oh, ow).transpose(1, 0, 5, 6, 2, 3, 4)
-        cols = self.colsf
-        np.copyto(cols.reshape(src.shape), src)      # gather + int->f64 cast
-        np.matmul(cols.reshape(self.G, self.M, self.Kg), self.wf,
-                  out=self.accf.reshape(self.G, self.M, self.Fg))
+            src, _, _ = _window_view(q, self.kh, self.kw, self.st, self.st)
+        np.copyto(self.cols_view, src)          # gather + int->float cast
+        np.matmul(self.wf, self.cols, out=self.accf)
         self.accf += self.biasf
         self._requant_clamp_store(self.out_view)
         return self.out
 
 
 class _LinearStep(_Step, _MatmulMixin):
-    """Zero-point-folded integer linear layer via exact float64 GEMM."""
+    """Zero-point-folded integer linear layer via an exact float GEMM,
+    in the narrowest width :meth:`_check_bounds` proves exact."""
 
     def __init__(self, op: QLinear, n: int, shape, pool,
                  fused_relu: Optional[QReLU], out: np.ndarray):
@@ -293,16 +305,17 @@ class _LinearStep(_Step, _MatmulMixin):
             raise EdgeLoweringError(
                 f"linear expects {op.q_weight.shape[1]} features, got {K}")
         eff_bias = self._fold_bias(op)
-        self._check_bounds(op, eff_bias)
-        self.biasf = eff_bias.astype(np.float64)
-        self.wf = np.ascontiguousarray(op.q_weight.T.astype(np.float64))
+        self.gemm_dtype = self._check_bounds(op, eff_bias)
+        self.biasf = eff_bias.astype(self.gemm_dtype)
+        self.wf = np.ascontiguousarray(op.q_weight.T.astype(self.gemm_dtype))
         # per-channel multipliers broadcast along the (N, F) feature axis
         (self.z_out, self.lo, self.hi, self.m0, self.rounding,
          self.total) = self._plan_requant(op, fused_relu)
         F_out = op.q_weight.shape[0]
-        self.xf = pool.acquire(("edge-colsf",), n, (K,), np.float64, None)[:n]
-        self.accf = pool.acquire(("edge-accf",), n, (F_out,), np.float64,
-                                 None)[:n]
+        self.xf = pool.acquire(("edge-cols",), n, (K,), self.gemm_dtype,
+                               None)[:n]
+        self.accf = pool.acquire(("edge-accf",), n, (F_out,),
+                                 self.gemm_dtype, None)[:n]
         self.acci = pool.acquire(("edge-acci",), n, (F_out,), np.int64,
                                  None)[:n]
         self.neg = pool.acquire(("edge-neg",), n, (F_out,), np.bool_,
@@ -333,24 +346,21 @@ class _ReLUStep(_Step):
 
 
 class _PoolStep(_Step):
-    """Integer max pooling over a planned window view."""
+    """Integer max pooling as a tap-wise maximum into the planned output."""
 
     def __init__(self, op: QMaxPool2d, n: int, shape, pool, out: np.ndarray):
         N, C, H, W = shape
-        k = op.kernel
-        self.k = k
-        self.st = op.stride if op.stride is not None else k
-        self.p = op.padding
-        if self.p:
+        self.k = op.kernel
+        self.st = op.stride if op.stride is not None else op.kernel
+        p = op.padding
+        if p:
             fill = int(np.iinfo(np.int32).min)
-            p = self.p
             pad = pool.acquire(("edge-pad", fill, p), n,
                                (C, H + 2 * p, W + 2 * p),
                                np.int32, None)[:n]
             _fill_border(pad, p, fill)
             self.pad = pad
             self.pad_interior = pad[:, :, p:-p, p:-p]
-            self.src, _, _ = _window_view(pad, k, k, self.st, self.st)
         else:
             self.pad = None
         self.out = out
@@ -358,11 +368,8 @@ class _PoolStep(_Step):
     def run(self, q: np.ndarray) -> np.ndarray:
         if self.pad is not None:
             np.copyto(self.pad_interior, q)
-            src = self.src
-        else:
-            src, _, _ = _window_view(q, self.k, self.k, self.st, self.st)
-        src.max(axis=(2, 3), out=self.out)
-        return self.out
+            q = self.pad
+        return _max_pool_taps(q, self.k, self.st, self.out)
 
 
 class _FlattenStep(_Step):

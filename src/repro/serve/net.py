@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import selectors
 import socket
@@ -153,6 +154,37 @@ def encode_frame(header: Dict[str, Any],
     return prefix + payload
 
 
+def _array_meta(meta: Any) -> Tuple[str, np.dtype, Tuple[int, ...]]:
+    """Validated ``(name, dtype, shape)`` of one array segment header.
+
+    The metadata is untrusted: anything but a string name, a plain
+    numeric/bool dtype string and a list of non-negative int dims is a
+    :class:`ProtocolError`, never a numpy/KeyError escaping the parser.
+    """
+    if not isinstance(meta, dict):
+        raise ProtocolError("array metadata must be an object")
+    missing = [k for k in ("name", "dtype", "shape") if k not in meta]
+    if missing:
+        raise ProtocolError(f"array metadata lacks {', '.join(missing)}")
+    name, dtype_str, shape = meta["name"], meta["dtype"], meta["shape"]
+    if not isinstance(name, str):
+        raise ProtocolError("array name must be a string")
+    if not isinstance(dtype_str, str):
+        raise ProtocolError("array dtype must be a string")
+    try:
+        dtype = np.dtype(dtype_str)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unknown array dtype {dtype_str!r}") from exc
+    if dtype.kind not in "biufc":
+        raise ProtocolError(f"array dtype {dtype_str!r} is not numeric")
+    if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0
+            for d in shape):
+        raise ProtocolError(f"array shape {shape!r} is not a list of "
+                            "non-negative ints")
+    return name, dtype, tuple(shape)
+
+
 def _decode_payload(payload: bytes
                     ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     if len(payload) < 4:
@@ -162,18 +194,23 @@ def _decode_payload(payload: bytes
         raise ProtocolError("header length exceeds payload")
     try:
         header = json.loads(payload[4:4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # incl. Unicode/JSON
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ProtocolError("frame header must be a JSON object")
+    metas = header.pop("arrays", [])
+    if not isinstance(metas, list):
+        raise ProtocolError("frame array metadata must be a list")
     arrays: Dict[str, np.ndarray] = {}
     offset = 4 + hlen
-    for meta in header.pop("arrays", []):
-        dtype = np.dtype(meta["dtype"])
-        shape = tuple(int(d) for d in meta["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    for meta in metas:
+        name, dtype, shape = _array_meta(meta)
+        count = math.prod(shape)          # python ints: cannot overflow
+        nbytes = dtype.itemsize * count
         if offset + nbytes > len(payload):
             raise ProtocolError("array segment exceeds payload")
-        arrays[meta["name"]] = np.frombuffer(
-            payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
+        arrays[name] = np.frombuffer(
+            payload, dtype=dtype, count=count,
             offset=offset).reshape(shape).copy()
         offset += nbytes
     return header, arrays

@@ -616,12 +616,13 @@ class Scheduler:
                           compiled: bool = True) -> None:
         """Merged rows through one shared per-shape edge program.
 
-        The integer path is exact per row (float64 GEMMs on sub-2**53
-        integers, elementwise requantization), so chunking the merged
-        batch differently from each solo ``predict`` call cannot change
-        a single bit of any job's logits.  Deadlines are ignored here by
-        design: inference is a single pass with no intermediate iterate
-        to return, so a "partial" predict does not exist.
+        The integer path is exact per row (float GEMMs on integers below
+        their width's exactness bound, elementwise requantization), so
+        chunking the merged batch differently from each solo ``predict``
+        call cannot change a single bit of any job's logits.  Deadlines
+        are ignored here by design: inference is a single pass with no
+        intermediate iterate to return, so a "partial" predict does not
+        exist.
         """
         model = group[0].model
         if compiled:

@@ -187,6 +187,67 @@ class TestHandBuiltOps:
         np.testing.assert_array_equal(_strict_predict(em, x),
                                       em.predict(x, compiled=False))
 
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (2, 2, 0), (3, 1, 0), (3, 2, 1), (2, 1, 0), (1, 1, 0),
+    ])
+    def test_maxpool_sweep_non_square(self, kernel, stride, padding):
+        rng = np.random.default_rng(kernel * 11 + stride * 5 + padding)
+        in_qp = _per_tensor(-1, 1, -128, 127)
+        ops = [QuantizeInput(in_qp),
+               QMaxPool2d(kernel, stride=stride, padding=padding),
+               Dequantize(in_qp)]
+        em = EdgeModel(ops, 1)
+        x = rng.random((4, 3, 9, 14)) * 2 - 1
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+
+    def test_strided_padded_grouped_conv_non_square(self):
+        rng = np.random.default_rng(29)
+        in_qp = _per_tensor(-1, 1, 0, 255)
+        out_qp = _per_tensor(-3, 3, 0, 255)
+        conv = _rand_conv(rng, 6, 2, 3, in_qp, out_qp, stride=2, padding=1,
+                          groups=3)
+        em = EdgeModel([QuantizeInput(in_qp), conv, Dequantize(out_qp)], 6)
+        x = rng.random((5, 6, 11, 16))
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+
+
+def _bound_conv(excess):
+    """Two-filter conv whose per-filter accumulator bound is exactly
+    ``2**24 + excess``, reached by an all-``qmax`` input (filter 0 at
+    the positive extreme, filter 1 at the negative one)."""
+    in_qp = _per_tensor(0, 1, 0, 255)             # zero-point 0, qmax 255
+    c = 57                                        # 57·9·127·255 < 2**24
+    w = np.full((2, c, 3, 3), 127, dtype=np.int64)
+    w[1] = -127
+    rest = (1 << 24) + excess - c * 9 * 127 * 255
+    bias = np.array([rest, -rest], dtype=np.int64)
+    w_qp = QuantParams(scale=np.full(2, 1e-4), zero_point=np.zeros(2),
+                       qmin=-127, qmax=127, axis=0)
+    out_qp = _per_tensor(-8, 8, 0, 255)
+    conv = QConv2d(w, bias, in_qp, w_qp, out_qp, padding=1)
+    return EdgeModel([QuantizeInput(in_qp), conv, Dequantize(out_qp)], 2), c
+
+
+class TestGemmWidth:
+    """The GEMM runs in float32 exactly when the per-filter bound
+    ``Σ|w|·max|q| + |bias|`` is below 2**24, else in float64."""
+
+    @pytest.mark.parametrize("excess,dtype", [(-1, np.float32),
+                                              (1, np.float64)])
+    def test_width_follows_the_bound(self, excess, dtype):
+        em, c = _bound_conv(excess)
+        rng = np.random.default_rng(31)
+        x = rng.random((4, c, 5, 7))
+        x[0] = 1.0                                # accumulator at the bound
+        got = _strict_predict(em, x)
+        prog = next(iter(em._programs.values()))
+        step = next(s for s in prog.steps if isinstance(s, _ConvStep))
+        assert step.gemm_dtype is dtype
+        assert step.wf.dtype == dtype
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+
 
 def _conv_relu_model(rng, conv_out, relu_out):
     in_qp = _per_tensor(-1, 1, 0, 255)

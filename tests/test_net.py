@@ -18,8 +18,12 @@ suite's across the wire:
 """
 
 import copy
+import json
 import os
+import socket
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -28,9 +32,9 @@ from repro.serve import (AdmissionError, DeadlineError, Journal,
                          ManualClock, RetryError, ServeSession, ShedError,
                          assign_arrivals, build_workload,
                          default_net_chaos_specs)
-from repro.serve.net import (FrameParser, ProtocolError, ServeClient,
-                             ServeServer, encode_frame, replay_net,
-                             verify_net_parity)
+from repro.serve.net import (_PREFIX, MAGIC, VERSION, FrameParser,
+                             ProtocolError, ServeClient, ServeServer,
+                             encode_frame, replay_net, verify_net_parity)
 from repro.serve.workload import replay_sequential
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -122,6 +126,85 @@ def test_frame_parser_refuses_corruption():
     fresh.feed(bad_magic)
     with pytest.raises(ProtocolError):
         list(fresh.frames())
+
+
+def _crc_valid_frame(header, body=b""):
+    """A frame with an arbitrary JSON header and a correct CRC — the
+    metadata, not the transport, is what is malformed."""
+    hjson = json.dumps(header).encode("utf-8")
+    payload = struct.pack(">I", len(hjson)) + hjson + body
+    return _PREFIX.pack(MAGIC, VERSION, 0, len(payload),
+                        zlib.crc32(payload)) + payload
+
+
+def _meta(**overrides):
+    meta = {"name": "x", "dtype": "<f4", "shape": [2]}
+    meta.update(overrides)
+    return {k: v for k, v in meta.items() if v is not None}
+
+
+def _assert_protocol_error(raw):
+    parser = FrameParser()
+    parser.feed(raw)
+    with pytest.raises(ProtocolError):
+        list(parser.frames())
+
+
+def test_malformed_frame_non_dict_header():
+    _assert_protocol_error(_crc_valid_frame(["op", "health"]))
+
+
+@pytest.mark.parametrize("missing", ["dtype", "shape", "name"])
+def test_malformed_frame_missing_array_field(missing):
+    meta = _meta(**{missing: None})
+    _assert_protocol_error(_crc_valid_frame(
+        {"op": "submit", "key": "k", "arrays": [meta]}, bytes(8)))
+
+
+def test_malformed_frame_object_dtype():
+    _assert_protocol_error(_crc_valid_frame(
+        {"op": "submit", "key": "k", "arrays": [_meta(dtype="|O")]},
+        bytes(16)))
+
+
+def test_malformed_frame_unknown_dtype():
+    _assert_protocol_error(_crc_valid_frame(
+        {"op": "submit", "key": "k", "arrays": [_meta(dtype="no-such")]},
+        bytes(8)))
+
+
+def test_malformed_frame_negative_dims():
+    _assert_protocol_error(_crc_valid_frame(
+        {"op": "submit", "key": "k", "arrays": [_meta(shape=[-1, 2])]},
+        bytes(8)))
+
+
+def test_poll_drops_only_the_malformed_connection(wl):
+    _clock, _session, server, client = _loopback(wl)
+    bad = socket.create_connection((server.host, server.port))
+    try:
+        assert client.health() is True
+        bad.sendall(_crc_valid_frame(
+            {"op": "submit", "key": "bad", "arrays": [_meta(dtype=None)]},
+            bytes(8)))
+        bad.settimeout(0.01)
+        closed = False
+        for _ in range(200):
+            server.poll(io_timeout=0.01)  # must not raise
+            try:
+                closed = bad.recv(1) == b""
+            except socket.timeout:
+                continue
+            except ConnectionResetError:
+                closed = True
+            break
+        assert closed                     # the offender was dropped...
+        assert len(server._conns) == 1    # ...and only the offender
+        assert client.health() is True and client.ready() is True
+    finally:
+        bad.close()
+        client.close()
+        server.shutdown()
 
 
 # --------------------------------------------------------------------- #
