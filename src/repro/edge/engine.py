@@ -223,7 +223,15 @@ def _max_pool_taps(src: np.ndarray, kernel: int, stride: int,
 
 @dataclass
 class QMaxPool2d(EdgeOp):
-    """Max pooling commutes with monotone quantization: pool the ints."""
+    """Max pooling commutes with monotone quantization: pool the ints.
+
+    The reference semantics.  Because requantization with a
+    non-negative multiplier, ``QReLU`` and the output clamp are all
+    monotone non-decreasing, the compiled program may run an unpadded
+    pool that follows a conv on the conv's integer accumulator, before
+    requantization, with the same bytes (:mod:`repro.edge.program`).
+    Padding fills with the int32 minimum, which never wins a max.
+    """
 
     kernel: int
     stride: Optional[int] = None

@@ -5,7 +5,7 @@ fused execution path.
 op list into a pipeline planned for one (batch, input shape, dtype), the
 fourth and final leg of the compiled-executor architecture
 (``nn/graph.py`` forward replay, ``attacks/engine.py`` paired attacks,
-``nn/train_graph.py`` training).  Four lowerings do the work:
+``nn/train_graph.py`` training).  Five lowerings do the work:
 
 **Zero-point folding.**  The eager ``QConv2d``/``QLinear`` center the
 whole activation tensor before the matmul (``q - z_in``, an
@@ -41,6 +41,19 @@ straight into an ``(N, G, Kg, P)`` scratch and contracted as
 requantization writes each activation contiguously.  Max pooling is a
 tap-wise ``np.maximum`` of the ``k*k`` strided tap views into the planned
 output (shared with the eager op), not a reduction over window axes.
+
+**Pool before requantize.**  An unpadded ``QMaxPool2d`` that follows a
+conv (directly, after a fused relu, or after a standalone LUT relu) is
+hoisted onto the conv's exact float accumulator: the conv step pools
+the NCHW accumulator, adds the folded bias and requantizes only the
+pooled values, a standalone relu's gather then runs on the pooled
+tensor, and no pool step remains.  This is exact, not approximate:
+requantization with non-negative multipliers, the relu and the clamps
+are monotone non-decreasing per channel and so commute with ``max``,
+and the accumulator holds integers below the exactness bound, so
+``max(a) + b == max(a + b)``.  For a 2x2 pool three of every four
+requantizations, relu gathers and int64 scratch entries disappear.
+Padded pools and pools after any other op stay a pool step.
 
 **Narrowest exact GEMM width.**  The integer matmul runs as a float
 GEMM whose every product and partial sum is an integer bounded by the
@@ -121,6 +134,40 @@ def _can_fuse_relu(prev, relu: QReLU) -> bool:
         return False
     return (s_in == s_out and s_in == s_prev and z_in == z_prev
             and lo_in == lo_prev and hi_in == hi_prev)
+
+
+def _pool_stride(op: QMaxPool2d) -> int:
+    return op.stride if op.stride is not None else op.kernel
+
+
+def _pooled_hw(op: QMaxPool2d, h: int, w: int) -> Tuple[int, int]:
+    """``op``'s output height and width over an ``h x w`` input."""
+    st = _pool_stride(op)
+    return ((h + 2 * op.padding - op.kernel) // st + 1,
+            (w + 2 * op.padding - op.kernel) // st + 1)
+
+
+def _hoistable_pool(conv: QConv2d, ops, j: int, hw) -> Optional[int]:
+    """Index of a max pool that can run on ``conv``'s accumulator.
+
+    ``ops[j:]`` must start with an optional standalone ``QReLU`` and
+    then an unpadded ``QMaxPool2d`` whose windows fit the conv's
+    ``hw`` output.  The max commutes with every map between the
+    accumulator and the pool only if each is monotone non-decreasing
+    per channel: the clamps and the integer-exact bias add always are,
+    and a requantization is when its multipliers ``m0`` are
+    non-negative.  None when any of this fails.
+    """
+    if np.any(np.asarray(conv.m0) < 0):
+        return None
+    if j < len(ops) and isinstance(ops[j], QReLU):
+        if np.any(np.asarray(ops[j].m0) < 0):
+            return None
+        j += 1
+    if (j < len(ops) and isinstance(ops[j], QMaxPool2d)
+            and not ops[j].padding and min(_pooled_hw(ops[j], *hw)) >= 1):
+        return j
+    return None
 
 
 class _Step:
@@ -205,7 +252,8 @@ class _MatmulMixin:
                 "requantization headroom")
         return np.float32 if bound < _F32_EXACT else np.float64
 
-    def _requant_clamp_store(self, out_view: np.ndarray) -> None:
+    def _requant_clamp_store(self, accf: np.ndarray,
+                             out_view: np.ndarray) -> None:
         """Exact-int float accumulator -> requantized int32 output.
 
         The multiply-round-shift runs in place on the planned int64
@@ -214,7 +262,7 @@ class _MatmulMixin:
         must stay bit-equal to ``engine._requantize_prepped``.
         """
         acc = self.acci
-        np.copyto(acc, self.accf, casting="unsafe")  # exact: integer values
+        np.copyto(acc, accf, casting="unsafe")  # exact: integer values
         np.multiply(acc, self.m0, out=acc)
         np.less(acc, 0, out=self.neg)
         acc += self.rounding
@@ -225,7 +273,8 @@ class _MatmulMixin:
 
 
 class _ConvStep(_Step, _MatmulMixin):
-    """Zero-point-folded integer convolution via a tap-major exact GEMM.
+    """Zero-point-folded integer convolution via a tap-major exact GEMM,
+    optionally max-pooled on its accumulator before requantization.
 
     The window view is copied straight into an ``(N, G, Kg, P)`` scratch
     (``Kg = Cg·kh·kw`` taps, ``P = OH·OW`` positions, no transpose) and
@@ -233,10 +282,19 @@ class _ConvStep(_Step, _MatmulMixin):
     ``nn/graph.py``'s float conv: the accumulator lands in NCHW order,
     so requantization writes the activation contiguously.  The GEMM runs
     in the narrowest float width :meth:`_check_bounds` proves exact.
+
+    With a hoisted ``maxpool`` (unpadded, planned by
+    :func:`_hoistable_pool`) the step runs GEMM -> tap-wise max over the
+    NCHW accumulator into a pooled-size accumulator -> folded bias add
+    -> requantize and clamp into the pooled activation, so only one in
+    ``k*k`` (for ``stride == k``) accumulator values is ever
+    requantized — exact by the monotonicity argument in the module
+    docstring ("Pool before requantize").
     """
 
     def __init__(self, op: QConv2d, n: int, shape, pool,
-                 fused_relu: Optional[QReLU], out: np.ndarray):
+                 fused_relu: Optional[QReLU], out: np.ndarray,
+                 maxpool: Optional[QMaxPool2d] = None):
         N, C, H, W = shape
         F_out, _, kh, kw = op.q_weight.shape
         G = op.groups
@@ -274,6 +332,17 @@ class _ConvStep(_Step, _MatmulMixin):
         self.cols_view = self.cols.reshape(N, C, kh, kw, oh, ow)
         self.accf = pool.acquire(("edge-accf",), n, (G, Fg, P),
                                  self.gemm_dtype, None)[:n]
+        self.pool_k = None
+        self.accq = self.accf           # the accumulator that requantizes
+        if maxpool is not None:
+            self.pool_k = maxpool.kernel
+            self.pool_st = _pool_stride(maxpool)
+            poh, pow_ = _pooled_hw(maxpool, oh, ow)
+            P = poh * pow_
+            self.accf_nchw = self.accf.reshape(N, F_out, oh, ow)
+            self.accq = pool.acquire(("edge-accp",), n, (G, Fg, P),
+                                     self.gemm_dtype, None)[:n]
+            self.accq_nchw = self.accq.reshape(N, F_out, poh, pow_)
         self.acci = pool.acquire(("edge-acci",), n, (G, Fg, P), np.int64,
                                  None)[:n]
         self.neg = pool.acquire(("edge-neg",), n, (G, Fg, P), np.bool_,
@@ -289,8 +358,11 @@ class _ConvStep(_Step, _MatmulMixin):
             src, _, _ = _window_view(q, self.kh, self.kw, self.st, self.st)
         np.copyto(self.cols_view, src)          # gather + int->float cast
         np.matmul(self.wf, self.cols, out=self.accf)
-        self.accf += self.biasf
-        self._requant_clamp_store(self.out_view)
+        if self.pool_k is not None:
+            _max_pool_taps(self.accf_nchw, self.pool_k, self.pool_st,
+                           self.accq_nchw)
+        self.accq += self.biasf
+        self._requant_clamp_store(self.accq, self.out_view)
         return self.out
 
 
@@ -326,7 +398,7 @@ class _LinearStep(_Step, _MatmulMixin):
         np.copyto(self.xf, q)
         np.matmul(self.xf, self.wf, out=self.accf)
         self.accf += self.biasf
-        self._requant_clamp_store(self.out)
+        self._requant_clamp_store(self.accf, self.out)
         return self.out
 
 
@@ -351,7 +423,7 @@ class _PoolStep(_Step):
     def __init__(self, op: QMaxPool2d, n: int, shape, pool, out: np.ndarray):
         N, C, H, W = shape
         self.k = op.kernel
-        self.st = op.stride if op.stride is not None else op.kernel
+        self.st = _pool_stride(op)
         p = op.padding
         if p:
             fill = int(np.iinfo(np.int32).min)
@@ -449,10 +521,16 @@ class EdgeProgram:
                     ow = (W + 2 * op.padding - kw) // op.stride + 1
                     if oh < 1 or ow < 1 or C % op.groups:
                         raise EdgeLoweringError("conv geometry is invalid")
+                    # an unpadded max pool after the conv (and its relu)
+                    # runs on the conv's accumulator instead
+                    j = _hoistable_pool(op, ops, i + 1, (oh, ow))
+                    maxpool = ops.pop(j) if j is not None else None
+                    if maxpool is not None:
+                        oh, ow = _pooled_hw(maxpool, oh, ow)
                     shape = (N, op.q_weight.shape[0], oh, ow)
                     out = act(shape)
                     self.steps.append(_ConvStep(op, n, (N, C, H, W), pool,
-                                                fused, out))
+                                                fused, out, maxpool))
                 else:
                     if len(shape) != 2:
                         raise EdgeLoweringError("linear input must be 2-D")
@@ -472,9 +550,7 @@ class EdgeProgram:
                 if len(shape) != 4:
                     raise EdgeLoweringError("maxpool input must be NCHW")
                 N, C, H, W = shape
-                st = op.stride if op.stride is not None else op.kernel
-                oh = (H + 2 * op.padding - op.kernel) // st + 1
-                ow = (W + 2 * op.padding - op.kernel) // st + 1
+                oh, ow = _pooled_hw(op, H, W)
                 if oh < 1 or ow < 1:
                     raise EdgeLoweringError("maxpool geometry is invalid")
                 shape = (N, C, oh, ow)

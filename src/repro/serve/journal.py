@@ -49,7 +49,9 @@ def pack_arrays(arrays: Dict[str, np.ndarray]) -> List[Dict[str, Any]]:
     """JSON-serializable encoding of named arrays (raw bytes as base64)."""
     out = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        # asarray, not ascontiguousarray: the latter makes 0-d arrays 1-d;
+        # tobytes() is C-order either way
+        arr = np.asarray(arr)
         out.append({"name": name, "dtype": arr.dtype.str,
                     "shape": list(arr.shape),
                     "data": base64.b64encode(arr.tobytes()).decode("ascii")})
@@ -110,7 +112,9 @@ class Journal:
         accepts with no complete record — the jobs a crash interrupted.
         ``completed`` maps key -> (outcome, response header, response
         arrays).  A torn (undecodable) final line is skipped; a torn
-        line anywhere *else* is real corruption and raises.
+        line anywhere *else*, or a line that decodes to a malformed
+        record (not an object, missing fields, bad arrays), is real
+        corruption and raises ``ValueError`` naming ``path:line``.
         """
         accepts: "OrderedDict" = OrderedDict()
         completed: "OrderedDict" = OrderedDict()
@@ -128,13 +132,17 @@ class Journal:
                     break               # torn tail: the crash mid-write
                 raise ValueError(
                     f"corrupt journal record at {path}:{i + 1}")
-            if rec["type"] == "accept":
-                accepts[rec["key"]] = (rec["header"],
-                                       unpack_arrays(rec["arrays"]))
-            elif rec["type"] == "complete":
-                accepts.pop(rec["key"], None)
-                completed[rec["key"]] = (rec["outcome"], rec["header"],
-                                         unpack_arrays(rec["arrays"]))
+            try:
+                if rec["type"] == "accept":
+                    accepts[rec["key"]] = (rec["header"],
+                                           unpack_arrays(rec["arrays"]))
+                elif rec["type"] == "complete":
+                    accepts.pop(rec["key"], None)
+                    completed[rec["key"]] = (rec["outcome"], rec["header"],
+                                             unpack_arrays(rec["arrays"]))
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                raise ValueError(f"malformed journal record at "
+                                 f"{path}:{i + 1}: {exc!r}") from exc
         return accepts, completed
 
     @staticmethod

@@ -141,7 +141,9 @@ def encode_frame(header: Dict[str, Any],
     meta = []
     segments = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        # asarray, not ascontiguousarray: the latter makes 0-d arrays 1-d;
+        # tobytes() is C-order either way
+        arr = np.asarray(arr)
         meta.append({"name": name, "dtype": arr.dtype.str,
                      "shape": list(arr.shape)})
         segments.append(arr.tobytes())

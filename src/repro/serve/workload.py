@@ -162,11 +162,18 @@ def save_workload(spec: Dict[str, Any], path: str) -> str:
 
 
 def load_workload(path: str) -> Dict[str, Any]:
+    """Read a saved spec; ``ValueError`` unless it is a JSON object of
+    this :data:`SPEC_VERSION` with a ``jobs`` list."""
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"workload spec {path} must be a JSON object, "
+                         f"not {type(spec).__name__}")
     if spec.get("version") != SPEC_VERSION:
         raise ValueError(f"unsupported workload spec version "
                          f"{spec.get('version')!r} (expected {SPEC_VERSION})")
+    if not isinstance(spec.get("jobs"), list):
+        raise ValueError(f"workload spec {path} needs a 'jobs' list")
     return spec
 
 

@@ -10,7 +10,7 @@ from repro.edge import (Dequantize, EdgeLoweringError, EdgeModel, EdgeOp,
                         EdgeProgram, QConv2d, QFlatten, QLinear, QMaxPool2d,
                         QReLU, QuantizeInput, compile_edge, load_edge_model,
                         save_edge_model)
-from repro.edge.program import _ConvStep, _ReLUStep
+from repro.edge.program import _ConvStep, _PoolStep, _ReLUStep
 from repro.models import build_model
 from repro.quantization import calibrate, prepare_qat
 from repro.quantization.affine import QuantParams, choose_qparams
@@ -213,10 +213,11 @@ class TestHandBuiltOps:
         assert got.tobytes() == em.predict(x, compiled=False).tobytes()
 
 
-def _bound_conv(excess):
+def _bound_conv(excess, tail=()):
     """Two-filter conv whose per-filter accumulator bound is exactly
     ``2**24 + excess``, reached by an all-``qmax`` input (filter 0 at
-    the positive extreme, filter 1 at the negative one)."""
+    the positive extreme, filter 1 at the negative one); ``tail`` ops
+    run between the conv and the dequantize."""
     in_qp = _per_tensor(0, 1, 0, 255)             # zero-point 0, qmax 255
     c = 57                                        # 57·9·127·255 < 2**24
     w = np.full((2, c, 3, 3), 127, dtype=np.int64)
@@ -227,7 +228,8 @@ def _bound_conv(excess):
                        qmin=-127, qmax=127, axis=0)
     out_qp = _per_tensor(-8, 8, 0, 255)
     conv = QConv2d(w, bias, in_qp, w_qp, out_qp, padding=1)
-    return EdgeModel([QuantizeInput(in_qp), conv, Dequantize(out_qp)], 2), c
+    return EdgeModel([QuantizeInput(in_qp), conv, *tail,
+                      Dequantize(out_qp)], 2), c
 
 
 class TestGemmWidth:
@@ -310,6 +312,123 @@ class TestReLULowering:
         finally:
             prog_mod._can_fuse_relu = orig
         np.testing.assert_array_equal(fused, plain)
+
+
+def _steps(em):
+    prog = next(iter(em._programs.values()))
+    assert prog is not None
+    return prog.steps
+
+
+def _conv_pool_model(rng, relu, kernel, stride, groups=1, conv_stride=1):
+    """quantize -> conv -> [relu] -> unpadded max pool -> dequantize."""
+    in_qp = _per_tensor(-1, 1, 0, 255)
+    if relu == "fused":        # shared scale: the relu folds into the clamp
+        conv_out = QuantParams(scale=np.float64(0.0125),
+                               zero_point=np.float64(130), qmin=0, qmax=255)
+        relu_out = QuantParams(scale=np.float64(0.0125),
+                               zero_point=np.float64(2), qmin=0, qmax=255)
+    else:                      # differing grids: a standalone LUT relu
+        conv_out = _per_tensor(-2, 2, 0, 255)
+        relu_out = _per_tensor(0, 1.7, 0, 255)
+    conv = _rand_conv(rng, 6, 4 // groups, 3, in_qp, conv_out, padding=1,
+                      stride=conv_stride, groups=groups)
+    ops = [QuantizeInput(in_qp), conv]
+    if relu != "none":
+        ops.append(QReLU(conv_out, relu_out))
+    ops += [QMaxPool2d(kernel, stride=stride), QFlatten(),
+            Dequantize(conv_out if relu == "none" else relu_out)]
+    return EdgeModel(ops, 6)
+
+
+class TestPoolBeforeRequantize:
+    """An unpadded max pool after a conv runs on the conv's exact
+    accumulator, before requantization, with the same bytes as the
+    eager conv -> relu -> pool op loop."""
+
+    @pytest.mark.parametrize("hw", [(8, 8), (11, 13)])
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("relu", ["standalone", "fused", "none"])
+    def test_matches_eager(self, relu, kernel, stride, hw):
+        rng = np.random.default_rng(kernel * 13 + stride * 5 + hw[1])
+        em = _conv_pool_model(rng, relu, kernel, stride)
+        x = rng.random((5, 4) + hw)
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+        steps = _steps(em)
+        assert not any(isinstance(s, _PoolStep) for s in steps)
+        conv = next(s for s in steps if isinstance(s, _ConvStep))
+        assert conv.pool_k == kernel
+        assert (sum(isinstance(s, _ReLUStep) for s in steps)
+                == (relu == "standalone"))
+
+    def test_grouped_strided_conv(self):
+        rng = np.random.default_rng(41)
+        em = _conv_pool_model(rng, "standalone", 2, 2, groups=2,
+                              conv_stride=2)
+        x = rng.random((4, 4, 15, 10))
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+        assert not any(isinstance(s, _PoolStep) for s in _steps(em))
+
+    def test_float64_gemm(self):
+        """Bound just over 2**24: the pooled accumulator is float64 and
+        the all-``qmax`` batch row pools values at the bound."""
+        em, c = _bound_conv(1, tail=[QMaxPool2d(2)])
+        rng = np.random.default_rng(43)
+        x = rng.random((4, c, 5, 7))
+        x[0] = 1.0
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+        conv = next(s for s in _steps(em) if isinstance(s, _ConvStep))
+        assert conv.gemm_dtype is np.float64 and conv.pool_k == 2
+        assert conv.accq.dtype == np.float64
+
+    def test_every_window_negative(self):
+        """Non-positive weights, a negative bias and non-negative
+        inputs: every pooled accumulator is negative, so the max and
+        the round-half-away-from-zero shift both work below zero."""
+        rng = np.random.default_rng(47)
+        in_qp = _per_tensor(0, 1, 0, 255)         # zero-point 0
+        out_qp = _per_tensor(-1, 0.2, 0, 255)
+        w = -rng.integers(0, 4, size=(5, 3, 3, 3)).astype(np.int64)
+        w_qp = QuantParams(scale=np.full(5, 0.01), zero_point=np.zeros(5),
+                           qmin=-127, qmax=127, axis=0)
+        bias = -rng.integers(1, 300, size=5).astype(np.int64)
+        conv = QConv2d(w, bias, in_qp, w_qp, out_qp)
+        em = EdgeModel([QuantizeInput(in_qp), conv, QMaxPool2d(2, stride=2),
+                        Dequantize(out_qp)], 5)
+        x = 0.5 + 0.5 * rng.random((4, 3, 9, 9))
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+        step = next(s for s in _steps(em) if isinstance(s, _ConvStep))
+        assert step.pool_k == 2 and (step.accq < 0).all()
+        assert len(np.unique(got)) > 1           # not all clamped away
+
+    def test_padded_pool_stays_a_pool_step(self):
+        rng = np.random.default_rng(53)
+        in_qp = _per_tensor(-1, 1, 0, 255)
+        out_qp = _per_tensor(-2, 2, 0, 255)
+        conv = _rand_conv(rng, 4, 2, 3, in_qp, out_qp, padding=1)
+        em = EdgeModel([QuantizeInput(in_qp), conv,
+                        QMaxPool2d(3, stride=2, padding=1),
+                        Dequantize(out_qp)], 4)
+        x = rng.random((3, 2, 9, 9))
+        got = _strict_predict(em, x)
+        assert got.tobytes() == em.predict(x, compiled=False).tobytes()
+        steps = _steps(em)
+        assert any(isinstance(s, _PoolStep) for s in steps)
+        conv_step = next(s for s in steps if isinstance(s, _ConvStep))
+        assert conv_step.pool_k is None
+
+    def test_vggface_plan_has_no_pool_step(self, vggface_edge):
+        edge, x = vggface_edge
+        em = EdgeModel(edge.ops, 12)
+        _strict_predict(em, x)
+        steps = _steps(em)
+        assert not any(isinstance(s, _PoolStep) for s in steps)
+        assert any(isinstance(s, _ConvStep) and s.pool_k is not None
+                   for s in steps)
 
 
 class TestFallback:

@@ -420,6 +420,39 @@ def test_journal_scan_tolerates_torn_tail_only(tmp_path):
         Journal.scan(path)
 
 
+def test_scalar_and_strided_arrays_roundtrip_wire_and_journal():
+    """0-d arrays keep their shape and transposed views their values
+    through both array codecs."""
+    from repro.serve.journal import pack_arrays, unpack_arrays
+    arrs = {"s": np.array(3.5, dtype=np.float32),
+            "t": np.arange(6, dtype=np.int16).reshape(2, 3).T}
+    parser = FrameParser()
+    parser.feed(encode_frame({"op": "x"}, arrs))
+    (_, wire, _), = parser.frames()
+    for back in (wire, unpack_arrays(pack_arrays(arrs))):
+        for k, v in arrs.items():
+            assert back[k].shape == v.shape and back[k].dtype == v.dtype
+            np.testing.assert_array_equal(back[k], v)
+
+
+@pytest.mark.parametrize("line", [
+    "5",                                            # not an object
+    '{"key": "k9", "header": {}, "arrays": []}',    # no type
+    '{"type": "accept", "key": "k9", "header": {}, "arrays": '
+    '[{"name": "x", "dtype": "zz9", "shape": [1], "data": "AAAA"}]}',
+], ids=["scalar", "no-type", "unknown-dtype"])
+def test_journal_scan_names_malformed_records(tmp_path, line):
+    """A record that decodes but is malformed is corruption: one
+    ValueError naming ``path:line``, never a TypeError/KeyError."""
+    path = str(tmp_path / "bad.journal")
+    with Journal(path) as journal:
+        journal.complete("k0", "ok", {"op": "result", "key": "k0"}, {})
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=r"bad\.journal:2\b"):
+        Journal.scan(path)
+
+
 # --------------------------------------------------------------------- #
 # load generation
 # --------------------------------------------------------------------- #

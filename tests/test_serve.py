@@ -427,6 +427,20 @@ class TestServeParity:
         assert out["outcome_counts"] == {"ok": 15}
         assert out["errors"] == [None] * 15
 
+    @pytest.mark.parametrize("text,match", [
+        ("[]", "JSON object"),
+        ('"mixed"', "JSON object"),
+        ('{"version": 1}', "'jobs' list"),
+        ('{"version": 1, "jobs": {"kind": "pgd"}}', "'jobs' list"),
+    ], ids=["list", "string", "no-jobs", "jobs-not-list"])
+    def test_load_workload_rejects_malformed_specs(self, tmp_path, text,
+                                                   match):
+        from repro.serve import load_workload
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_workload(str(path))
+
     def test_workload_spec_roundtrips_tenant_and_deadline(self, tmp_path):
         """tenant / deadline_s ride through save/load/build and reach
         the session (a quota-bounded tenant's second job is rejected)."""
