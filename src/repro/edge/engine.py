@@ -343,6 +343,8 @@ class EdgeModel:
                 compiled: bool = True) -> np.ndarray:
         """Float pixels in, float logits out (integer path inside)."""
         x = np.asarray(x)
+        if len(x) == 0:
+            return np.empty((0, self.num_classes), dtype=np.float64)
         outs = []
         for start in range(0, len(x), batch_size):
             chunk = x[start:start + batch_size]

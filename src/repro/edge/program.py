@@ -5,7 +5,7 @@ fused execution path.
 op list into a pipeline planned for one (batch, input shape, dtype), the
 fourth and final leg of the compiled-executor architecture
 (``nn/graph.py`` forward replay, ``attacks/engine.py`` paired attacks,
-``nn/train_graph.py`` training).  Five lowerings do the work:
+``nn/train_graph.py`` training).  Six lowerings do the work:
 
 **Zero-point folding.**  The eager ``QConv2d``/``QLinear`` center the
 whole activation tensor before the matmul (``q - z_in``, an
@@ -32,15 +32,16 @@ multiply-round-shift arithmetic with one gather (bit-exact by
 construction).
 
 **Planned buffers.**  All scratch (pad images, im2col gathers,
-accumulators, sign masks, activations) is pre-sized per program from a
-:class:`~repro.nn.graph.ScratchPool` shared across the model's per-shape
-programs, with activation buffers ping-ponged so producers and consumers
-never alias.  Convolutions are tap-major: the window view is copied
-straight into an ``(N, G, Kg, P)`` scratch and contracted as
-``(G, Fg, Kg) @ (N, G, Kg, P)``, so the accumulator is already NCHW and
-requantization writes each activation contiguously.  Max pooling is a
-tap-wise ``np.maximum`` of the ``k*k`` strided tap views into the planned
-output (shared with the eager op), not a reduction over window axes.
+accumulators, sign masks, activations) is pre-sized per row tile (see
+"Row tiles") from a :class:`~repro.nn.graph.ScratchPool` shared across
+the model's per-shape programs, with activation buffers ping-ponged so
+producers and consumers never alias.  Convolutions are tap-major: the
+window view is copied straight into an ``(N, G, Kg, P)`` scratch and
+contracted as ``(G, Fg, Kg) @ (N, G, Kg, P)``, so the accumulator is
+already NCHW and requantization writes each activation contiguously.
+Max pooling is a tap-wise ``np.maximum`` of the ``k*k`` strided tap
+views into the planned output (shared with the eager op), not a
+reduction over window axes.
 
 **Pool before requantize.**  An unpadded ``QMaxPool2d`` that follows a
 conv (directly, after a fused relu, or after a standalone LUT relu) is
@@ -67,11 +68,22 @@ broadcast-shaped ``m0``/``shift``/rounding constants built at plan time,
 and the final clamp writes straight into the next int32 activation
 buffer.
 
+**Row tiles.**  The steps are planned for a tile of ``T`` rows, not for
+the batch, and :meth:`EdgeProgram.run` walks the batch tile by tile,
+writing each tile's logits into one freshly owned output.  ``T`` is the
+largest row count whose biggest per-step scratch (a step's planned
+buffers plus the activations it reads and writes) fits
+:data:`TILE_BYTES`, about one L2, so each step's working set stays in
+cache and the pool holds a tile's scratch however large the batch.  A
+ragged last tile gets one extra plan over the same pool keys.  Bytes
+cannot move: every step is row-independent and the GEMMs are exact
+integer arithmetic, so a row's logits do not depend on its tile.
+
 Safety mirrors ``graph.py``/``train_graph.py``: a freshly planned
-program replays the build batch and must match the eager op loop
-**bit for bit**, else it raises and :meth:`EdgeModel.predict` warns and
-pins the eager loop for that shape — a fallback run is exactly the run
-that was never compiled.
+program replays the whole build batch and must match the eager op loop
+(run tile by tile) **bit for bit**, else it raises and
+:meth:`EdgeModel.predict` warns and pins the eager loop for that shape —
+a fallback run is exactly the run that was never compiled.
 """
 
 from __future__ import annotations
@@ -92,6 +104,8 @@ _F32_EXACT = np.int64(1) << 24
 _F64_EXACT = np.int64(1) << 53
 #: requantize headroom: |acc| * m0 (< 2**31) must stay inside int64
 _REQUANT_SAFE = np.int64(1) << 31
+#: per-step scratch budget of one row tile, about one L2
+TILE_BYTES = 1 << 21
 
 
 class EdgeLoweringError(Exception):
@@ -180,14 +194,14 @@ class _Step:
 class _QuantizeStep(_Step):
     """Float pixels -> int32 grid, in the input's native float dtype."""
 
-    def __init__(self, op: QuantizeInput, n: int, shape, dtype, pool,
+    def __init__(self, op: QuantizeInput, shape, dtype, scratch,
                  out: np.ndarray):
         self.s = float(op.qp.scale)
         self.z = float(op.qp.zero_point)
         self.qmin, self.qmax = op.qp.qmin, op.qp.qmax
         fdtype = dtype if np.issubdtype(dtype, np.floating) else np.float64
         self.cast = None if np.issubdtype(dtype, np.floating) else np.float64
-        self.fbuf = pool.acquire(("edge-qf",), n, shape[1:], fdtype, None)[:n]
+        self.fbuf = scratch(("edge-qf",), shape[1:], fdtype)
         self.out = out
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -276,8 +290,9 @@ class _ConvStep(_Step, _MatmulMixin):
     """Zero-point-folded integer convolution via a tap-major exact GEMM,
     optionally max-pooled on its accumulator before requantization.
 
-    The window view is copied straight into an ``(N, G, Kg, P)`` scratch
-    (``Kg = Cg·kh·kw`` taps, ``P = OH·OW`` positions, no transpose) and
+    ``N`` is the row tile's rows.  The window view is copied straight
+    into an ``(N, G, Kg, P)`` scratch (``Kg = Cg·kh·kw`` taps,
+    ``P = OH·OW`` positions, no transpose) and
     contracted as ``(G, Fg, Kg) @ (N, G, Kg, P)``, the layout of
     ``nn/graph.py``'s float conv: the accumulator lands in NCHW order,
     so requantization writes the activation contiguously.  The GEMM runs
@@ -292,7 +307,7 @@ class _ConvStep(_Step, _MatmulMixin):
     docstring ("Pool before requantize").
     """
 
-    def __init__(self, op: QConv2d, n: int, shape, pool,
+    def __init__(self, op: QConv2d, shape, scratch,
                  fused_relu: Optional[QReLU], out: np.ndarray,
                  maxpool: Optional[QMaxPool2d] = None):
         N, C, H, W = shape
@@ -317,8 +332,8 @@ class _ConvStep(_Step, _MatmulMixin):
             z_in = int(op.in_qp.zero_point)
             # padding width keys the buffer too: same padded shape with a
             # different border width must not share plan-time border fills
-            pad = pool.acquire(("edge-pad", z_in, p), n,
-                               (C, H + 2 * p, W + 2 * p), np.int32, None)[:n]
+            pad = scratch(("edge-pad", z_in, p), (C, H + 2 * p, W + 2 * p),
+                          np.int32)
             # the border is the folded zero-point, constant across runs
             _fill_border(pad, p, z_in)
             self.pad = pad
@@ -327,11 +342,9 @@ class _ConvStep(_Step, _MatmulMixin):
         else:
             self.pad = None
         # (N, C, kh, kw, OH, OW) is (N, G, Kg, P) in memory order
-        self.cols = pool.acquire(("edge-cols",), n, (G, Kg, P),
-                                 self.gemm_dtype, None)[:n]
+        self.cols = scratch(("edge-cols",), (G, Kg, P), self.gemm_dtype)
         self.cols_view = self.cols.reshape(N, C, kh, kw, oh, ow)
-        self.accf = pool.acquire(("edge-accf",), n, (G, Fg, P),
-                                 self.gemm_dtype, None)[:n]
+        self.accf = scratch(("edge-accf",), (G, Fg, P), self.gemm_dtype)
         self.pool_k = None
         self.accq = self.accf           # the accumulator that requantizes
         if maxpool is not None:
@@ -340,13 +353,10 @@ class _ConvStep(_Step, _MatmulMixin):
             poh, pow_ = _pooled_hw(maxpool, oh, ow)
             P = poh * pow_
             self.accf_nchw = self.accf.reshape(N, F_out, oh, ow)
-            self.accq = pool.acquire(("edge-accp",), n, (G, Fg, P),
-                                     self.gemm_dtype, None)[:n]
+            self.accq = scratch(("edge-accp",), (G, Fg, P), self.gemm_dtype)
             self.accq_nchw = self.accq.reshape(N, F_out, poh, pow_)
-        self.acci = pool.acquire(("edge-acci",), n, (G, Fg, P), np.int64,
-                                 None)[:n]
-        self.neg = pool.acquire(("edge-neg",), n, (G, Fg, P), np.bool_,
-                                None)[:n]
+        self.acci = scratch(("edge-acci",), (G, Fg, P), np.int64)
+        self.neg = scratch(("edge-neg",), (G, Fg, P), np.bool_)
         self.out = out
         self.out_view = out.reshape(N, G, Fg, P)
 
@@ -370,7 +380,7 @@ class _LinearStep(_Step, _MatmulMixin):
     """Zero-point-folded integer linear layer via an exact float GEMM,
     in the narrowest width :meth:`_check_bounds` proves exact."""
 
-    def __init__(self, op: QLinear, n: int, shape, pool,
+    def __init__(self, op: QLinear, shape, scratch,
                  fused_relu: Optional[QReLU], out: np.ndarray):
         _, K = shape
         if K != op.q_weight.shape[1]:
@@ -384,14 +394,10 @@ class _LinearStep(_Step, _MatmulMixin):
         (self.z_out, self.lo, self.hi, self.m0, self.rounding,
          self.total) = self._plan_requant(op, fused_relu)
         F_out = op.q_weight.shape[0]
-        self.xf = pool.acquire(("edge-cols",), n, (K,), self.gemm_dtype,
-                               None)[:n]
-        self.accf = pool.acquire(("edge-accf",), n, (F_out,),
-                                 self.gemm_dtype, None)[:n]
-        self.acci = pool.acquire(("edge-acci",), n, (F_out,), np.int64,
-                                 None)[:n]
-        self.neg = pool.acquire(("edge-neg",), n, (F_out,), np.bool_,
-                                None)[:n]
+        self.xf = scratch(("edge-cols",), (K,), self.gemm_dtype)
+        self.accf = scratch(("edge-accf",), (F_out,), self.gemm_dtype)
+        self.acci = scratch(("edge-acci",), (F_out,), np.int64)
+        self.neg = scratch(("edge-neg",), (F_out,), np.bool_)
         self.out = out
 
     def run(self, q: np.ndarray) -> np.ndarray:
@@ -420,16 +426,15 @@ class _ReLUStep(_Step):
 class _PoolStep(_Step):
     """Integer max pooling as a tap-wise maximum into the planned output."""
 
-    def __init__(self, op: QMaxPool2d, n: int, shape, pool, out: np.ndarray):
+    def __init__(self, op: QMaxPool2d, shape, scratch, out: np.ndarray):
         N, C, H, W = shape
         self.k = op.kernel
         self.st = _pool_stride(op)
         p = op.padding
         if p:
             fill = int(np.iinfo(np.int32).min)
-            pad = pool.acquire(("edge-pad", fill, p), n,
-                               (C, H + 2 * p, W + 2 * p),
-                               np.int32, None)[:n]
+            pad = scratch(("edge-pad", fill, p), (C, H + 2 * p, W + 2 * p),
+                          np.int32)
             _fill_border(pad, p, fill)
             self.pad = pad
             self.pad_interior = pad[:, :, p:-p, p:-p]
@@ -450,27 +455,141 @@ class _FlattenStep(_Step):
 
 
 class _DequantStep(_Step):
-    """Integer grid -> freshly-owned float64 logits."""
+    """Integer grid -> float64 logits in the planned output buffer."""
 
-    def __init__(self, op: Dequantize):
+    def __init__(self, op: Dequantize, out: np.ndarray):
         self.s = float(op.qp.scale)
         self.z = float(op.qp.zero_point)
+        self.out = out
 
     def run(self, q: np.ndarray) -> np.ndarray:
-        out = np.empty(q.shape, dtype=np.float64)
-        np.copyto(out, q)
-        out -= self.z
-        out *= self.s
-        return out
+        np.copyto(self.out, q)
+        self.out -= self.z
+        self.out *= self.s
+        return self.out
+
+
+def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
+          ) -> Tuple[List[_Step], int, int]:
+    """Lower ``ops`` into steps for a ``rows``-row tile of ``example``.
+
+    Returns ``(steps, fused_relus, peak)``.  ``peak`` is the largest
+    per-step scratch in bytes: a step's planned buffers plus the
+    activations it reads and writes.  Every buffer is ``rows`` rows, so
+    a one-row plan prices each step per row.
+    """
+    shape: Tuple[int, ...] = (rows,) + example.shape[1:]
+    steps: List[_Step] = []
+    fused_relus = 0
+    parity = 0
+    owns_current = False   # does the running value live in our buffers?
+    live = rows * example[:1].nbytes    # bytes of the running value
+    used = peak = 0
+
+    def scratch(key, per_row, dtype) -> np.ndarray:
+        nonlocal used
+        buf = pool.acquire(key, rows, tuple(per_row), dtype, None)[:rows]
+        used += buf.nbytes
+        return buf
+
+    def act(new_shape, dtype=np.int32) -> np.ndarray:
+        nonlocal parity, owns_current, live
+        buf = scratch(("edge-act", parity), new_shape[1:], dtype)
+        parity ^= 1
+        owns_current = True
+        live = buf.nbytes
+        return buf
+
+    ops = list(ops)
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        used = live
+        if isinstance(op, QuantizeInput):
+            out = act(shape)
+            steps.append(_QuantizeStep(op, shape, example.dtype, scratch, out))
+        elif isinstance(op, (QConv2d, QLinear)):
+            fused = None
+            if (i + 1 < len(ops) and isinstance(ops[i + 1], QReLU)
+                    and _can_fuse_relu(op, ops[i + 1])):
+                fused = ops[i + 1]
+                fused_relus += 1
+                i += 1
+            if isinstance(op, QConv2d):
+                if len(shape) != 4:
+                    raise EdgeLoweringError("conv input must be NCHW")
+                N, C, H, W = shape
+                kh, kw = op.q_weight.shape[2:]
+                oh = (H + 2 * op.padding - kh) // op.stride + 1
+                ow = (W + 2 * op.padding - kw) // op.stride + 1
+                if oh < 1 or ow < 1 or C % op.groups:
+                    raise EdgeLoweringError("conv geometry is invalid")
+                # an unpadded max pool after the conv (and its relu)
+                # runs on the conv's accumulator instead
+                j = _hoistable_pool(op, ops, i + 1, (oh, ow))
+                maxpool = ops.pop(j) if j is not None else None
+                if maxpool is not None:
+                    oh, ow = _pooled_hw(maxpool, oh, ow)
+                shape = (N, op.q_weight.shape[0], oh, ow)
+                out = act(shape)
+                steps.append(_ConvStep(op, (N, C, H, W), scratch, fused, out,
+                                       maxpool))
+            else:
+                if len(shape) != 2:
+                    raise EdgeLoweringError("linear input must be 2-D")
+                in_shape = shape
+                shape = (shape[0], op.q_weight.shape[0])
+                out = act(shape)
+                steps.append(_LinearStep(op, in_shape, scratch, fused, out))
+        elif isinstance(op, QReLU):
+            if not owns_current:
+                # the LUT step reclaims its input buffer in place,
+                # which must never be the caller's array
+                raise EdgeLoweringError("relu on the raw program input")
+            out = act(shape)
+            steps.append(_ReLUStep(op, out))
+        elif isinstance(op, QMaxPool2d):
+            if len(shape) != 4:
+                raise EdgeLoweringError("maxpool input must be NCHW")
+            N, C, H, W = shape
+            oh, ow = _pooled_hw(op, H, W)
+            if oh < 1 or ow < 1:
+                raise EdgeLoweringError("maxpool geometry is invalid")
+            shape = (N, C, oh, ow)
+            out = act(shape)
+            steps.append(_PoolStep(op, (N, C, H, W), scratch, out))
+        elif isinstance(op, QFlatten):
+            shape = (shape[0], int(np.prod(shape[1:])))
+            steps.append(_FlattenStep())
+        elif isinstance(op, Dequantize):
+            steps.append(_DequantStep(op, act(shape, np.float64)))
+        else:
+            raise EdgeLoweringError(f"cannot lower op {type(op).__name__}")
+        peak = max(peak, used)
+        i += 1
+    return steps, fused_relus, peak
+
+
+def _tile_rows(ops, example: np.ndarray) -> int:
+    """Rows of the largest tile whose biggest per-step scratch fits
+    :data:`TILE_BYTES` (at least one)."""
+    # a one-row plan on a throwaway pool prices the scratch per row
+    row_peak = _plan(ops, 1, example, ScratchPool())[2]
+    return max(1, TILE_BYTES // row_peak)
 
 
 class EdgeProgram:
-    """A planned, fused integer pipeline for one (batch shape, dtype).
+    """A planned, fused integer pipeline for one (batch shape, dtype),
+    run one row tile at a time.
 
     Build with the :class:`EdgeModel` whose ops to lower and an example
     batch; construction validates the program bit-for-bit against the
-    model's eager op loop on that batch and raises
+    model's eager op loop on the whole batch and raises
     :class:`EdgeLoweringError` on any mismatch or unloweable op.
+    ``tile_rows`` is the row tile ``T`` the steps are planned for
+    (:data:`TILE_BYTES`); ``tail_steps`` is the plan for the ragged
+    last tile, over the same pooled buffers (``steps`` itself when
+    ``T`` divides the batch).
     """
 
     def __init__(self, model: EdgeModel, example: np.ndarray,
@@ -483,115 +602,54 @@ class EdgeProgram:
             raise EdgeLoweringError("example batch must be non-empty")
         pool = pool if pool is not None else ScratchPool()
         n = len(x)
-        shape: Tuple[int, ...] = x.shape
-        self.steps: List[_Step] = []
-        self.fused_relus = 0
-        parity = 0
-        owns_current = False   # does the running value live in our buffers?
-
-        def act(new_shape) -> np.ndarray:
-            nonlocal parity, owns_current
-            buf = pool.acquire(("edge-act", parity), n, tuple(new_shape[1:]),
-                               np.int32, None)[:n]
-            parity ^= 1
-            owns_current = True
-            return buf
-
-        ops = list(model.ops)
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            if isinstance(op, QuantizeInput):
-                out = act(shape)
-                self.steps.append(_QuantizeStep(op, n, shape, x.dtype,
-                                                pool, out))
-            elif isinstance(op, (QConv2d, QLinear)):
-                fused = None
-                if (i + 1 < len(ops) and isinstance(ops[i + 1], QReLU)
-                        and _can_fuse_relu(op, ops[i + 1])):
-                    fused = ops[i + 1]
-                    self.fused_relus += 1
-                    i += 1
-                if isinstance(op, QConv2d):
-                    if len(shape) != 4:
-                        raise EdgeLoweringError("conv input must be NCHW")
-                    N, C, H, W = shape
-                    kh, kw = op.q_weight.shape[2:]
-                    oh = (H + 2 * op.padding - kh) // op.stride + 1
-                    ow = (W + 2 * op.padding - kw) // op.stride + 1
-                    if oh < 1 or ow < 1 or C % op.groups:
-                        raise EdgeLoweringError("conv geometry is invalid")
-                    # an unpadded max pool after the conv (and its relu)
-                    # runs on the conv's accumulator instead
-                    j = _hoistable_pool(op, ops, i + 1, (oh, ow))
-                    maxpool = ops.pop(j) if j is not None else None
-                    if maxpool is not None:
-                        oh, ow = _pooled_hw(maxpool, oh, ow)
-                    shape = (N, op.q_weight.shape[0], oh, ow)
-                    out = act(shape)
-                    self.steps.append(_ConvStep(op, n, (N, C, H, W), pool,
-                                                fused, out, maxpool))
-                else:
-                    if len(shape) != 2:
-                        raise EdgeLoweringError("linear input must be 2-D")
-                    in_shape = shape
-                    shape = (shape[0], op.q_weight.shape[0])
-                    out = act(shape)
-                    self.steps.append(_LinearStep(op, n, in_shape, pool,
-                                                  fused, out))
-            elif isinstance(op, QReLU):
-                if not owns_current:
-                    # the LUT step reclaims its input buffer in place,
-                    # which must never be the caller's array
-                    raise EdgeLoweringError("relu on the raw program input")
-                out = act(shape)
-                self.steps.append(_ReLUStep(op, out))
-            elif isinstance(op, QMaxPool2d):
-                if len(shape) != 4:
-                    raise EdgeLoweringError("maxpool input must be NCHW")
-                N, C, H, W = shape
-                oh, ow = _pooled_hw(op, H, W)
-                if oh < 1 or ow < 1:
-                    raise EdgeLoweringError("maxpool geometry is invalid")
-                shape = (N, C, oh, ow)
-                out = act(shape)
-                self.steps.append(_PoolStep(op, n, (N, C, H, W), pool, out))
-            elif isinstance(op, QFlatten):
-                shape = (shape[0], int(np.prod(shape[1:])))
-                self.steps.append(_FlattenStep())
-            elif isinstance(op, Dequantize):
-                self.steps.append(_DequantStep(op))
-            else:
-                raise EdgeLoweringError(
-                    f"cannot lower op {type(op).__name__}")
-            i += 1
-        # only _DequantStep allocates an owned result; any other tail
-        # leaves the value in a pooled buffer the next run() overwrites
-        self._owns_output = bool(self.steps) and isinstance(
-            self.steps[-1], _DequantStep)
+        self.tile_rows = min(n, _tile_rows(model.ops, x))
+        self.steps, self.fused_relus, _ = _plan(model.ops, self.tile_rows,
+                                                x, pool)
+        ragged = n % self.tile_rows
+        self.tail_steps = (_plan(model.ops, ragged, x, pool)[0] if ragged
+                           else self.steps)
         if validate:
             self._validate(model, x)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Execute the planned pipeline; returns freshly-owned logits."""
+        """Execute the pipeline tile by tile; returns freshly-owned
+        logits for the whole batch."""
         # kernel-dispatch injection point (error faults model a kernel
         # failing at dispatch time; the serving ladder degrades to eager)
         faults.fire("edge.dispatch")
-        q = np.asarray(x)
-        for step in self.steps:
-            q = step.run(q)
-        return q if self._owns_output else q.copy()
+        x = np.asarray(x)
+        n, t = len(x), self.tile_rows
+        out = None
+        for lo in range(0, n, t):
+            q = x[lo:lo + t]
+            rows = len(q)
+            for step in self.steps if rows == t else self.tail_steps:
+                q = step.run(q)
+            if out is None:
+                out = np.empty((n,) + q.shape[1:], dtype=q.dtype)
+            out[lo:lo + rows] = q
+        return out
 
     # -- validation ----------------------------------------------------- #
     def _validate(self, model: EdgeModel, example: np.ndarray) -> None:
+        """Every row of the build batch must match the eager op loop.
+
+        The eager loop replays the batch one row tile at a time: its ops
+        are row-independent integer arithmetic, so this is the
+        whole-batch check without the eager loop's whole-batch int64
+        temporaries.
+        """
         faults.fire("edge.plan.validate")
-        ref = model._eager_forward(example)
         got = self.run(example)
         # corruption injection point: flips one element of the *compiled*
         # output — validation is the defense against silent corruption,
         # so the flip must be caught right here, never downstream
         faults.corrupt("edge.plan.validate", got)
-        if (got.shape != ref.shape or got.dtype != ref.dtype
-                or not np.array_equal(got, ref)):
-            raise EdgeLoweringError(
-                "compiled edge program does not match the eager op loop")
+        t = self.tile_rows
+        for lo in range(0, len(example), t):
+            ref = model._eager_forward(example[lo:lo + t])
+            tile = got[lo:lo + t]
+            if (tile.shape != ref.shape or tile.dtype != ref.dtype
+                    or not np.array_equal(tile, ref)):
+                raise EdgeLoweringError(
+                    "compiled edge program does not match the eager op loop")

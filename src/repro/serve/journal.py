@@ -111,23 +111,26 @@ class Journal:
         ``incomplete`` maps key -> (request header, request arrays) for
         accepts with no complete record — the jobs a crash interrupted.
         ``completed`` maps key -> (outcome, response header, response
-        arrays).  A torn (undecodable) final line is skipped; a torn
-        line anywhere *else*, or a line that decodes to a malformed
-        record (not an object, missing fields, bad arrays), is real
-        corruption and raises ``ValueError`` naming ``path:line``.
+        arrays).  Lines decode one at a time: a line that is not UTF-8,
+        not JSON, or nested too deeply to parse is undecodable.  A torn
+        (undecodable) final line is skipped; an undecodable line
+        anywhere *else*, or a line that decodes to a malformed record
+        (not an object, missing fields, bad arrays), is real corruption
+        and raises ``ValueError`` naming ``path:line``.
         """
         accepts: "OrderedDict" = OrderedDict()
         completed: "OrderedDict" = OrderedDict()
         if not os.path.exists(path):
             return accepts, completed
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = fh.read().splitlines()
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
+                # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                rec = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
                 if i == len(lines) - 1:
                     break               # torn tail: the crash mid-write
                 raise ValueError(

@@ -10,10 +10,12 @@ from repro.edge import (Dequantize, EdgeLoweringError, EdgeModel, EdgeOp,
                         EdgeProgram, QConv2d, QFlatten, QLinear, QMaxPool2d,
                         QReLU, QuantizeInput, compile_edge, load_edge_model,
                         save_edge_model)
-from repro.edge.program import _ConvStep, _PoolStep, _ReLUStep
+from repro.edge.program import (_ConvStep, _DequantStep, _PoolStep,
+                                _ReLUStep, _tile_rows)
 from repro.models import build_model
 from repro.quantization import calibrate, prepare_qat
 from repro.quantization.affine import QuantParams, choose_qparams
+from repro.serve.faults import FaultInjector, FaultSpec, inject
 
 
 def _edge_from_model(name, x, **kwargs):
@@ -478,4 +480,139 @@ class TestProgramCache:
         edge, x = lenet_edge
         em = EdgeModel(edge.ops, 10)
         em.predict(x[:4], compiled=False)
+        assert em._programs == {}
+
+
+def _grouped_conv_model(rng):
+    """quantize -> stride-2 padded grouped conv -> dequantize."""
+    in_qp = _per_tensor(-1, 1, 0, 255)
+    out_qp = _per_tensor(-3, 3, 0, 255)
+    conv = _rand_conv(rng, 6, 2, 3, in_qp, out_qp, stride=2, padding=1,
+                      groups=3)
+    return EdgeModel([QuantizeInput(in_qp), conv, Dequantize(out_qp)], 6)
+
+
+def _row_cases():
+    """``(model, rows(n) -> batch)`` pairs for the tile-boundary sweep."""
+    def vggface(fixture):
+        edge, _ = fixture
+        return edge, lambda n: np.random.default_rng(n).random(
+            (n, 3, 16, 16)).astype(np.float32)
+
+    def hoisted_pool(_):
+        em = _conv_pool_model(np.random.default_rng(61), "standalone", 2, 2)
+        return em, lambda n: np.random.default_rng(n).random((n, 4, 9, 11))
+
+    def grouped(_):
+        em = _grouped_conv_model(np.random.default_rng(62))
+        return em, lambda n: np.random.default_rng(n).random((n, 6, 11, 16))
+
+    def float64_gemm(_):
+        em, c = _bound_conv(1)
+
+        def rows(n):
+            x = np.random.default_rng(n).random((n, c, 5, 7))
+            x[-1] = 1.0                   # the last tile reaches the bound
+            return x
+        return em, rows
+
+    return {"vggface": vggface, "hoisted-pool": hoisted_pool,
+            "grouped-stride2-padded": grouped, "float64-gemm": float64_gemm}
+
+
+class TestRowTiles:
+    """A program plans its steps for a row tile of ``tile_rows`` rows
+    and walks the batch tile by tile, with one extra plan for a ragged
+    last tile; the bytes are the eager loop's at every batch size
+    around the tile boundaries."""
+
+    @pytest.mark.parametrize("case", sorted(_row_cases()))
+    def test_bytes_across_tile_boundaries(self, case, vggface_edge):
+        em, rows = _row_cases()[case](vggface_edge)
+        em = EdgeModel(em.ops, em.num_classes)      # a fresh plan cache
+        t = _tile_rows(em.ops, rows(1))
+        for n in sorted({1, t - 1, t, t + 1, 2 * t + 3} - {0}):
+            x = rows(n)
+            got = _strict_predict(em, x, batch_size=n)
+            ref = em.predict(x, batch_size=n, compiled=False)
+            assert got.tobytes() == ref.tobytes(), n
+            prog = em._programs[(x.shape, x.dtype.str)]
+            assert prog.tile_rows == min(n, t)
+            assert (prog.tail_steps is prog.steps) == (n % prog.tile_rows == 0)
+        if case == "float64-gemm":
+            conv = next(s for s in prog.steps if isinstance(s, _ConvStep))
+            assert conv.gemm_dtype is np.float64
+
+    def test_paper_scale_plan_crosses_tiles(self):
+        """The 256-row, 32x32 VGGFaceNet plan (the edge benchmark's)
+        runs in several tiles, so the sweep above is not vacuous."""
+        x = np.random.default_rng(3).random((256, 3, 32, 32)).astype(
+            np.float32)
+        em = _edge_from_model("vggface", x, num_identities=50,
+                              image_size=32, width=8, seed=0)
+        assert _tile_rows(em.ops, x[:1]) < 256
+        got = _strict_predict(em, x[:43])
+        prog = next(iter(em._programs.values()))
+        assert prog.tile_rows < 43 and prog.tail_steps is not prog.steps
+        np.testing.assert_array_equal(got, em.predict(x[:43],
+                                                      compiled=False))
+
+    def test_scratch_does_not_scale_with_the_batch(self, vggface_edge):
+        """Once a batch spans a tile, the pooled scratch is the tile's:
+        a 1024-row plan leaves exactly the 64-row plan's pool."""
+        edge, _ = vggface_edge
+        rng = np.random.default_rng(5)
+        x = rng.random((1024, 3, 16, 16)).astype(np.float32)
+        assert _tile_rows(edge.ops, x[:1]) < 64
+        pools = []
+        for n in (64, 1024):
+            em = EdgeModel(edge.ops, 12)
+            _strict_predict(em, x[:n], batch_size=n)
+            pools.append(sum(b.nbytes for b in em._pool._bufs.values()))
+        assert pools[0] == pools[1]
+
+    def test_validation_checks_every_tile(self, vggface_edge, monkeypatch):
+        """A wrong logit in the ragged last tile fails validation
+        loudly; the fallback serves the eager bytes."""
+        edge, _ = vggface_edge
+        em = EdgeModel(edge.ops, 12)
+        t = _tile_rows(em.ops, np.zeros((1, 3, 16, 16), np.float32))
+        x = np.random.default_rng(7).random((3 * t + 7, 3, 16, 16)).astype(
+            np.float32)
+        dequant = _DequantStep.run
+
+        def run_flipping_the_tail(step, q):
+            out = dequant(step, q)
+            if len(q) == len(x) % t:            # the ragged last tile
+                out[-1, 0] += 1.0
+            return out
+        monkeypatch.setattr(_DequantStep, "run", run_flipping_the_tail)
+        with pytest.warns(RuntimeWarning, match="lowering failed"):
+            got = em.predict(x, batch_size=len(x))
+        assert list(em._programs.values()) == [None]
+        np.testing.assert_array_equal(
+            got, em.predict(x, batch_size=len(x), compiled=False))
+
+    def test_faults_fire_once_per_build_and_run(self, vggface_edge):
+        edge, x = vggface_edge
+        em = EdgeModel(edge.ops, 12)
+        big = np.concatenate([x] * 10)
+        assert _tile_rows(em.ops, big[:1]) < len(big)
+        points = ("edge.plan.build", "edge.plan.validate", "edge.dispatch")
+        inj = FaultInjector([FaultSpec(p, "latency", rate=1.0)
+                             for p in points])
+        with inject(inj):
+            for _ in range(3):
+                _strict_predict(em, big, batch_size=len(big))
+        assert inj.fired("edge.plan.build") == 1
+        assert inj.fired("edge.plan.validate") == 1
+        # one for the validation replay, one per predict
+        assert inj.fired("edge.dispatch") == 1 + 3
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_zero_rows(self, lenet_edge, compiled):
+        edge, x = lenet_edge
+        em = EdgeModel(edge.ops, 10)
+        got = em.predict(x[:0], compiled=compiled)
+        assert got.shape == (0, 10) and got.dtype == np.float64
         assert em._programs == {}

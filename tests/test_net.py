@@ -507,3 +507,22 @@ def test_threaded_server_real_clock_roundtrip(wl, ref):
         client.close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("bad", [b"[" * 200000, b'{"type": "acc\xffept"}'],
+                         ids=["deep-nesting", "non-utf8"])
+def test_journal_scan_undecodable_lines(tmp_path, bad):
+    """Lines json cannot decode — nested past the recursion limit, or
+    not UTF-8 — are torn records: skipped as the final line, and a
+    ValueError naming ``path:line`` anywhere else."""
+    path = str(tmp_path / "odd.journal")
+    with Journal(path) as journal:
+        journal.complete("k0", "ok", {"op": "result", "key": "k0"}, {})
+    with open(path, "ab") as fh:
+        fh.write(bad)
+    _, completed = Journal.scan(path)
+    assert list(completed) == ["k0"]
+    with open(path, "ab") as fh:
+        fh.write(b"\n" + b'{"type": "noop"}' + b"\n")
+    with pytest.raises(ValueError, match=r"odd\.journal:2\b"):
+        Journal.scan(path)

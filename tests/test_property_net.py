@@ -1,16 +1,23 @@
-"""Property-based fuzz of the wire frame parser: any chunking of a valid
-stream reassembles the same frames, and truncated, bit-flipped or
-garbled input yields frames or ``ProtocolError`` — nothing else, and
-the parser always returns."""
+"""Property-based fuzz of the two untrusted-byte parsers of the serving
+stack.  The wire frame parser: any chunking of a valid stream
+reassembles the same frames, and truncated, bit-flipped or garbled
+input yields frames or ``ProtocolError`` — nothing else, and the parser
+always returns.  The journal's ``Journal.scan``: truncated, bit-flipped
+or garbled journals yield records or a ``ValueError`` naming
+``path:line`` — nothing else."""
 
 import itertools
 import json
+import os
+import re
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.serve.journal import Journal
 from repro.serve.net import (_PREFIX, MAGIC, VERSION, FrameParser,
                              ProtocolError, encode_frame)
 
@@ -151,3 +158,72 @@ def test_crc_valid_random_payload_never_escapes(payload):
 def test_random_bytes_never_escape(data, cuts):
     got, _, _ = _parse(data, [c % (len(data) + 1) for c in cuts])
     assert len(got) <= len(data) // _PREFIX.size
+
+
+# --------------------------------------------------------------------- #
+# Journal.scan
+# --------------------------------------------------------------------- #
+
+def _journal(entries) -> bytes:
+    """A valid journal: every entry accepted, every other one completed."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "wal")
+        with Journal(path) as journal:
+            for i, (header, arrs) in enumerate(entries):
+                journal.accept(f"k{i}", header, arrs)
+                if i % 2:
+                    journal.complete(f"k{i}", "ok", header, arrs)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _scan(data: bytes):
+    """``Journal.scan`` over ``data``: its ``(incomplete, completed)``
+    records, or None when it raised the ValueError naming
+    ``path:line``.  Any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "wal")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return Journal.scan(path)
+        except ValueError as exc:
+            assert re.search(re.escape(path) + r":\d+\b", str(exc)), exc
+            return None
+
+
+@given(frame_lists, st.integers(0, 10**6))
+@settings(**SETTINGS)
+def test_journal_truncation_yields_a_prefix_of_the_records(entries, cut):
+    """A cut anywhere tears at most the final line: scan never raises
+    and recovers a prefix of what the whole journal records."""
+    data = _journal(entries)
+    incomplete, completed = _scan(data)
+    got = _scan(data[:cut % (len(data) + 1)])
+    assert got is not None
+    assert list(got[1]) == list(completed)[:len(got[1])]
+    assert set(got[0]) <= set(incomplete) | set(completed)
+
+
+@given(frame_lists, st.integers(0, 10**7))
+@settings(**SETTINGS)
+def test_journal_bit_flip_yields_records_or_value_error(entries, bit):
+    data = bytearray(_journal(entries))
+    bit %= 8 * len(data)
+    data[bit // 8] ^= 1 << (bit % 8)
+    _scan(bytes(data))
+
+
+@given(frame_lists, st.binary(max_size=64), st.integers(0, 10**6))
+@settings(**SETTINGS)
+def test_journal_spliced_random_bytes_yield_records_or_value_error(
+        entries, junk, at):
+    data = _journal(entries)
+    at %= len(data) + 1
+    _scan(data[:at] + junk + data[at:])
+
+
+@given(st.binary(max_size=256))
+@settings(**SETTINGS)
+def test_journal_random_bytes_yield_records_or_value_error(data):
+    _scan(data)
