@@ -636,6 +636,9 @@ def test_attack_step_cost_pgd_vs_diva(benchmark, attack_models):
     benchmark.extra_info["diva_step_ns"] = median / steps * 1e9
     benchmark.extra_info["keep_best"] = True
     benchmark.extra_info["batch"] = len(x)
+    # steps whose (original, adapted) programs ran on two lanes; 0 means
+    # the paired step silently ran on one thread (or fell back to eager)
+    benchmark.extra_info["lane_steps"] = diva._paired(x).lane_steps
 
 
 def test_attack_sweep_vs_sequential(benchmark, attack_models):

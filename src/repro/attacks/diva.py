@@ -15,10 +15,12 @@ true adapted); blackbox passes (surrogate original, surrogate adapted)
 — see :mod:`repro.attacks.surrogate` for the pipelines.
 
 Each gradient step drives both models as one fused unit through the
-paired executor (:mod:`repro.attacks.engine`): the two compiled
-programs share scratch buffers, their logits are seeded by a *single*
-stacked-softmax gradient, and both input gradients are summed into one
-step direction — two model passes per step instead of four, with the
+paired executor (:mod:`repro.attacks.engine`): the original model's
+program replays on the calling thread and the adapted model's on the
+lane thread, each with its own scratch arena.  Once both forwards join,
+their logits are seeded by a *single* stacked-softmax gradient; once
+both backwards join, the adapted model's input gradient is added into
+the original's — two model passes per step instead of four, with the
 logits doubling as the keep-best success check.  ``c`` may be a per-row
 vector (sweep variants, §5.3).  Untraceable models fall back to the
 eager tape (still reusing the gradient-pass logits).
@@ -110,8 +112,7 @@ class DIVA(Attack):
             c = variant["c"] if variant and "c" in variant else self.c
             return list(self._paired_seeds(outs, y, c))
 
-        return LoopSpec(programs=list(pe.programs), seeds=seeds,
-                        aux_of=tuple)
+        return LoopSpec(programs=pe, seeds=seeds, aux_of=tuple)
 
     def _seed_vectors(self, p: np.ndarray, n: int, y: np.ndarray,
                       c) -> np.ndarray:

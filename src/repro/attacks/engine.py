@@ -4,13 +4,18 @@ Three cooperating pieces turn the attack loop from "one model pass at a
 time, one configuration at a time" into a single scheduled computation:
 
 - :class:`PairedExecutor` — compiles the (original, adapted) model pair
-  into replayable programs that share one :class:`~repro.nn.graph.
-  ScratchPool` (im2col scratch, padded-input and backward-matmul
-  buffers are allocated once for the pair), replays both forwards on the
-  same batch, computes *one* combined softmax-seeded gradient for both
-  logit blocks, then runs both backwards and sums the input gradients.
-  DIVA's Eq. 5 step is thereby a single fused unit instead of two
-  independent ``value_and_input_grad`` calls.
+  into replayable programs, each owning its
+  :class:`~repro.nn.graph.ScratchPool`, and runs one DIVA Eq. 5 step
+  over both as a single fused unit (:func:`lane_step`).
+  Program 0 replays on the calling thread and the others on one
+  module-level lane thread, with two join points: the forwards run
+  together and the *one* combined softmax-seeded gradient is computed
+  from every logit block once they join; then the backwards run
+  together and the input gradients are summed in program order
+  (``g0 += g1``).  Each program replays exactly the ops it would
+  alone, so the lanes change wall-time, never bytes; numpy releases
+  the GIL inside the conv GEMMs and col2im that dominate a step, so a
+  second core does real work.
 
 - :func:`run_scheduled` / :func:`run_scheduled_steps` — the active-slot
   scheduler behind ``Attack.generate`` / ``Attack.generate_sweep``.
@@ -36,39 +41,112 @@ time, one configuration at a time" into a single scheduled computation:
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.graph import ScratchPool, compile_forward_or_none
+from ..nn.graph import compile_forward_or_none
 
 #: variant keys interpreted by the scheduler itself (all attacks)
 SCHEDULER_KEYS = frozenset({"eps", "alpha", "keep_best"})
+
+# The lane thread: one worker, created on first use and shared by every
+# paired step in the process.  Work on it never submits to it again, so
+# concurrent callers (pool workers) only queue, never deadlock.
+_lane_lock = threading.Lock()
+_lane_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _lane() -> ThreadPoolExecutor:
+    global _lane_pool
+    with _lane_lock:
+        if _lane_pool is None:
+            _lane_pool = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="repro-lane")
+        return _lane_pool
+
+
+def _reset_lane() -> None:
+    """A forked child inherits the executor but not its thread."""
+    global _lane_pool, _lane_lock
+    _lane_pool = None
+    _lane_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lane)
+
+
+def _on_lanes(calls: Sequence[Callable[[], Any]]) -> List[Any]:
+    """Run ``calls[0]`` here and ``calls[1:]``, in order, on the lane
+    thread; return every result in call order.
+
+    Both lanes have stopped before anything propagates: an exception
+    raised here wins (after the lane finished), and one raised on the
+    lane surfaces only after ``calls[0]`` returned.  A single call
+    submits nothing.
+    """
+    if len(calls) == 1:
+        return [calls[0]()]
+    fut = _lane().submit(lambda: [call() for call in calls[1:]])
+    try:
+        first = calls[0]()
+    finally:
+        wait((fut,))
+    return [first] + fut.result()
+
+
+def lane_step(programs: Sequence, x: np.ndarray,
+              seeds_fn: Callable[[Sequence[np.ndarray]],
+                                 Sequence[np.ndarray]],
+              ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """One paired step over ``programs``: every logit block plus the
+    summed d(loss)/dx.
+
+    Join point 1: the forwards run on both lanes; ``seeds_fn`` sees all
+    logit blocks at once.  Join point 2: the backwards run on both
+    lanes; the gradients are summed into program 0's in program order.
+    Every program owns its scratch pool, so the lanes share no scratch.
+    The logits are buffer views valid until each program's next replay;
+    the gradient is freshly owned.
+    """
+    xs = [prog._check_input(x) for prog in programs]
+    outs = tuple(_on_lanes([partial(prog._forward, xc)
+                            for prog, xc in zip(programs, xs)]))
+    seeds = seeds_fn(outs)
+    grads = _on_lanes([partial(prog._backward_from_seed, np.asarray(seed), xc)
+                       for prog, xc, seed in zip(programs, xs, seeds)])
+    gx = grads[0]                            # freshly owned by contract
+    for g in grads[1:]:
+        np.add(gx, g, out=gx)
+    return outs, gx
 
 
 class PairedExecutor:
     """N compiled programs driven in lockstep over one input batch.
 
     Built for the two-model DIVA objective (hence the name), but any
-    number of frozen models over the same input works.  All programs
-    draw transient scratch from one shared pool; forwards run first so
-    the seed function sees every program's logits at once, then each
-    program's backward runs and the input gradients are summed in
-    place.
+    number of frozen models over the same input works.  Each program
+    owns its transient scratch, so the programs of one step can replay
+    on two lanes at once (:func:`lane_step`).
+    ``lane_steps`` counts the steps whose programs ran on two lanes.
     """
 
     def __init__(self, programs: Sequence):
         self.programs = list(programs)
+        self.lane_steps = 0
 
     @classmethod
     def compile(cls, models: Sequence, example: np.ndarray
                 ) -> Optional["PairedExecutor"]:
-        """Compile every model against ``example`` with shared scratch;
-        None (eager fallback) unless all of them compile."""
-        pool = ScratchPool()
+        """Compile every model against ``example``; None (eager
+        fallback) unless all of them compile."""
         programs = []
         for model in models:
-            prog = compile_forward_or_none(model, example, pool=pool)
+            prog = compile_forward_or_none(model, example)
             if prog is None:
                 return None
             programs.append(prog)
@@ -94,17 +172,10 @@ class PairedExecutor:
         for both models).  The returned logits are buffer views valid
         until the next replay; the gradient is freshly owned.
         """
-        xs = [prog._check_input(x) for prog in self.programs]
-        outs = tuple(prog._forward(xc) for prog, xc in zip(self.programs, xs))
-        seeds = seeds_fn(outs)
-        gx: Optional[np.ndarray] = None
-        for prog, xc, seed in zip(self.programs, xs, seeds):
-            g = prog._backward_from_seed(np.asarray(seed), xc)
-            if gx is None:
-                gx = g                       # freshly owned by contract
-            else:
-                np.add(gx, g, out=gx)
-        return outs, gx
+        result = lane_step(self.programs, x, seeds_fn)
+        if len(self.programs) > 1:
+            self.lane_steps += 1
+        return result
 
 
 def generate_grid(attacks: Dict[str, Any], x: np.ndarray, y: np.ndarray,

@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.graph import GraphUnsupported, compile_step_kernel
+from .engine import PairedExecutor
 
 #: rows of the caller's batch used for loop validation (matching the
 #: model-compile example discipline)
@@ -76,24 +77,32 @@ class LoopSpec:
     """An attack's recipe for direct program-level stepping.
 
     ``programs`` are the compiled forward programs the attack's
-    ``gradient_with_logits`` would replay; ``seeds(outs, y, variant)``
-    maps their logits to one backward seed per program; ``aux_of(outs)``
-    shapes the logits into the payload ``_success_mask`` expects.
-    Driving the programs directly (forwards, seeds, summed backwards)
-    is bit-identical to the attack's own compiled gradient path — it is
-    the same code path minus the per-step wrapper dispatch.
+    ``gradient_with_logits`` would replay — a sequence, or the attack's
+    own :class:`~repro.attacks.engine.PairedExecutor` (whose
+    ``lane_steps`` then counts the loop's steps too);
+    ``seeds(outs, y, variant)`` maps their logits to one backward seed
+    per program; ``aux_of(outs)`` shapes the logits into the payload
+    ``_success_mask`` expects.  Driving the programs directly (forwards,
+    seeds, summed backwards) is bit-identical to the attack's own
+    compiled gradient path — it is the same paired step minus the
+    per-step wrapper dispatch.
     """
 
-    __slots__ = ("programs", "seeds", "aux_of")
+    __slots__ = ("executor", "seeds", "aux_of")
 
-    def __init__(self, programs: Sequence,
+    def __init__(self, programs,
                  seeds: Callable[[Sequence[np.ndarray], np.ndarray,
                                   Optional[Dict[str, np.ndarray]]],
                                  Sequence[np.ndarray]],
                  aux_of: Callable[[Sequence[np.ndarray]], Any]):
-        self.programs = list(programs)
+        self.executor = (programs if isinstance(programs, PairedExecutor)
+                         else PairedExecutor(programs))
         self.seeds = seeds
         self.aux_of = aux_of
+
+    @property
+    def programs(self) -> list:
+        return self.executor.programs
 
 
 class CompiledAttackLoop:
@@ -118,17 +127,12 @@ class CompiledAttackLoop:
 
 def _gradient_and_aux(spec: LoopSpec, adv_c: np.ndarray, y_c: np.ndarray,
                       variant) -> Tuple[np.ndarray, Any]:
-    """Forwards, seeds and summed backwards over the spec's programs —
-    ``PairedExecutor.value_and_input_grad`` inlined (single programs are
-    the one-element case), bit-identical to the attack's compiled
-    gradient path."""
-    programs = spec.programs
-    xs = [p._check_input(adv_c) for p in programs]
-    outs = [p._forward(xc) for p, xc in zip(programs, xs)]
-    seeds = spec.seeds(outs, y_c, variant)
-    g = programs[0]._backward_from_seed(np.asarray(seeds[0]), xs[0])
-    for p, xc, s in zip(programs[1:], xs[1:], seeds[1:]):
-        np.add(g, p._backward_from_seed(np.asarray(s), xc), out=g)
+    """Forwards, seeds and summed backwards over the spec's programs:
+    the engine's paired step (:func:`~repro.attacks.engine.lane_step`;
+    a single program is the case with nothing on the lane), bit-identical
+    to the attack's compiled gradient path."""
+    outs, g = spec.executor.value_and_input_grad(
+        adv_c, lambda zs: spec.seeds(zs, y_c, variant))
     return g, spec.aux_of(outs)
 
 

@@ -108,6 +108,7 @@ def summarize(raw: dict, sha: str) -> dict:
                 "diva_steps_per_sec": extra["diva_steps_per_sec"],
                 "pgd_steps_per_sec": extra["pgd_steps_per_sec"],
                 "diva_step_ns": extra["diva_step_ns"],
+                "lane_steps": extra.get("lane_steps", 0),
             }
         if "loop_vs_per_step_speedup" in extra:
             attack_loop[extra["attack"]] = {

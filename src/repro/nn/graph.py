@@ -67,20 +67,38 @@ class GraphUnsupported(RuntimeError):
     """A forward cannot be traced into a replayable program."""
 
 
-class ScratchPool:
-    """Shared transient-buffer arena for a family of compiled programs.
+#: byte alignment of every buffer laid out in a :meth:`ScratchPool.arena`
+#: (each buffer's per-row stride is rounded up to it, and the slab itself
+#: starts on it, so every arena view starts on a cache line)
+_ARENA_ALIGN = 64
 
-    Buffers whose contents die inside a single op closure (im2col
-    scratch, padded inputs, backward matmul outputs) are keyed by their
-    geometry, so the two programs of a (original, adapted) pair — and
-    same-shaped layers within one program — reuse one allocation
-    instead of each holding their own.  Buffers that outlive their op
-    (activation outputs, col2im accumulators referenced from the
-    gradient environment) must stay private and never go through here.
+
+class ScratchPool:
+    """Transient-buffer store.  Every compiled float program owns one;
+    the int8 edge programs of one model share one through
+    :meth:`acquire`.
+
+    It holds two kinds of buffer:
+
+    - the **arena**: one flat byte slab holding every buffer with no
+      ``fill`` whose contents die inside a single op closure (im2col
+      scratch, backward matmul outputs, fake_quant's float64 round
+      trip).  A program lays each op's transients out at per-op offsets
+      from the slab's start, so the slab is sized by the largest op,
+      not by the sum of all of them;
+    - **keyed** buffers: pre-filled padded images (conv and pool pads)
+      whose constant borders must persist across replays, keyed by
+      geometry so same-shaped layers reuse one allocation.
+
+    Buffers that outlive their op (activation outputs, gradient
+    accumulators) never go through here.  Programs that may replay at
+    the same time (the lanes of a paired attack step) must not share a
+    pool.
     """
 
     def __init__(self):
         self._bufs: Dict[object, np.ndarray] = {}
+        self._arena = np.empty(0, dtype=np.uint8)
 
     def acquire(self, key, n: int, per_sample_shape: Tuple[int, ...],
                 dtype, fill: Optional[float]) -> np.ndarray:
@@ -94,8 +112,16 @@ class ScratchPool:
             self._bufs[full_key] = buf
         return buf
 
+    def arena(self, nbytes: int) -> np.ndarray:
+        """The byte slab, grown (never shrunk) to at least ``nbytes``."""
+        if self._arena.nbytes < nbytes:
+            raw = np.empty(nbytes + _ARENA_ALIGN, dtype=np.uint8)
+            start = -raw.ctypes.data % _ARENA_ALIGN
+            self._arena = raw[start:start + nbytes]
+        return self._arena
 
-def compile_forward_or_none(module, example, pool: Optional[ScratchPool] = None):
+
+def compile_forward_or_none(module, example):
     """Best-effort :func:`compile_forward`: None instead of raising.
 
     Any failure (unsupported op, non-Module test double, train-mode
@@ -104,7 +130,7 @@ def compile_forward_or_none(module, example, pool: Optional[ScratchPool] = None)
     attacks and evaluation.
     """
     try:
-        return compile_forward(module, example, pool=pool)
+        return compile_forward(module, example)
     except Exception:
         return None
 
@@ -260,8 +286,7 @@ def _check_input_path(roots, out: Tensor, tracer: _Tracer) -> None:
 # --------------------------------------------------------------------- #
 def compile_forward(module: Callable[[Tensor], Tensor],
                     example: np.ndarray,
-                    validate: bool = True,
-                    pool: Optional[ScratchPool] = None) -> "CompiledForward":
+                    validate: bool = True) -> "CompiledForward":
     """Trace ``module``'s forward on ``example`` and compile it.
 
     Raises :class:`GraphUnsupported` when the forward uses an op the
@@ -288,7 +313,7 @@ def compile_forward(module: Callable[[Tensor], Tensor],
     if out_id is None or out_id in tracer.leaves:
         raise GraphUnsupported("forward output was not produced by traced ops")
     _check_input_path((xt,), out, tracer)
-    prog = CompiledForward(tracer, out_id, x, pool=pool)
+    prog = CompiledForward(tracer, out_id, x)
     if validate:
         prog._validate(module, x)
         if rowrep.enabled() and len(x) > 1:
@@ -321,16 +346,16 @@ class _Program:
     _variable_batch = True
 
     def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
-                 pool: Optional[ScratchPool] = None,
                  var_roots: Optional[set] = None):
         self._input_id = tracer.input_id
         self._out_id = out_id
         self._dtype = example.dtype
         self._trailing = example.shape[1:]
         self._n0 = example.shape[0]
-        #: transient-scratch arena; private by default, shared when the
-        #: caller passes one (the paired attack engine does)
-        self._pool = pool if pool is not None else ScratchPool()
+        #: this program's own transient-scratch store (arena + keyed fill
+        #: buffers): programs never share one, so two programs may replay
+        #: at the same time
+        self._pool = ScratchPool()
 
         # Reachability from the output (plus recorded side effects).
         reach = {out_id}
@@ -360,7 +385,10 @@ class _Program:
         self._env: List[Optional[np.ndarray]] = [None] * tracer.count
         self._ctx: Dict[int, dict] = {op.out: {} for op in self._var_ops}
         self._bufs: Dict[object, np.ndarray] = {}
-        self._buf_shapes: Dict[object, Tuple[int, ...]] = {}
+        self._buf_shapes: Dict[object, tuple] = {}
+        #: arena closure tag -> that closure's transient bytes per row
+        self._arena_ops: Dict[object, int] = {}
+        self._arena = np.empty(0, dtype=np.uint8)
         self._alloc_n = 0
         self.replays = 0
         self.refresh()
@@ -368,19 +396,43 @@ class _Program:
     # -- buffers -------------------------------------------------------- #
     def _register_buf(self, key, per_sample_shape: Tuple[int, ...],
                       fill: Optional[float] = None,
-                      pool_key: Optional[Tuple] = None) -> None:
-        """``fill`` pre-fills the buffer once per allocation — used for
-        padded-input buffers whose borders are constant (0 for conv,
-        -inf for max-pool), so replays only write the interior.
+                      pool_key: Optional[Tuple] = None,
+                      arena: Optional[Tuple] = None,
+                      dtype=None) -> None:
+        """Declare a per-row buffer of ``per_sample_shape`` (``dtype``
+        defaults to the program's).  By default the buffer is private.
 
-        ``pool_key`` marks the buffer as *transient* (its contents die
-        inside the registering op's closure): it is then drawn from the
-        shared :class:`ScratchPool`, deduplicating same-geometry scratch
-        across ops and across the programs sharing the pool.  Buffers
-        whose contents outlive the op (activation outputs, gradient
-        accumulators) must not set it.
+        ``arena`` marks a *transient* with no fill: its contents die
+        inside the closure the tag names (``("fwd", op.out)`` or
+        ``("bwd", op.out)``).  It is laid out in the program's arena
+        (:meth:`ScratchPool.arena`) after the same closure's earlier
+        transients, while other closures' transients overlap it, so the
+        arena costs the largest closure's bytes per row.
+
+        ``pool_key`` marks a keyed *fill* buffer drawn from the
+        program's :class:`ScratchPool`: ``fill`` pre-fills it once per
+        allocation — padded-input buffers whose borders are constant (0
+        for conv, -inf for max-pool), so replays only write the interior
+        — and the key shares it across same-geometry ops.
+
+        Buffers whose contents outlive the op (activation outputs,
+        gradient accumulators) must set neither.
         """
-        self._buf_shapes[key] = (tuple(per_sample_shape), fill, pool_key)
+        shape = tuple(per_sample_shape)
+        dtype = np.dtype(self._dtype if dtype is None else dtype)
+        offset = None
+        if arena is not None:
+            if fill is not None or pool_key is not None:
+                raise ValueError("arena buffers are unfilled and unkeyed")
+            offset = self._arena_ops.get(arena, 0)
+            row = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            self._arena_ops[arena] = offset + -(-row // _ARENA_ALIGN) * \
+                _ARENA_ALIGN
+        self._buf_shapes[key] = (shape, dtype, fill, pool_key, arena, offset)
+
+    def _arena_row_bytes(self) -> int:
+        """Arena bytes per batch row: the largest closure's transients."""
+        return max(self._arena_ops.values(), default=0)
 
     def _slot(self, key, n: int) -> np.ndarray:
         return self._bufs[key][:n]
@@ -388,15 +440,24 @@ class _Program:
     def _ensure(self, n: int) -> None:
         if n <= self._alloc_n:
             return
-        for key, (shape, fill, pool_key) in self._buf_shapes.items():
-            if pool_key is not None:
+        # a transient at per-row offset o occupies bytes [n*o, n*(o+row))
+        # of an n-row arena, so it never reaches its closure's next one
+        self._arena = self._pool.arena(n * self._arena_row_bytes())
+        for key, (shape, dtype, fill, pool_key, _, offset) in \
+                self._buf_shapes.items():
+            if offset is not None:
+                size = n * int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+                start = n * offset
+                self._bufs[key] = self._arena[start:start + size].view(
+                    dtype).reshape((n,) + shape)
+            elif pool_key is not None:
                 self._bufs[key] = self._pool.acquire(pool_key, n, shape,
-                                                     self._dtype, fill)
-                continue
-            buf = np.empty((n,) + shape, dtype=self._dtype)
-            if fill is not None:
-                buf.fill(fill)
-            self._bufs[key] = buf
+                                                     dtype, fill)
+            else:
+                buf = np.empty((n,) + shape, dtype=dtype)
+                if fill is not None:
+                    buf.fill(fill)
+                self._bufs[key] = buf
         self._alloc_n = n
 
     def _batched(self, shape: Tuple[int, ...]) -> bool:
@@ -452,9 +513,8 @@ class _Program:
 class CompiledForward(_Program):
     """A flat, replayable program lowered from one traced forward."""
 
-    def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
-                 pool: Optional[ScratchPool] = None):
-        super().__init__(tracer, out_id, example, pool=pool)
+    def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray):
+        super().__init__(tracer, out_id, example)
         for op in self._var_ops:
             if op.out_shape[:1] != (self._n0,):
                 raise GraphUnsupported(
@@ -1260,18 +1320,13 @@ def _f_fake_quant(prog, op):
     # Fused in-place round trip.  ``fake_quantize_array`` detours through
     # int32, but round+clip already leaves exactly integral float64
     # values, so skipping the integer cast is bitwise-identical — while a
-    # single scratch buffer replaces its eight temporaries.
+    # single float64 arena transient replaces its eight temporaries.
     prog._register_buf(("fq_scratch", op.out), op.out_shape[1:])
-    scratch_dtype = np.float64
-    prog._bufs[("fq64", op.out)] = None
+    prog._register_buf(("fq64", op.out), op.out_shape[1:],
+                       arena=("fwd", op.out), dtype=np.float64)
 
     def run(n, a=a, o=op.out, s=s, z=z, lo=qp.qmin, hi=qp.qmax):
-        t = prog._bufs.get(("fq64", o))
-        if t is None or len(t) < n:
-            t = np.empty((max(n, prog._alloc_n),) + op.out_shape[1:],
-                         dtype=scratch_dtype)
-            prog._bufs[("fq64", o)] = t
-        t = t[:n]
+        t = prog._slot(("fq64", o), n)
         np.divide(env[a], s, out=t)
         np.round(t, out=t)
         t += z
@@ -1354,13 +1409,14 @@ def _f_conv2d(prog, op):
     ctx = prog._ctx[op.out]
     # Training programs keep the im2col scratch alive until the weight
     # gradient reads it back in the backward, so it stays private there;
-    # forward-only programs pool it (contents die inside this closure).
-    retain = not prog._variable_batch
+    # forward-only programs lay it out in the arena (contents die inside
+    # this closure).
+    cols_arena = ("fwd", op.out) if prog._variable_batch else None
     # Borders of the padded input are constant zeros: keep a pre-filled
     # padded buffer and write only the interior each replay (cheaper
-    # than np.pad, bitwise-identical values).  The buffer is transient
-    # (read back out inside this op only), so it is pooled across
-    # same-geometry convs and across paired programs.
+    # than np.pad, bitwise-identical values).  The buffer is read back
+    # out inside this op only, so it is keyed by geometry and shared by
+    # same-geometry convs.
     if ph or pw:
         prog._register_buf(("conv_pad", op.out),
                            (C, H + 2 * ph, W + 2 * pw), fill=0.0,
@@ -1380,8 +1436,7 @@ def _f_conv2d(prog, op):
         # writes NCHW output with no transposes around the matmul.
         K = C * kh * kw
         P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (K, P),
-                           pool_key=None if retain else ("conv_cols", K, P))
+        prog._register_buf(("conv_cols", op.out), (K, P), arena=cols_arena)
         prog._register_buf(op.out, (F, P))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1402,8 +1457,7 @@ def _f_conv2d(prog, op):
         K = kh * kw
         P = oh * ow
         prog._register_buf(("conv_cols", op.out), (C * K, P),
-                           pool_key=None if retain else ("conv_cols",
-                                                         C * K, P))
+                           arena=cols_arena)
         prog._register_buf(op.out, (F, P))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1423,7 +1477,8 @@ def _f_conv2d(prog, op):
     else:
         G = groups
         Fg = F // G
-        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw))
+        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw),
+                           arena=cols_arena)
         prog._register_buf(op.out, (G, Fg, oh, ow))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1461,8 +1516,8 @@ def _b_conv2d(prog, op):
     # contiguous shifted-slice add per tap (see
     # ``functional._col2im_flat``).  The accumulator is referenced from
     # the gradient environment after this closure returns, so it stays
-    # private; the padded-gradient and window-row scratch are transient
-    # and pooled.
+    # private; the zero-bordered padded gradient is a keyed fill buffer
+    # and the window-row scratch lives in the arena.
     Xp = _col2im_xpad(W, pw, sw)
     QX = oh * Xp
     Hp, Wp = H + 2 * ph, W + 2 * pw
@@ -1483,13 +1538,13 @@ def _b_conv2d(prog, op):
     if groups == 1:
         K = C * kh * kw
         prog._register_buf(("conv_dcols", op.out), (K, QX),
-                           pool_key=("conv_dcols", K, QX))
+                           arena=("bwd", op.out))
         # same shape gate as the eager _conv_dw_dense, with the batched
-        # product landing in pooled scratch (bitwise-identical GEMMs)
+        # product landing in arena scratch (bitwise-identical GEMMs)
         dw_bm = (oh * ow) * 4 >= K
         if w_id in var and dw_bm:
             prog._register_buf(("conv_dwm", op.out), (F, K),
-                               pool_key=("conv_dwm", F, K))
+                               arena=("bwd", op.out))
 
         def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
                 o=op.out):
@@ -1517,7 +1572,7 @@ def _b_conv2d(prog, op):
         K = Cg * kh * kw
         dwise = Cg == 1 and F == G
         prog._register_buf(("conv_gdcols", op.out), (G, K, QX),
-                           pool_key=("conv_gdcols", G, K, QX))
+                           arena=("bwd", op.out))
 
         def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
                 o=op.out):
@@ -1559,7 +1614,8 @@ def _f_max_pool2d(prog, op):
     if ph or pw:
         # constant -inf borders, interior rewritten each replay
         prog._register_buf(("pool_pad", op.out),
-                           (C, H + 2 * ph, W + 2 * pw), fill=-np.inf)
+                           (C, H + 2 * ph, W + 2 * pw), fill=-np.inf,
+                           pool_key=("pool_pad", C, H, W, ph, pw))
 
     def run(n, a=a, o=op.out):
         xd = env[a]
@@ -1763,10 +1819,9 @@ class CompiledKernel(_Program):
     """
 
     def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
-                 input_ids, pool: Optional[ScratchPool] = None):
+                 input_ids):
         self._input_ids = tuple(input_ids)
-        super().__init__(tracer, out_id, example, pool=pool,
-                         var_roots=set(input_ids))
+        super().__init__(tracer, out_id, example, var_roots=set(input_ids))
         for op in self._var_ops:
             if op.out_shape[:1] != (self._n0,):
                 raise GraphUnsupported(
@@ -1808,8 +1863,7 @@ def masked_step_reference(adv: np.ndarray, g: np.ndarray, live: np.ndarray,
     return np.where(live, stepped, adv)
 
 
-def compile_step_kernel(trailing: Tuple[int, ...], dtype,
-                        pool: Optional[ScratchPool] = None) -> CompiledKernel:
+def compile_step_kernel(trailing: Tuple[int, ...], dtype) -> CompiledKernel:
     """Trace the masked attack-step update into a :class:`CompiledKernel`.
 
     Program (6 inputs, all batch-major)::
@@ -1860,8 +1914,7 @@ def compile_step_kernel(trailing: Tuple[int, ...], dtype,
     out_t = emit("select", [live_t, mn_t, adv_t],
                  np.where(live, mn_t.data, adv))
 
-    kernel = CompiledKernel(tracer, tracer.ids[id(out_t)], adv, input_ids,
-                            pool=pool)
+    kernel = CompiledKernel(tracer, tracer.ids[id(out_t)], adv, input_ids)
     for n in (n0, 5):
         ins = example(n) if n != n0 else (adv, g, live, alpha, lo, hi)
         if not np.array_equal(kernel.replay(*ins), masked_step_reference(*ins)):

@@ -60,7 +60,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as _tensor
-from .graph import (GraphUnsupported, ScratchPool, _BWD_FACTORY,
+from .graph import (GraphUnsupported, _BWD_FACTORY,
                     _FWD_FACTORY, _Program, _Tracer, _check_input_path)
 from .module import Module, Parameter
 from .optim import Optimizer
@@ -108,8 +108,7 @@ class _ModuleStateSnapshot:
 
 
 def compile_train_step_or_none(module, loss_fn, example, target,
-                               optimizer: Optimizer,
-                               pool: Optional[ScratchPool] = None):
+                               optimizer: Optimizer):
     """Best-effort :func:`compile_train_step`: None instead of raising.
 
     Any failure (unsupported op, non-Module model, un-replayable side
@@ -118,8 +117,7 @@ def compile_train_step_or_none(module, loss_fn, example, target,
     ``distill`` and ``qat_finetune``.
     """
     try:
-        return compile_train_step(module, loss_fn, example, target, optimizer,
-                                  pool=pool)
+        return compile_train_step(module, loss_fn, example, target, optimizer)
     except Exception:
         return None
 
@@ -128,7 +126,6 @@ def compile_train_step(module: Module,
                        loss_fn: Callable[[Tensor, object], Tensor],
                        example: np.ndarray, target,
                        optimizer: Optimizer,
-                       pool: Optional[ScratchPool] = None,
                        validate: bool = True) -> "CompiledTrainStep":
     """Trace one train-mode forward of ``module`` and compile the full
     training step (forward + loss + parameter gradients + optimizer).
@@ -168,8 +165,7 @@ def compile_train_step(module: Module,
     roots = [xt] + [t for t in tracer.leaves.values()
                     if isinstance(t, Parameter)]
     _check_input_path(roots, out, tracer)
-    prog = CompiledTrainStep(tracer, out_id, x, module, loss_fn, optimizer,
-                             pool=pool)
+    prog = CompiledTrainStep(tracer, out_id, x, module, loss_fn, optimizer)
     if validate:
         prog._validate(x, target)
     return prog
@@ -182,11 +178,10 @@ class CompiledTrainStep(_Program):
     _variable_batch = False
 
     def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
-                 module: Module, loss_fn, optimizer: Optimizer,
-                 pool: Optional[ScratchPool] = None):
+                 module: Module, loss_fn, optimizer: Optimizer):
         param_ids = {nid for nid, t in tracer.leaves.items()
                      if isinstance(t, Parameter)}
-        super().__init__(tracer, out_id, example, pool=pool,
+        super().__init__(tracer, out_id, example,
                          var_roots={tracer.input_id} | param_ids)
         self._module = module
         self._loss_fn = loss_fn

@@ -4,6 +4,8 @@ executor-cache keying fix, and the experiment dtype policy."""
 
 import dataclasses
 import gc
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -59,15 +61,22 @@ class TestPairedExecutor:
         np.testing.assert_array_equal(za, za_ref)
         np.testing.assert_array_equal(g, go + ga)
 
-    def test_paired_shares_scratch_pool(self, pair_setup):
+    def test_paired_lanes_own_their_scratch(self, pair_setup):
+        """The programs of one paired step replay at the same time, so
+        each holds its own pool, and a conv's transients are views of
+        that program's arena."""
         orig, quant, atk = pair_setup
         pe = PairedExecutor.compile((orig, quant), atk.x[:4])
         pools = {id(prog._pool) for prog in pe.programs}
-        assert len(pools) == 1
+        assert len(pools) == len(pe.programs) == 2
         pe.replay(atk.x[:4])
-        # conv scratch got pooled (same-geometry layers deduplicate)
-        pool = pe.programs[0]._pool
-        assert any(key[0][0] == "conv_cols" for key in pool._bufs)
+        for prog in pe.programs:
+            cols = [buf for key, buf in prog._bufs.items()
+                    if isinstance(key, tuple) and key[0] == "conv_cols"]
+            assert cols
+            assert all(np.shares_memory(buf, prog._arena) for buf in cols)
+        a0, a1 = (prog._arena for prog in pe.programs)
+        assert not np.shares_memory(a0, a1)
 
     def test_compile_fallback_is_none(self):
         class Opaque:
@@ -90,6 +99,183 @@ class TestPairedExecutor:
         slow_atk.use_compiled = False
         slow = slow_atk.generate(atk.x, atk.y)
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def _tile_rows(atk, n):
+    """``n`` attack rows: the set tiled, with seeded jitter on repeats."""
+    reps = -(-n // len(atk.x))
+    x = np.concatenate([atk.x] * reps)[:n]
+    rng = np.random.default_rng(n)
+    x = np.clip(x + rng.normal(0.0, 0.02, size=x.shape) * (
+        np.arange(n) >= len(atk.x)).reshape(-1, 1, 1, 1), 0.0, 1.0)
+    return x.astype(atk.x.dtype), np.concatenate([atk.y] * reps)[:n]
+
+
+class TestLanes:
+    """The two-lane paired step: program 0 on the caller, the rest on
+    the lane thread, with identical bytes and no escape mid-replay."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("kind", ["diva", "targeted", "c_sweep"])
+    def test_two_lane_step_matches_separate_programs(self, pair_setup,
+                                                     dtype, kind):
+        from repro.nn import set_default_dtype
+        set_default_dtype(dtype)
+        orig, quant, atk = pair_setup
+        attack = (TargetedDIVA(orig, quant, target_class=1)
+                  if kind == "targeted" else DIVA(orig, quant))
+        x4 = atk.x[:4].astype(dtype)
+        pe = PairedExecutor.compile((orig, quant), x4)
+        exo, exa = compile_forward(orig, x4), compile_forward(quant, x4)
+        for n in (1, 3, 64):                 # 64 regrows every arena
+            x, y = _tile_rows(atk, n)
+            x = x.astype(dtype)
+            c = (np.linspace(0.1, 4.0, n) if kind == "c_sweep" else 1.0)
+            (zo, za), g = pe.value_and_input_grad(
+                x, lambda zs: attack._paired_seeds(zs, y, c))
+            so, sa = attack._paired_seeds(
+                (exo.replay(x), exa.replay(x)), y, c)
+            zo_ref, go = exo.value_and_input_grad(x, so)
+            za_ref, ga = exa.value_and_input_grad(x, sa)
+            go += ga
+            assert zo.dtype == np.dtype(dtype) and g.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(zo, zo_ref)
+            np.testing.assert_array_equal(za, za_ref)
+            np.testing.assert_array_equal(g, go)
+        assert pe.lane_steps == 3
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_loop_and_engine_agree_on_lanes(self, pair_setup, dtype):
+        from repro.nn import set_default_dtype
+        set_default_dtype(dtype)
+        orig, quant, atk = pair_setup
+        x, y = _tile_rows(atk, 64)
+        x = x.astype(dtype)
+        kw = dict(eps=EPS, alpha=ALPHA, steps=5)
+        looped = DIVA(orig, quant, **kw)
+        stepped = DIVA(orig, quant, **kw)
+        stepped.use_loop = False
+        np.testing.assert_array_equal(looped.generate(x, y),
+                                      stepped.generate(x, y))
+        # both paths ran their steps on two lanes
+        assert looped._paired(x).lane_steps > 0
+        assert stepped._paired(x).lane_steps > 0
+
+    def test_single_program_submits_nothing(self, pair_setup, monkeypatch):
+        orig, quant, atk = pair_setup
+        from repro.attacks import engine
+
+        def no_lane():
+            raise AssertionError("a single program must not use the lane")
+
+        monkeypatch.setattr(engine, "_lane", no_lane)
+        pe = PairedExecutor.compile((quant,), atk.x[:4])
+        ex = compile_forward(quant, atk.x[:4])
+        seed = np.ones((6, 6))
+        (z,), g = pe.value_and_input_grad(atk.x[:6], lambda zs: [seed])
+        z_ref, g_ref = ex.value_and_input_grad(atk.x[:6], seed)
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(g, g_ref)
+        assert pe.lane_steps == 0
+
+    def _step(self, pe, attack, x, y):
+        (zo, za), g = pe.value_and_input_grad(
+            x, lambda zs: attack._paired_seeds(zs, y, 1.0))
+        return zo.copy(), za.copy(), g
+
+    @pytest.mark.parametrize("method", ["_forward", "_backward_from_seed"])
+    def test_lane_failure_surfaces_after_caller_finished(self, pair_setup,
+                                                         method):
+        orig, quant, atk = pair_setup
+        attack = DIVA(orig, quant)
+        x, y = atk.x[:6], atk.y[:6]
+        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        ref = self._step(pe, attack, x, y)
+        head, lane = pe.programs
+        finished = []
+        real = getattr(head, method)
+
+        def slow_head(*args):
+            time.sleep(0.05)
+            out = real(*args)
+            finished.append(threading.current_thread())
+            return out
+
+        def boom(*args):
+            assert threading.current_thread() is not threading.main_thread()
+            raise RuntimeError("lane failed")
+
+        setattr(head, method, slow_head)
+        setattr(lane, method, boom)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            self._step(pe, attack, x, y)
+        assert finished == [threading.main_thread()]
+        delattr(head, method)
+        delattr(lane, method)
+        for got, want in zip(self._step(pe, attack, x, y), ref):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["_forward", "_backward_from_seed"])
+    def test_caller_failure_joins_the_lane_first(self, pair_setup, method):
+        orig, quant, atk = pair_setup
+        attack = DIVA(orig, quant)
+        x, y = atk.x[:6], atk.y[:6]
+        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        ref = self._step(pe, attack, x, y)
+        head, lane = pe.programs
+        finished = []
+        real = getattr(lane, method)
+
+        def slow_lane(*args):
+            time.sleep(0.1)
+            out = real(*args)
+            finished.append(True)
+            return out
+
+        def boom(*args):
+            raise RuntimeError("caller failed")
+
+        setattr(head, method, boom)
+        setattr(lane, method, slow_lane)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            self._step(pe, attack, x, y)
+        # no program may still be mid-replay when the caller sees it
+        assert finished == [True]
+        delattr(head, method)
+        delattr(lane, method)
+        for got, want in zip(self._step(pe, attack, x, y), ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_forked_child_gets_a_fresh_lane(self, pair_setup):
+        import os
+        import select
+        import signal
+        from repro.attacks import engine
+        orig, quant, atk = pair_setup
+        attack = DIVA(orig, quant)
+        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        ref = self._step(pe, attack, atk.x[:6], atk.y[:6])
+        assert engine._lane_pool is not None
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:                             # child
+            ok = False
+            try:
+                fresh = engine._lane_pool is None
+                got = self._step(pe, attack, atk.x[:6], atk.y[:6])
+                ok = fresh and all(np.array_equal(a, b)
+                                   for a, b in zip(got, ref))
+            finally:
+                os.write(w, b"1" if ok else b"0")
+                os._exit(0)
+        os.close(w)
+        ready, _, _ = select.select([r], [], [], 120.0)
+        if not ready:                            # a hung child fails
+            os.kill(pid, signal.SIGKILL)
+        verdict = os.read(r, 1) if ready else b""
+        os.close(r)
+        os.waitpid(pid, 0)
+        assert verdict == b"1"
 
 
 class TestWorkStealing:
