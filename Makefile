@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos serve-net serve-pool bench bench-all docs-check
+.PHONY: test chaos serve-net bench bench-all docs-check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -22,16 +22,6 @@ serve-net:
 	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest tests/test_net.py -x -q
 	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
 		--net --net-faults --rate 20
-
-# the worker-pool gate: the concurrency/parity suite (sequential vs
-# pooled dispatch byte-identical at every worker count, clean and under
-# seeded chaos) plus CLI parity replays at workers 1 and 4
-serve-pool:
-	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest tests/test_pool.py -x -q
-	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
-		--workers 1
-	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
-		--workers 4
 
 bench:
 	$(PYTHON) -m repro.benchrunner

@@ -56,7 +56,7 @@ SCHEDULER_KEYS = frozenset({"eps", "alpha", "keep_best"})
 
 # The lane thread: one worker, created on first use and shared by every
 # paired step in the process.  Work on it never submits to it again, so
-# concurrent callers (pool workers) only queue, never deadlock.
+# callers on several threads only queue on it, never deadlock.
 _lane_lock = threading.Lock()
 _lane_pool: Optional[ThreadPoolExecutor] = None
 

@@ -23,7 +23,7 @@ This module closes the gap with a fixed-order blocked GEMM:
 Row ``i``'s bits therefore depend only on row ``i`` and the right
 operand — never on ``M``, the row's position, or its co-batched rows —
 which is exactly the property that makes cross-request float
-coalescing (and, later, multi-worker float execution) value-neutral:
+coalescing value-neutral:
 any partition of any merged batch produces identical per-row bytes.
 
 The mode is a *per-thread* flag (:func:`row_reproducible` context
@@ -31,13 +31,13 @@ manager).  Compiled programs capture the mode at *plan build time* (the
 kernel closures bake it in), so every plan-cache key that can hold a
 float GEMM plan must include :func:`mode_key`; replaying a plan under
 the other mode is a cache-keying bug, not a runtime dispatch.
-Thread-locality matters for the worker pool (``repro.serve.pool``):
-each worker thread enters and exits :func:`row_reproducible` around its
-own float dispatches, and a shared flag would let one worker's exit
-silently flip the mode under another worker mid-GEMM.  The tail-padding
-scratch buffers are thread-local for the same reason — two workers
-padding ragged tails of the same ``(K, dtype)`` geometry must not share
-bytes.
+Thread-locality matters for the paired attack step's lane thread
+(:func:`repro.attacks.engine.lane_step`): the original and adapted
+programs replay at the same time, one on the caller's thread and one on
+the lane, so the tail-padding scratch buffers are thread-local — two
+lanes padding ragged tails of the same ``(K, dtype)`` geometry must not
+share bytes.  The mode flag is per-thread too, so a region entered on
+one thread never changes what another thread's matmuls compute.
 
 The overhead is bounded and tracked: full-block batches pay ~1-2% over
 raw ``np.matmul`` (the ``rowrep_gemm`` microbench gates it at 15%);
@@ -59,8 +59,9 @@ import numpy as np
 #: produce different — individually reproducible — bits.
 ROW_BLOCK = 256
 
-#: per-thread mode flag + tail scratch; worker-pool threads toggle the
-#: mode independently, so neither may live at module scope
+#: per-thread mode flag + tail scratch; the paired step's lane thread
+#: pads tails concurrently with the caller, so neither may live at
+#: module scope
 _tls = threading.local()
 
 
@@ -101,9 +102,9 @@ def row_reproducible(on: bool = True):
     Nestable and exception-safe; the previous mode is restored on exit.
     The serving layer wraps every float-inference dispatch — coalesced,
     solo and eager alike — in this, so degradation down the ladder can
-    change latency but never bytes.  The flag is per-thread: a pool
-    worker's region never leaks into (or gets torn down by) another
-    worker's.
+    change latency but never bytes.  The flag is per-thread: a region
+    on one thread never leaks into (or gets torn down by) another's,
+    such as the paired step's lane thread.
     """
     prev = _state_enabled()
     _tls.enabled = bool(on)

@@ -1040,8 +1040,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
                       rate: float = 10.0, capacity: int = 64,
                       journal_path: Optional[str] = None,
                       deadline_s: Optional[float] = None,
-                      reference: Optional[List] = None,
-                      workers: Optional[int] = None) -> Dict[str, Any]:
+                      reference: Optional[List] = None) -> Dict[str, Any]:
     """The networked acceptance gate: loopback server + retrying client
     (optionally under seeded frame chaos), every client-visible ``ok``
     result bit-identical to the solo in-process run.
@@ -1051,13 +1050,9 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     entire replay — arrivals, retries, backoff, latency faults — is
     deterministic from ``(workload, fault_specs, seed)``.  Returns the
     outcome breakdown plus client/server stats (``retried`` /
-    ``deduped`` land in the CLI's per-outcome line).
-
-    ``workers`` routes the server's session through the
-    :class:`~repro.serve.pool.PoolScheduler` — the server's ``poll``
-    loop (driven here as the client's ``pump``) drains the session
-    exactly as before, so pooled dispatch sits entirely behind the
-    wire boundary and the client-visible bytes must not change.
+    ``deduped`` land in the CLI's per-outcome line).  The server's
+    ``poll`` loop, driven here as the client's ``pump``, drains the
+    session's sequential scheduler.
     """
     if reference is None:
         from .workload import replay_sequential
@@ -1066,8 +1061,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     session = ServeSession(capacity=capacity, clock=clock,
                            default_deadline_s=deadline_s,
                            quarantine_cooldown_s=0.5,
-                           failure_cooldown_s=0.5,
-                           workers=workers)
+                           failure_cooldown_s=0.5)
     server = ServeServer(session, spec=workload.spec,
                          models=(workload.original, workload.adapted,
                                  workload.edge),

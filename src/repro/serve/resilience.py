@@ -38,9 +38,7 @@ submit_attack>` before anything touches the scheduler.
 
 from __future__ import annotations
 
-import threading
 import time
-import zlib
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -129,44 +127,6 @@ class ManualClock(Clock):
         if dt < 0:
             raise ValueError("clocks only move forward")
         self._now += float(dt)
-
-
-class OffsetClock(Clock):
-    """A worker-local clock view: frozen base plus locally-advanced time.
-
-    The pool executes one wave's groups concurrently, but latency
-    faults and deadline polls must read *deterministic* time — a shared
-    ``ManualClock`` advanced from N threads would make deadline
-    expiries depend on thread interleaving.  Each planned group instead
-    gets an OffsetClock based at the wave's start time (plus the time
-    its worker already spent on earlier groups this wave); latency
-    faults advance only the local offset.  At reap, the single writer
-    advances the real clock by the *maximum* per-worker elapsed time —
-    wave wall-time is the slowest worker, exactly as real parallel
-    hardware would bill it.
-
-    >>> c = OffsetClock(10.0)
-    >>> c.advance(0.5); c.now()
-    10.5
-    >>> c.elapsed
-    0.5
-    """
-
-    def __init__(self, base: float):
-        self._base = float(base)
-        self._local = 0.0
-
-    def now(self) -> float:
-        return self._base + self._local
-
-    def advance(self, dt: float) -> None:
-        if dt < 0:
-            raise ValueError("clocks only move forward")
-        self._local += float(dt)
-
-    @property
-    def elapsed(self) -> float:
-        return self._local
 
 
 # --------------------------------------------------------------------- #
@@ -307,89 +267,6 @@ class CircuitBreaker:
         return {"trips": self.trips, "heals": self.heals,
                 "quarantined_keys": sum(
                     1 for k in list(self._state) if self.level(k) > 0)}
-
-
-class ShardedCircuitBreaker:
-    """N per-shard :class:`CircuitBreaker`\\ s behind one key router.
-
-    The worker pool gives each PlanCache shard its own breaker so a
-    quarantine on one shard's keys never serializes (or heals) through
-    another shard's state, and so concurrent workers touching different
-    shards never contend on one ``_state`` dict.  The flat
-    :class:`CircuitBreaker` interface (``level`` / ``record_failure`` /
-    ``record_success`` / ``quarantined``) is preserved — each call
-    routes its key to the owning shard under that shard's lock — so the
-    scheduler's dispatch code cannot tell the difference.
-
-    ``route`` maps a dispatch key to a shard index; the session passes
-    the sharded PlanCache's router so a key's breaker shard and its
-    plan shard always agree (that is what "ladder and circuit breakers
-    become per-shard" means).  The default router hashes ``repr(key)``,
-    which is stable within a process.
-
-    >>> clk = ManualClock()
-    >>> br = ShardedCircuitBreaker(nshards=2, cooldown_s=10.0, clock=clk)
-    >>> br.record_failure("k", 0); br.level("k")
-    1
-    >>> sum(s["trips"] for s in br.stats["per_shard"])
-    1
-    """
-
-    def __init__(self, nshards: int = 1, cooldown_s: float = 5.0,
-                 clock: Optional[Clock] = None, max_keys: int = 1024,
-                 route=None):
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        self.nshards = int(nshards)
-        self.clock = clock if clock is not None else Clock()
-        self._route = route
-        self.shards = [CircuitBreaker(cooldown_s=cooldown_s,
-                                      clock=self.clock, max_keys=max_keys)
-                       for _ in range(self.nshards)]
-        self._locks = [threading.RLock() for _ in range(self.nshards)]
-
-    def shard_index(self, key) -> int:
-        if self._route is not None:
-            return int(self._route(key)) % self.nshards
-        return zlib.crc32(repr(key).encode()) % self.nshards
-
-    def level(self, key) -> int:
-        i = self.shard_index(key)
-        with self._locks[i]:
-            return self.shards[i].level(key)
-
-    def record_failure(self, key, level: int) -> None:
-        i = self.shard_index(key)
-        with self._locks[i]:
-            self.shards[i].record_failure(key, level)
-
-    def record_success(self, key, level: int) -> None:
-        i = self.shard_index(key)
-        with self._locks[i]:
-            self.shards[i].record_success(key, level)
-
-    def quarantined(self, key) -> bool:
-        return self.level(key) > 0
-
-    @property
-    def trips(self) -> int:
-        return sum(s.trips for s in self.shards)
-
-    @property
-    def heals(self) -> int:
-        return sum(s.heals for s in self.shards)
-
-    @property
-    def stats(self) -> Dict[str, Any]:
-        per_shard = [s.stats for s in self.shards]
-        return {
-            "trips": sum(s["trips"] for s in per_shard),
-            "heals": sum(s["heals"] for s in per_shard),
-            "quarantined_keys": sum(
-                s["quarantined_keys"] for s in per_shard),
-            "nshards": self.nshards,
-            "per_shard": per_shard,
-        }
 
 
 # --------------------------------------------------------------------- #

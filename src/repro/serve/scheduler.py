@@ -186,7 +186,6 @@ class DispatchRecord:
     level: int = 0
     retry: bool = False
     reason: Optional[str] = None    # solo attribution, never a silent path
-    worker: Optional[int] = None    # pool-worker attribution (None = seq.)
     coalesced: bool = field(init=False)
 
     def __post_init__(self):
@@ -221,49 +220,6 @@ def _group_key(job: Job, float_coalesce: bool = True):
                           else "no serve signature")
         return ("solo", job.seq)
     return ("attack", sig, job.x.shape[1:], job.x.dtype.str)
-
-
-class DispatchContext:
-    """Everything one dispatch needs that differs between the sequential
-    scheduler and a pool worker: which clock deadlines read, which
-    breaker holds the key's rung state, where
-    :class:`DispatchRecord`\\ s go, and how jobs settle.
-
-    The sequential scheduler's context writes straight into live state
-    (``dispatch_log.append`` / :meth:`Scheduler.settle`).  A pool
-    worker's context buffers both into per-group lists that the
-    single-writer reap publishes in plan order, and reads time from a
-    per-group clock view — dispatch code itself stays identical either
-    way.  ``is_settled`` covers both the already-published case
-    (``future.done``) and settles buffered in this context but not yet
-    reaped, so the ladder's "skip settled members" check keeps working
-    under deferral.
-    """
-
-    def __init__(self, clock: Clock, breaker: CircuitBreaker,
-                 record: Callable[["DispatchRecord"], None],
-                 settle: Callable[..., None]):
-        self.clock = clock
-        self.breaker = breaker
-        self._record = record
-        self._settle = settle
-        self._settled: set = set()
-
-    def record(self, rec: "DispatchRecord") -> None:
-        self._record(rec)
-
-    def settle(self, job: "Job", *, value: Any = None,
-               error: Optional[BaseException] = None,
-               outcome: str = "ok",
-               info: Optional[Dict[str, Any]] = None) -> None:
-        if self.is_settled(job):
-            return
-        self._settled.add(id(job))
-        self._settle(job, value=value, error=error, outcome=outcome,
-                     info=info)
-
-    def is_settled(self, job: "Job") -> bool:
-        return job.future.done or id(job) in self._settled
 
 
 def _float_forward(model: Any, xs: np.ndarray, batch_size: int,
@@ -392,7 +348,7 @@ class Scheduler:
             if until is not None and self.clock.now() >= until:
                 break
             kind, group, key = self._pop_group()
-            self._run_group(kind, group, key, self._group_context(key))
+            self._run_group(kind, group, key)
             rounds += 1
         return rounds
 
@@ -400,10 +356,7 @@ class Scheduler:
         """Pop the next dispatch round: the oldest pending job as head
         plus every compatible pending job up to ``max_batch_rows``.
 
-        This is *the* grouping decision — the pool planner calls it
-        unchanged, so a pooled run partitions the queue into exactly the
-        groups a sequential run would (the property the partition tests
-        assert).  Fires ``queue.tick`` once per call.
+        Fires ``queue.tick`` once per call.
         """
         faults.fire("queue.tick")
         head = self.pending.popleft()
@@ -434,14 +387,7 @@ class Scheduler:
             self.pending = deque(kept)
         return head.kind, group, key
 
-    def _group_context(self, key) -> DispatchContext:
-        """The live-state context: records and settles publish directly.
-        Subclasses route ``key`` to its breaker shard here."""
-        return DispatchContext(self.clock, self.breaker,
-                               self.dispatch_log.append, self.settle)
-
-    def _run_group(self, kind: str, group: List[Job], key,
-                   ctx: DispatchContext) -> None:
+    def _run_group(self, kind: str, group: List[Job], key) -> None:
         """Dispatch a group down the degradation ladder.
 
         A healthy key dispatches coalesced-compiled (rung 0).  If that
@@ -452,27 +398,26 @@ class Scheduler:
         attributable post-hoc.  A key already quarantined at rung L
         skips straight to solo dispatch at L for every member.
         """
-        start = ctx.breaker.level(key)
+        start = self.breaker.level(key)
         cause: Optional[BaseException] = None
         if start == 0:
-            ctx.record(DispatchRecord(
+            self.dispatch_log.append(DispatchRecord(
                 key, tuple(j.seq for j in group),
                 sum(j.rows for j in group), level=0,
                 reason=group[0].solo_reason if len(group) == 1 else None))
             try:
-                self._dispatch(kind, group, level=0, ctx=ctx)
-                ctx.breaker.record_success(key, 0)
+                self._dispatch(kind, group, level=0)
+                self.breaker.record_success(key, 0)
                 return
             except Exception as exc:    # noqa: BLE001 - job isolation
-                ctx.breaker.record_failure(key, 0)
+                self.breaker.record_failure(key, 0)
                 cause = exc
             start = 1
         for job in group:
-            self._run_ladder(kind, job, key, start, cause, ctx)
+            self._run_ladder(kind, job, key, start, cause)
 
     def _run_ladder(self, kind: str, job: Job, key, level: int,
-                    cause: Optional[BaseException],
-                    ctx: DispatchContext) -> None:
+                    cause: Optional[BaseException]) -> None:
         """Walk one job down the ladder from ``level`` until a rung
         succeeds or the eager floor fails too.  Each failed rung's
         exception is chained behind the next (``__cause__``), so the
@@ -480,30 +425,29 @@ class Scheduler:
         settled by a partially-successful mixed dispatch (their kind's
         sub-dispatch resolved before another kind's raised) are done —
         re-running them would double-spend the pass."""
-        if ctx.is_settled(job):
+        if job.future.done:
             return
         while True:
             level = min(level, EAGER_LEVEL)
-            ctx.record(DispatchRecord(
+            self.dispatch_log.append(DispatchRecord(
                 key, (job.seq,), job.rows, level=level,
                 retry=cause is not None, reason=job.solo_reason))
             try:
-                self._dispatch(kind, [job], level=level, ctx=ctx)
-                ctx.breaker.record_success(key, level)
+                self._dispatch(kind, [job], level=level)
+                self.breaker.record_success(key, level)
                 return
             except Exception as exc:    # noqa: BLE001 - job isolation
-                ctx.breaker.record_failure(key, level)
+                self.breaker.record_failure(key, level)
                 if (cause is not None and exc is not cause
                         and exc.__cause__ is None):
                     exc.__cause__ = cause
                 cause = exc
                 if level >= EAGER_LEVEL:
-                    ctx.settle(job, error=exc, outcome="failed")
+                    self.settle(job, error=exc, outcome="failed")
                     return
                 level += 1
 
-    def _dispatch(self, kind: str, group: List[Job], level: int,
-                  ctx: DispatchContext) -> None:
+    def _dispatch(self, kind: str, group: List[Job], level: int) -> None:
         # mixed groups (attack head + float-predict riders) partition by
         # kind: each sub-dispatch resolves its own jobs, so a failure in
         # one kind walks only the unresolved members down the ladder
@@ -512,14 +456,14 @@ class Scheduler:
         predicts = [j for j in group if j.kind == "predict"]
         floats = [j for j in group if j.kind == "predict_float"]
         if attacks:
-            self._dispatch_attack(attacks, ctx, compiled=compiled)
+            self._dispatch_attack(attacks, compiled=compiled)
         if predicts:
-            self._dispatch_predict(predicts, ctx, compiled=compiled)
+            self._dispatch_predict(predicts, compiled=compiled)
         if floats:
-            self._dispatch_predict_float(floats, ctx, compiled=compiled)
+            self._dispatch_predict_float(floats, compiled=compiled)
 
     # -- attack batches -------------------------------------------------- #
-    def _dispatch_attack(self, group: List[Job], ctx: DispatchContext,
+    def _dispatch_attack(self, group: List[Job],
                          compiled: bool = True) -> None:
         """One scheduled pass over the merged rows of ``group``.
 
@@ -557,7 +501,7 @@ class Scheduler:
             row_deadlines: List[Optional[float]] = []
             for j in group:
                 row_deadlines.extend([j.deadline] * j.rows)
-            token = DeadlineToken.for_rows(row_deadlines, ctx.clock)
+            token = DeadlineToken.for_rows(row_deadlines, self.clock)
         prior = rep.use_compiled
         rep.use_compiled = prior and compiled
         try:
@@ -569,7 +513,7 @@ class Scheduler:
                 # what `attack.generate(x, y)` alone would do
                 job = group[0]
                 adv = rep.generate(job.x, job.y, deadline=token)
-                self._resolve_slices(group, adv, token, ctx)
+                self._resolve_slices(group, adv, token)
                 return
             rep._refresh_compiled()
             xs = np.concatenate([j.x for j in group], axis=0)
@@ -592,27 +536,26 @@ class Scheduler:
                                   axis=0)
             adv = run_scheduled(rep, xs, ys, adv0, eps, alpha, check, params,
                                 capacity=self.capacity, deadline=token)
-            self._resolve_slices(group, adv, token, ctx)
+            self._resolve_slices(group, adv, token)
         finally:
             rep.use_compiled = prior
 
     def _resolve_slices(self, group: List[Job], adv: np.ndarray,
-                        token: Optional[DeadlineToken],
-                        ctx: DispatchContext) -> None:
+                        token: Optional[DeadlineToken]) -> None:
         start = 0
         for job in group:
             lo, hi = start, start + job.rows
             if token is not None and token.job_slice_expired(lo, hi):
-                ctx.settle(
+                self.settle(
                     job, value=adv[lo:hi].copy(), outcome="deadline-degraded",
                     info={"expired_rows": int(token.expired[lo:hi].sum()),
                           "steps_done": token.steps_done[lo:hi].copy()})
             else:
-                ctx.settle(job, value=adv[lo:hi].copy(), outcome="ok")
+                self.settle(job, value=adv[lo:hi].copy(), outcome="ok")
             start = hi
 
     # -- inference batches ----------------------------------------------- #
-    def _dispatch_predict(self, group: List[Job], ctx: DispatchContext,
+    def _dispatch_predict(self, group: List[Job],
                           compiled: bool = True) -> None:
         """Merged rows through one shared per-shape edge program.
 
@@ -635,11 +578,11 @@ class Scheduler:
             # copy: a view would alias every tenant's result to one
             # merged buffer (and pin all of it for as long as any
             # caller keeps its small slice)
-            ctx.settle(job, value=out[start:start + job.rows].copy())
+            self.settle(job, value=out[start:start + job.rows].copy())
             start += job.rows
 
     # -- float inference batches ------------------------------------------ #
-    def _dispatch_predict_float(self, group: List[Job], ctx: DispatchContext,
+    def _dispatch_predict_float(self, group: List[Job],
                                 compiled: bool = True) -> None:
         """Merged float rows through one shared row-reproducible pass.
 
@@ -689,6 +632,5 @@ class Scheduler:
                 out = _float_forward(model, xs, self.predict_batch, executor)
                 start = 0
                 for job in members:
-                    ctx.settle(job,
-                               value=out[start:start + job.rows].copy())
+                    self.settle(job, value=out[start:start + job.rows].copy())
                     start += job.rows

@@ -40,10 +40,9 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..attacks.base import Attack
-from .cache import PlanCache, ShardedPlanCache
-from .pool import PoolScheduler
+from .cache import PlanCache
 from .resilience import (AdmissionController, AdmissionError, CircuitBreaker,
-                         Clock, QuotaError, ShardedCircuitBreaker, ShedError)
+                         Clock, QuotaError, ShedError)
 from .scheduler import DispatchRecord, Job, JobFuture, Scheduler
 
 #: default shared-cache budget: generous for the bench/serve models in
@@ -88,24 +87,6 @@ class ServeSession:
         they dispatch solo with the reason on their
         :class:`~repro.serve.scheduler.DispatchRecord` (see
         :class:`~repro.serve.scheduler.Scheduler`).
-    workers:
-        None (default) keeps the historic single-threaded
-        :class:`~repro.serve.scheduler.Scheduler`.  An int builds the
-        worker-pool stack instead — a
-        :class:`~repro.serve.pool.PoolScheduler` over a
-        :class:`~repro.serve.cache.ShardedPlanCache` and a
-        :class:`~repro.serve.resilience.ShardedCircuitBreaker` (one
-        shard per worker unless ``shards`` says otherwise, breaker
-        shards routed by the cache's key router).  ``workers=1`` is the
-        deterministic single-worker pool: the full
-        plan/assign/steal/reap pipeline, no threads.  Per-job results
-        are bit-identical across all of these — see
-        :mod:`repro.serve.pool`.
-    shards / steal_seed / pool_backend:
-        Pool tuning (ignored when ``workers`` is None): PlanCache/
-        breaker shard count (default ``workers``), the seed for the
-        steal pass, and the executor backend (``"thread"`` today;
-        ``"process"`` is the documented scale-out seam).
     """
 
     def __init__(self, capacity: int = 64,
@@ -120,51 +101,21 @@ class ServeSession:
                  quarantine_cooldown_s: float = 5.0,
                  failure_cooldown_s: Optional[float] = None,
                  clock: Optional[Clock] = None,
-                 float_coalesce: bool = True,
-                 workers: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 steal_seed: int = 0,
-                 pool_backend: str = "thread"):
+                 float_coalesce: bool = True):
         self.clock = clock if clock is not None else Clock()
-        self.workers = None if workers is None else int(workers)
-        if self.workers is None:
-            self.plan_cache = (
-                plan_cache if plan_cache is not None
-                else PlanCache(budget_bytes=budget_bytes,
-                               failure_cooldown_s=failure_cooldown_s,
-                               clock=self.clock))
-            self.breaker = CircuitBreaker(cooldown_s=quarantine_cooldown_s,
-                                          clock=self.clock)
-            self.scheduler = Scheduler(capacity=capacity,
-                                       max_batch_rows=max_batch_rows,
-                                       predict_batch=predict_batch,
-                                       clock=self.clock,
-                                       breaker=self.breaker,
-                                       float_coalesce=float_coalesce)
-        else:
-            if self.workers < 1:
-                raise ValueError("workers must be >= 1 (or None for the "
-                                 "single-threaded scheduler)")
-            nshards = int(shards) if shards is not None else self.workers
-            if plan_cache is None:
-                plan_cache = ShardedPlanCache(
-                    nshards=nshards, budget_bytes=budget_bytes,
-                    failure_cooldown_s=failure_cooldown_s,
-                    clock=self.clock)
-            self.plan_cache = plan_cache
-            route = getattr(plan_cache, "shard_index", None)
-            self.breaker = ShardedCircuitBreaker(
-                nshards=nshards, cooldown_s=quarantine_cooldown_s,
-                clock=self.clock, route=route)
-            self.scheduler = PoolScheduler(capacity=capacity,
-                                           max_batch_rows=max_batch_rows,
-                                           predict_batch=predict_batch,
-                                           clock=self.clock,
-                                           breaker=self.breaker,
-                                           float_coalesce=float_coalesce,
-                                           workers=self.workers,
-                                           steal_seed=steal_seed,
-                                           backend=pool_backend)
+        self.plan_cache = (
+            plan_cache if plan_cache is not None
+            else PlanCache(budget_bytes=budget_bytes,
+                           failure_cooldown_s=failure_cooldown_s,
+                           clock=self.clock))
+        self.breaker = CircuitBreaker(cooldown_s=quarantine_cooldown_s,
+                                      clock=self.clock)
+        self.scheduler = Scheduler(capacity=capacity,
+                                   max_batch_rows=max_batch_rows,
+                                   predict_batch=predict_batch,
+                                   clock=self.clock,
+                                   breaker=self.breaker,
+                                   float_coalesce=float_coalesce)
         self.admission = AdmissionController(
             max_pending_jobs=max_pending_jobs,
             max_pending_rows=max_pending_rows,
@@ -182,20 +133,7 @@ class ServeSession:
         cache before adoption are dropped with it — they recompile into
         the shared store on first use, after which every compatible
         request hits.
-
-        Under a sharded cache, adoption also registers the object (and
-        an attack's plan-owner models) with the cache's owner registry:
-        shard routing canonicalizes the raw ``id()``\\ s inside plan
-        keys to stable adoption-order indices, which is what makes a
-        key's shard — and hence per-shard stats, breaker state and
-        steal decisions — reproducible across runs.
         """
-        register = getattr(self.plan_cache, "register_owner", None)
-        if register is not None:
-            register(obj)
-            if isinstance(obj, Attack):
-                for owner in obj._plan_owners():
-                    register(owner)
         if getattr(obj, "plan_cache", None) is not self.plan_cache:
             obj.plan_cache = self.plan_cache
 
@@ -335,7 +273,7 @@ class ServeSession:
     @property
     def stats(self) -> Dict[str, Any]:
         log = self.scheduler.dispatch_log
-        out = {
+        return {
             "dispatches": len(log),
             "jobs_served": sum(len(r.seqs) for r in log),
             "rows_served": sum(r.rows for r in log),
@@ -347,13 +285,3 @@ class ServeSession:
             "quarantine": self.breaker.stats,
             "plan_cache": self.plan_cache.stats,
         }
-        if self.workers is not None:
-            sched = self.scheduler
-            out["pool"] = {
-                "workers": self.workers,
-                "backend": sched.backend,
-                "waves": len(sched.wave_log),
-                "steals": len(sched.steal_log),
-                "stolen_rows": sum(s.rows for s in sched.steal_log),
-            }
-        return out

@@ -72,14 +72,13 @@ def tiny_quantized(tiny_model, tiny_dataset):
     return q
 
 
-# -- mixed job-set generator (pool partition property tests) ---------- #
+# -- mixed job-set generator (dispatch property tests) ---------------- #
 #
 # A job "menu" is a list of (kind, rows) tuples — the minimal shape the
 # serving layer's grouping decision can see.  ``submit_job_menu`` turns a
 # menu into real submissions against a shared (orig, quant, edge) model
-# triple, so a property test can replay the *same* menu through the
-# sequential scheduler and the worker pool and compare the partitions
-# they form.
+# triple, so a property test can serve any menu through one session and
+# check how the scheduler partitions it and what each job returns.
 
 def mixed_job_menus(max_jobs: int = 6, max_rows: int = 3):
     """Hypothesis strategy: small mixed attack/predict/predict_float

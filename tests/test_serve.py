@@ -1,17 +1,27 @@
 """Serving layer: PlanCache eviction, scheduler fairness, bit-parity."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.attacks import CWLinf, DIVA, PGD, TargetedDIVA
 from repro.edge import compile_edge
 from repro.models import build_model
+from repro.nn import rowrep
 from repro.quantization import calibrate, prepare_qat
-from repro.serve import (JobError, PlanCache, Scheduler, ServeSession,
-                         build_workload, mixed_workload_spec, plan_nbytes,
-                         verify_parity)
+from repro.serve import (FaultInjector, FaultSpec, JobError, ManualClock,
+                         PlanCache, Scheduler, ServeSession, build_workload,
+                         inject, mixed_workload_spec, plan_nbytes,
+                         replay_sequential, replay_serve, verify_parity)
 from repro.serve.scheduler import _group_key
 from repro.training import predict_labels
+from repro.training.evaluate import predict_logits
+
+from .conftest import mixed_job_menus, submit_job_menu
+
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +495,79 @@ class TestServeParity:
         assert len(model_keys) == 1
         assert len(loop_keys) <= 1
         assert session.plan_cache.stats["entries"] == len(keys)
+
+
+def _result_bytes(results):
+    """Per-job results as raw bytes (None for refused/failed jobs)."""
+    return [None if r is None else (r.dtype.str, r.shape, r.tobytes())
+            for r in results]
+
+
+class TestSequentialDispatch:
+    def test_completion_wins_ties_at_the_deadline_boundary(self, pair):
+        """An injected queue latency pushes the clock past the drain
+        budget in the same tick the head group was popped.  That group
+        still runs and its future resolves, while the job behind it
+        stays cleanly pending for a later drain."""
+        orig, _quant, x, _y = pair
+        other = build_model("resnet", num_classes=6, width=4, seed=9)
+        other.eval()
+        clock = ManualClock()
+        session = ServeSession(capacity=8, clock=clock)
+        f1 = session.submit_predict(orig, x[:2])
+        f2 = session.submit_predict(other, x[:2])
+        injector = FaultInjector(
+            [FaultSpec("queue.tick", "latency", rate=1.0, delay_s=1.0)],
+            seed=FAULT_SEED, clock=clock)
+        with inject(injector):
+            value = f1.result(timeout=0.5)     # budget < first tick
+        assert value is not None and f1.done and f1.outcome == "ok"
+        assert not f2.done                     # never dispatched: pending
+        assert len(session.scheduler.pending) == 1
+        assert f2.result() is not None         # a later drain serves it
+        assert f2.outcome == "ok"
+
+    def test_starved_budget_evictions_rebuild_bit_identical(self):
+        """A starved plan-cache budget forces mid-replay evictions;
+        evicted plans rebuild and revalidate, and every job's bytes
+        still match its solo run."""
+        spec = mixed_workload_spec(scale=1)
+        spec["steps"] = 3
+        workload = build_workload(spec)
+        ref = replay_sequential(workload)
+        session = ServeSession(capacity=64, budget_bytes=20_000)
+        out = replay_serve(workload, session=session)
+        assert _result_bytes(out["results"]) == \
+            _result_bytes(ref["results"])
+        assert session.stats["plan_cache"]["evictions"] >= 1
+
+    @given(menu=mixed_job_menus())
+    @settings(max_examples=8, deadline=None)
+    def test_mixed_menus_dispatch_once_and_match_solo(self, menu, pair,
+                                                       edge_model):
+        """Property: for any mixed job set, every job is dispatched
+        exactly once, every solo dispatch names its reason, and every
+        ok result is byte-equal to that job's solo run."""
+        orig, quant, x, y = pair
+        edge, x_edge = edge_model
+        session = ServeSession(capacity=16)
+        futs = submit_job_menu(session, menu, pair, edge, x_edge)
+        session.drain()
+        seqs = sorted(s for r in session.dispatch_log for s in r.seqs)
+        assert seqs == list(range(len(menu)))
+        assert all(r.reason for r in session.dispatch_log
+                   if r.key[0] == "solo")
+        for (kind, rows), fut in zip(menu, futs):
+            if fut.outcome != "ok":
+                continue
+            if kind == "attack":
+                ref = PGD(quant, steps=2).generate(x[:rows], y[:rows])
+            elif kind == "predict":
+                ref = edge.predict(x_edge[:rows])
+            else:
+                with rowrep.row_reproducible():
+                    ref = predict_logits(orig, x[:rows])
+            assert _result_bytes([fut.result()]) == _result_bytes([ref])
 
 
 class TestBurstMemory:
