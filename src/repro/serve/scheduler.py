@@ -348,7 +348,7 @@ class Scheduler:
             if until is not None and self.clock.now() >= until:
                 break
             kind, group, key = self._pop_group()
-            self._run_group(kind, group, key)
+            self._run_group(kind, group, key, None)
             rounds += 1
         return rounds
 
@@ -387,7 +387,8 @@ class Scheduler:
             self.pending = deque(kept)
         return head.kind, group, key
 
-    def _run_group(self, kind: str, group: List[Job], key) -> None:
+    def _run_group(self, kind: str, group: List[Job], key,
+                   _probe: Any = None) -> None:
         """Dispatch a group down the degradation ladder.
 
         A healthy key dispatches coalesced-compiled (rung 0).  If that
@@ -397,6 +398,10 @@ class Scheduler:
         carries the error, and each attempt is logged so failures are
         attributable post-hoc.  A key already quarantined at rung L
         skips straight to solo dispatch at L for every member.
+
+        ``_probe`` is unused.  It keeps the four-argument call shape that
+        ``perfbench/workloads.py``'s ``watch_dispatch`` wraps and forwards
+        on traced runs; drop it only together with that wrapper.
         """
         start = self.breaker.level(key)
         cause: Optional[BaseException] = None

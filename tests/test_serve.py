@@ -569,6 +569,26 @@ class TestSequentialDispatch:
                     ref = predict_logits(orig, x[:rows])
             assert _result_bytes([fut.result()]) == _result_bytes([ref])
 
+    def test_run_group_accepts_the_four_argument_wrapper(self, pair):
+        """The traced benchmark replaces ``scheduler._run_group`` with an
+        instance wrapper taking ``(kind, group, key, ctx)`` and forwarding
+        all four arguments; a drain through it must serve every job."""
+        orig, quant, x, y = pair
+        session = ServeSession(capacity=8)
+        sched = session.scheduler
+        run_group = sched._run_group
+        seen = []
+
+        def stamped(kind, group, key, ctx):
+            seen.extend(j.seq for j in group)
+            return run_group(kind, group, key, ctx)
+        sched._run_group = stamped
+        f1 = session.submit_attack(PGD(quant, steps=2), x[:2], y[:2])
+        f2 = session.submit_predict(orig, x[:2])
+        session.drain()
+        assert sorted(seen) == [0, 1]
+        assert f1.outcome == "ok" and f2.outcome == "ok"
+
 
 class TestBurstMemory:
     def test_repeated_bursts_release_programs(self):
