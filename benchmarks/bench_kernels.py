@@ -412,98 +412,6 @@ def test_serve_throughput(benchmark):
     benchmark.extra_info["serve_coalesced"] = parity["coalesced_dispatches"]
 
 
-_ATTACK_LOOP_ARM = """
-import sys, time, statistics
-import numpy as np
-from repro.attacks import CWLinf, DIVA
-from repro.models import build_model
-from repro.quantization import calibrate, prepare_qat
-from repro.training import predict_labels
-mode, which, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
-rng = np.random.default_rng(0)
-x = rng.random((16, 3, 16, 16)).astype(np.float32)
-orig = build_model("resnet", num_classes=10, width=8, seed=0)
-orig.eval()
-quant = prepare_qat(orig, weight_bits=8)
-calibrate(quant, x)
-quant.freeze(); quant.eval()
-y = predict_labels(orig, x)
-atk = (DIVA(orig, quant, steps=50) if which == "diva"
-       else CWLinf(quant, steps=50))
-if mode == "per_step":
-    atk.use_loop = False
-elif mode == "eager":
-    atk.use_compiled = False
-atk.generate(x, y)              # warm: programs, loop plan, BLAS caches
-times = []
-for _ in range(reps):
-    t0 = time.perf_counter()
-    atk.generate(x, y)
-    times.append(time.perf_counter() - t0)
-print(statistics.median(times))
-"""
-
-
-def _attack_loop_arm_seconds(mode, which, reps=5):
-    """Median seconds for one 50-step, 16-row ``generate`` in its own
-    process (same isolation rationale as the train-step arms: each arm
-    gets cold allocator/caches and warms itself)."""
-    import subprocess
-    import sys
-    out = subprocess.run([sys.executable, "-c", _ATTACK_LOOP_ARM, mode,
-                          which, str(reps)],
-                         capture_output=True, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1])
-
-
-@pytest.mark.parametrize("which", ["diva", "cw"])
-def test_attack_loop(benchmark, which, attack_models):
-    """Whole-loop recorded replay vs per-step compiled vs eager.
-
-    Three process-isolated arms run the same 50-step keep-best job:
-    ``looped`` (the recorded masked loop of ``repro.attacks.loop``),
-    ``per_step`` (``use_loop`` off: the step-at-a-time engine over
-    compiled gradient passes), ``eager`` (``use_compiled`` off: the
-    tape).  All three produce bit-identical bytes (asserted in-process
-    below); the arms differ only in loop bookkeeping and — for attacks
-    that reach gradient fixed points, like CW past its hinge — the
-    loop's fixed-point fast-forward.  ``steps_per_sec`` is nominal
-    requested work (rows x steps / wall), so early exit helps every arm
-    equally and fast-forward shows up honestly as throughput.
-    """
-    from repro.attacks import CWLinf, DIVA
-    orig, quant, x, y = attack_models
-    steps, rows = 50, len(x)
-
-    # CW's arms are ~6x shorter than DIVA's (one program, early fixed
-    # point), so a single slow rep swings the median hard; buy stability
-    # with more reps where reps are cheap.
-    reps = 11 if which == "cw" else 5
-    looped_s = _attack_loop_arm_seconds("looped", which, reps=reps)
-    per_step_s = _attack_loop_arm_seconds("per_step", which, reps=reps)
-    eager_s = _attack_loop_arm_seconds("eager", which, reps=3)
-
-    def make():
-        return (DIVA(orig, quant, steps=steps) if which == "diva"
-                else CWLinf(quant, steps=steps))
-
-    a = make()
-    got = a.generate(x, y)
-    b = make()
-    b.use_loop = False
-    assert np.array_equal(got, b.generate(x, y))    # hard bit-parity gate
-    benchmark(lambda: a.generate(x, y))
-    benchmark.extra_info["attack"] = which
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["steps"] = steps
-    benchmark.extra_info["loop_looped_ms"] = looped_s * 1e3
-    benchmark.extra_info["loop_per_step_ms"] = per_step_s * 1e3
-    benchmark.extra_info["loop_eager_ms"] = eager_s * 1e3
-    benchmark.extra_info["loop_steps_per_sec"] = rows * steps / looped_s
-    benchmark.extra_info["loop_vs_per_step_speedup"] = per_step_s / looped_s
-    benchmark.extra_info["loop_vs_eager_speedup"] = eager_s / looped_s
-
-
 def test_conv2d_forward_backward(benchmark, conv_inputs):
     x, w = conv_inputs
 

@@ -12,7 +12,6 @@ from .cw import CWLinf, cw_margin_loss
 from .engine import (PairedExecutor, generate_grid, run_scheduled,
                      run_scheduled_steps)
 from .diva import DIVA, TargetedDIVA, diva_loss
-from .loop import CompiledAttackLoop, LoopSpec, compile_attack_loop
 from .fgsm import fgsm, r_fgsm
 from .nes import NESDiva
 from .pgd import MomentumPGD, PGD
@@ -26,7 +25,6 @@ __all__ = [
     "fgsm", "r_fgsm", "PGD", "MomentumPGD", "CWLinf", "cw_margin_loss",
     "DIVA", "TargetedDIVA", "diva_loss", "NESDiva",
     "PairedExecutor", "generate_grid", "run_scheduled", "run_scheduled_steps",
-    "CompiledAttackLoop", "LoopSpec", "compile_attack_loop",
     "SurrogateBundle", "build_surrogate_original", "semi_blackbox_diva",
     "blackbox_diva",
 ]

@@ -19,13 +19,9 @@ refilled with pending samples from later batches (cross-batch work
 stealing), so the gradient batch stays full until the global tail.
 ``Attack.generate_sweep`` tiles the batch across an (eps, c, ...)
 variant grid and feeds the same scheduler, sharing one compiled program
-pair and per-variant keep-best state across the whole grid.  Attacks
-that declare a loop spec (:meth:`Attack._loop_spec`) additionally ride
-the recorded whole-loop path (:mod:`repro.attacks.loop`): every step of
-the scheduled loop replays inside one masked program, bit-validated
-against the step-at-a-time engine at plan-build time.  All scheduling
-is value-neutral: per-sample trajectories are bit-identical to the
-classic one-batch-at-a-time loop.
+pair and per-variant keep-best state across the whole grid.  All
+scheduling is value-neutral: per-sample trajectories are bit-identical
+to the classic one-batch-at-a-time loop.
 
 Subclasses compile their frozen models into replayable programs
 (:mod:`repro.nn.graph`) — DIVA-family attacks fuse the (original,
@@ -161,13 +157,6 @@ class Attack:
     #: variants may override per item (e.g. DIVA's ``c``)
     sweep_params: frozenset = frozenset()
 
-    #: gradient passes the recorded whole-loop replays between deadline
-    #: polls (:mod:`repro.attacks.loop`).  The default of 1 matches the
-    #: step-at-a-time engine's poll cadence exactly (chaos parity);
-    #: larger chunks trade poll granularity for a little dispatch
-    #: overhead on deadline-bounded jobs.
-    loop_chunk = 1
-
     def __init__(self, eps: float = DEFAULT_EPS, alpha: float = DEFAULT_ALPHA,
                  steps: int = DEFAULT_STEPS, random_start: bool = False,
                  keep_best: bool = True, seed: int = 0):
@@ -182,10 +171,6 @@ class Attack:
         #: set False to force the eager-tape path (e.g. for counting
         #: model calls, or when model weights mutate mid-generate).
         self.use_compiled = True
-        #: set False to force step-at-a-time scheduling even when a
-        #: recorded whole-loop plan exists (bench arms, bisection);
-        #: results are bit-identical either way.
-        self.use_loop = True
         #: compiled-program store; private by default, rebound to a
         #: shared budgeted cache when the attack is served through a
         #: :class:`repro.serve.ServeSession`
@@ -224,21 +209,6 @@ class Attack:
     def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
         """Per-sample success mask under this attack's own objective, or
         None when the attack defines no early-success criterion."""
-        return None
-
-    def _loop_spec(self, x: np.ndarray):
-        """Recipe for whole-loop recording, or None (engine path).
-
-        Subclasses whose gradient is a pure function of the compiled
-        programs' logits return a :class:`repro.attacks.loop.LoopSpec`
-        (the programs plus seed/aux adapters); the base class — and any
-        subclass with stateful gradients, overridden step rules or
-        untraceable models — returns None, keeping the step-at-a-time
-        engine.  Implementations must refuse (return None) whenever
-        ``gradient_with_logits`` or ``_step`` is overridden relative to
-        the class that defines the spec, so a custom subclass can never
-        be silently driven by the wrong recipe.
-        """
         return None
 
     def serve_signature(self) -> Optional[Tuple]:
@@ -494,6 +464,8 @@ class Attack:
         steps with their best-so-far iterate — the serving layer's
         graceful-degradation path.
         """
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         y = np.asarray(y)
         self._refresh_compiled()
         if self.shrink_done:
@@ -549,6 +521,8 @@ class Attack:
         adversarial batch per variant, each bit-identical to the
         sequential ``generate`` run with that variant's parameters.
         """
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         y = np.asarray(y)
         allowed = SCHEDULER_KEYS | self.sweep_params
         for v in variants:

@@ -89,31 +89,6 @@ class DIVA(Attack):
         """Cached paired executor over (original, adapted), or None."""
         return self._paired_executor((self.original, self.adapted), x)
 
-    def _loop_spec(self, x: np.ndarray):
-        """Whole-loop recipe: the paired programs, stacked-softmax seeds.
-
-        ``c`` comes from the per-row variant vector when sweeping, the
-        attack scalar otherwise — the same resolution order as
-        :meth:`gradient_with_logits`.  Seeding goes through
-        :meth:`_paired_seeds`, so :class:`TargetedDIVA`'s seed-vector
-        override flows through unchanged; refused when the gradient or
-        step rule is overridden or either model fails to compile.
-        """
-        from .base import Attack
-        from .loop import LoopSpec
-        if (type(self).gradient_with_logits is not DIVA.gradient_with_logits
-                or type(self)._step is not Attack._step):
-            return None
-        pe = self._paired(x)
-        if pe is None:
-            return None
-
-        def seeds(outs, y, variant):
-            c = variant["c"] if variant and "c" in variant else self.c
-            return list(self._paired_seeds(outs, y, c))
-
-        return LoopSpec(programs=pe, seeds=seeds, aux_of=tuple)
-
     def _seed_vectors(self, p: np.ndarray, n: int, y: np.ndarray,
                       c) -> np.ndarray:
         """Upstream probability-gradient for the stacked (2n, k) softmax:

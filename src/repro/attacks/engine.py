@@ -29,10 +29,6 @@ time, one configuration at a time" into a single scheduled computation:
   the per-batch sequential loop; the trailing success forward the
   sequential loop paid is dropped entirely (it cannot change the
   returned iterate when done samples stop stepping).
-  :func:`run_scheduled` additionally routes through the recorded
-  whole-loop plan (:mod:`repro.attacks.loop`) when the attack has one,
-  with :func:`run_scheduled_steps` — the step-at-a-time body — as both
-  the loop's compile-time validation reference and its loud fallback.
 
 - variant tiling — ``Attack.generate_sweep`` maps an (eps, c, ...) grid
   onto per-item parameter vectors so a whole figure's configuration
@@ -219,21 +215,12 @@ def run_scheduled(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
                   capacity: int,
                   snaps: Optional[np.ndarray] = None,
                   deadline=None) -> np.ndarray:
-    """Scheduled attack loop: the recorded whole-loop plan when the
-    attack has one (:mod:`repro.attacks.loop` — every step replayed
-    inside one masked program, bit-validated against the engine), the
-    step-at-a-time engine otherwise.  Snapshot requests always take the
-    engine (per-step iterates are the observable the loop's masking
-    elides), as does anything :func:`~repro.attacks.loop.try_run_loop`
-    declines — results are bit-identical either way, per the loop's
-    compile-time validation gate.
+    """The scheduled attack loop: forwards to :func:`run_scheduled_steps`.
+
+    Kept as its own function because ``perfbench/layers.py`` probes this
+    name and counts calls at every module that binds it; it goes when a
+    benchmark change drops that probe.
     """
-    if snaps is None:
-        from .loop import try_run_loop
-        out = try_run_loop(attack, x, y, adv, eps, alpha, check, params,
-                           capacity, deadline=deadline)
-        if out is not None:
-            return out
     return run_scheduled_steps(attack, x, y, adv, eps, alpha, check, params,
                                capacity, snaps=snaps, deadline=deadline)
 
@@ -263,10 +250,6 @@ def run_scheduled_steps(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
     passed retire immediately with their current best-so-far iterate and
     are recorded on the token.  Rows that already retired normally are
     never polled, so a completed row can never be marked expired.
-
-    This is both the universal fallback and the validation reference:
-    :func:`repro.attacks.loop.compile_attack_loop` must reproduce this
-    function's output bit-for-bit before a loop plan exists.
     """
     n_items = len(x)
     steps = attack.steps

@@ -33,7 +33,7 @@ from typing import Optional
 #: benches that need no trained pipeline; keep in sync with bench_kernels.py
 FAST_BENCH_FILTER = ("conv2d or fake_quant or compiled_replay "
                      "or eager_forward or attack_step or attack_sweep "
-                     "or attack_loop or train_step or distill_epoch "
+                     "or train_step or distill_epoch "
                      "or edge_infer or serve_throughput "
                      "or float_coalesce or rowrep_gemm or net_serving")
 
@@ -84,7 +84,6 @@ def summarize(raw: dict, sha: str) -> dict:
     """Reduce the pytest-benchmark JSON to the trajectory schema."""
     kernels = {}
     attack = {}
-    attack_loop = {}
     replay = {}
     sweep = {}
     train = {}
@@ -107,17 +106,6 @@ def summarize(raw: dict, sha: str) -> dict:
                 "pgd_steps_per_sec": extra["pgd_steps_per_sec"],
                 "diva_step_ns": extra["diva_step_ns"],
                 "lane_steps": extra.get("lane_steps", 0),
-            }
-        if "loop_vs_per_step_speedup" in extra:
-            attack_loop[extra["attack"]] = {
-                "rows": extra["rows"],
-                "steps": extra["steps"],
-                "looped_ms": extra["loop_looped_ms"],
-                "per_step_ms": extra["loop_per_step_ms"],
-                "eager_ms": extra["loop_eager_ms"],
-                "steps_per_sec": extra["loop_steps_per_sec"],
-                "vs_per_step_speedup": extra["loop_vs_per_step_speedup"],
-                "vs_eager_speedup": extra["loop_vs_eager_speedup"],
             }
         if "sweep_speedup" in extra:
             sweep = {
@@ -199,7 +187,6 @@ def summarize(raw: dict, sha: str) -> dict:
         "dtype": "float32",
         "kernels_median_ns": kernels,
         "attack": attack,
-        "attack_loop": attack_loop,
         "compiled_replay": replay,
         "sweep_vs_sequential": sweep,
         "train_step": train,
@@ -239,11 +226,6 @@ def main(argv: Optional[list] = None) -> int:
     if summary["attack"]:
         print(f"  DIVA {summary['attack']['diva_steps_per_sec']:.1f} steps/s, "
               f"PGD {summary['attack']['pgd_steps_per_sec']:.1f} steps/s")
-    for which, a in summary["attack_loop"].items():
-        print(f"  {which} whole-loop ({a['rows']} rows x {a['steps']} steps) "
-              f"{a['vs_per_step_speedup']:.2f}x vs per-step, "
-              f"{a['vs_eager_speedup']:.2f}x vs eager "
-              f"({a['per_step_ms']:.0f} -> {a['looped_ms']:.0f} ms)")
     if summary["compiled_replay"]:
         print(f"  compiled replay {summary['compiled_replay']['speedup']:.2f}x "
               "vs eager forward")

@@ -647,14 +647,6 @@ def _eval_const(op: _Op, env) -> np.ndarray:
         return np.stack(ins, axis=at["axis"])
     if k == "where":
         return np.where(at["cond"], ins[0], ins[1])
-    if k == "sign":
-        return np.sign(ins[0])
-    if k == "maximum":
-        return np.maximum(ins[0], ins[1])
-    if k == "minimum":
-        return np.minimum(ins[0], ins[1])
-    if k == "select":
-        return np.where(ins[0].astype(bool), ins[1], ins[2])
     if k == "pad2d":
         t, b, l, r = at["pad"]
         return np.pad(ins[0], ((0, 0), (0, 0), (t, b), (l, r)))
@@ -1688,236 +1680,3 @@ def _b_avg_pool2d(prog, op):
         _gacc(genv, gowned, a,
               _col2im(dcols, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
     return run
-
-
-# ---- masked selection / attack-step primitives ------------------------ #
-# The loop-recording layer (repro.attacks.loop) promotes the engine's
-# keep-best selection and done-mask bookkeeping from per-step Python into
-# traced ops: ``sign``/``maximum``/``minimum`` express the projected sign
-# step, and ``select`` is the runtime-masked counterpart of ``where`` —
-# its condition is a *program input* (the per-row continuation mask of a
-# loop-carried state), not a compile-time attribute, so one program
-# replays every step of a loop whose active set changes per pass.
-@_register("sign")
-def _f_sign(prog, op):
-    a, = op.inputs
-    env = prog._env
-    return _ufunc_fwd(prog, op, lambda out: np.sign(env[a], out=out))
-
-
-@_register_bwd("sign")
-def _b_sign(prog, op):
-    # sign is piecewise constant: the a.e. subgradient is exactly zero,
-    # so no contribution flows upstream (matching the convention eager
-    # frameworks use).
-    def run(g, genv, gowned, n):
-        pass
-    return run
-
-
-@_register("maximum")
-def _f_maximum(prog, op):
-    a, b = op.inputs
-    env = prog._env
-    return _ufunc_fwd(prog, op, lambda out: np.maximum(env[a], env[b], out=out))
-
-
-@_register_bwd("maximum")
-def _b_maximum(prog, op):
-    a, b = op.inputs
-    var = prog._var_set
-    env = prog._env
-    sa, sb = op.in_shapes
-
-    def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb):
-        pick = env[a] >= env[b]          # ties to the first arg (np.maximum)
-        if a in var:
-            ga = _unbroadcast(np.where(pick, g, 0.0),
-                              _grad_target_shape(prog, sa, n))
-            _gacc(genv, gowned, a, ga, True)
-        if b in var:
-            gb = _unbroadcast(np.where(pick, 0.0, g),
-                              _grad_target_shape(prog, sb, n))
-            _gacc(genv, gowned, b, gb, True)
-    return run
-
-
-@_register("minimum")
-def _f_minimum(prog, op):
-    a, b = op.inputs
-    env = prog._env
-    return _ufunc_fwd(prog, op, lambda out: np.minimum(env[a], env[b], out=out))
-
-
-@_register_bwd("minimum")
-def _b_minimum(prog, op):
-    a, b = op.inputs
-    var = prog._var_set
-    env = prog._env
-    sa, sb = op.in_shapes
-
-    def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb):
-        pick = env[a] <= env[b]          # ties to the first arg (np.minimum)
-        if a in var:
-            ga = _unbroadcast(np.where(pick, g, 0.0),
-                              _grad_target_shape(prog, sa, n))
-            _gacc(genv, gowned, a, ga, True)
-        if b in var:
-            gb = _unbroadcast(np.where(pick, 0.0, g),
-                              _grad_target_shape(prog, sb, n))
-            _gacc(genv, gowned, b, gb, True)
-    return run
-
-
-@_register("select")
-def _f_select(prog, op):
-    m, a, b = op.inputs
-    env = prog._env
-    prog._register_buf(op.out, op.out_shape[1:])
-
-    def run(n, m=m, a=a, b=b, o=op.out):
-        out = prog._slot(o, n)
-        np.copyto(out, env[b])
-        np.copyto(out, env[a], where=env[m])
-        env[o] = out
-    return run
-
-
-@_register_bwd("select")
-def _b_select(prog, op):
-    m, a, b = op.inputs
-    var = prog._var_set
-    env = prog._env
-    sa, sb = op.in_shapes[1], op.in_shapes[2]
-
-    def run(g, genv, gowned, n, m=m, a=a, b=b, sa=sa, sb=sb):
-        # the mask itself is non-differentiable; only the branches flow
-        if a in var:
-            ga = _unbroadcast(np.where(env[m], g, 0.0),
-                              _grad_target_shape(prog, sa, n))
-            _gacc(genv, gowned, a, ga, True)
-        if b in var:
-            gb = _unbroadcast(np.where(env[m], 0.0, g),
-                              _grad_target_shape(prog, sb, n))
-            _gacc(genv, gowned, b, gb, True)
-    return run
-
-
-# --------------------------------------------------------------------- #
-# hand-traced kernel programs (multi-input, forward-only)
-# --------------------------------------------------------------------- #
-class CompiledKernel(_Program):
-    """A forward-only program over several variable inputs.
-
-    Built by emitting registered ops directly into a :class:`_Tracer`
-    (no module forward involved), then lowered through the same
-    ``_FWD_FACTORY`` closures, buffers and :class:`ScratchPool`
-    discipline as :class:`CompiledForward`.  All inputs must be
-    batch-major and share one leading batch axis; replays accept any
-    batch size.  Used by the loop-recording layer to run the masked
-    keep-best step update as one replay instead of fancy-indexed numpy.
-    """
-
-    def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
-                 input_ids):
-        self._input_ids = tuple(input_ids)
-        super().__init__(tracer, out_id, example, var_roots=set(input_ids))
-        for op in self._var_ops:
-            if op.out_shape[:1] != (self._n0,):
-                raise GraphUnsupported(
-                    f"op {op.kind!r} output is not batch-major "
-                    f"(shape {op.out_shape}); cannot replay variable batches")
-        self._fwd_prog = [_FWD_FACTORY[op.kind](self, op)
-                          for op in self._var_ops]
-        self._ensure(self._n0)
-
-    def replay(self, *inputs: np.ndarray, copy: bool = False) -> np.ndarray:
-        """Run the kernel on same-length batch-major inputs (bound
-        positionally to the traced inputs).  By default the result is a
-        view into an internal buffer, valid until the next replay."""
-        n = len(inputs[0])
-        self._ensure(n)
-        env = self._env
-        for nid, arr in zip(self._input_ids, inputs):
-            env[nid] = arr
-        for run in self._fwd_prog:
-            run(n)
-        self.replays += 1
-        out = env[self._out_id]
-        return out.copy() if copy else out
-
-
-def masked_step_reference(adv: np.ndarray, g: np.ndarray, live: np.ndarray,
-                          alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                          ) -> np.ndarray:
-    """Eager reference of the masked projected sign step.
-
-    ``lo``/``hi`` are the loop-invariant clip bounds
-    ``clip(x - eps, 0, 1)`` / ``clip(x + eps, 0, 1)``; the single
-    max-then-min clamp against them is bit-identical to the engine's
-    two-stage ``project_linf`` (clamp composition is a selection among
-    the same candidates, applied in np.clip's lower-then-upper order).
-    Rows where ``live`` is False pass through unchanged.
-    """
-    stepped = np.minimum(np.maximum(adv + alpha * np.sign(g), lo), hi)
-    return np.where(live, stepped, adv)
-
-
-def compile_step_kernel(trailing: Tuple[int, ...], dtype) -> CompiledKernel:
-    """Trace the masked attack-step update into a :class:`CompiledKernel`.
-
-    Program (6 inputs, all batch-major)::
-
-        out = select(live, minimum(maximum(adv + alpha * sign(g), lo), hi), adv)
-
-    ``alpha`` and ``live`` carry one value per row (shape ``(n, 1, ...)``,
-    ``live`` boolean); the rest share ``adv``'s full shape.  Per the
-    compiled-stack contract the built kernel bit-validates itself against
-    :func:`masked_step_reference` (at the trace batch size and a larger
-    one, exercising buffer growth) before it is returned; any mismatch
-    raises :class:`GraphUnsupported`.
-    """
-    dtype = np.dtype(dtype)
-    one = (1,) * len(trailing)
-    n0 = 2
-    rng = np.random.default_rng(0)
-
-    def example(n):
-        adv = rng.random((n,) + trailing).astype(dtype)
-        g = rng.normal(size=(n,) + trailing).astype(dtype)
-        live = (rng.random((n,) + one) < 0.5)
-        alpha = np.full((n,) + one, 0.01, dtype=dtype)
-        lo = np.clip(adv - 0.03, 0.0, 1.0).astype(dtype, copy=False)
-        hi = np.clip(adv + 0.03, 0.0, 1.0).astype(dtype, copy=False)
-        return adv, g, live, alpha, lo, hi
-
-    adv, g, live, alpha, lo, hi = example(n0)
-    adv_t = Tensor(adv)
-    tracer = _Tracer(adv_t)
-    # Tensor() casts leaf data to the default dtype; only shapes matter
-    # for tracing — replays bind the caller's real (bool mask) arrays.
-    g_t, live_t, alpha_t, lo_t, hi_t = (Tensor(a)
-                                        for a in (g, live, alpha, lo, hi))
-    input_ids = [tracer.input_id] + [tracer._register(t)
-                                     for t in (g_t, live_t, alpha_t, lo_t, hi_t)]
-
-    def emit(kind, ins, data):
-        out = Tensor(data)
-        tracer.emit(kind, ins, out, None)
-        return out
-
-    s_t = emit("sign", [g_t], np.sign(g))
-    d_t = emit("mul", [alpha_t, s_t], alpha * s_t.data)
-    a_t = emit("add", [adv_t, d_t], adv + d_t.data)
-    mx_t = emit("maximum", [a_t, lo_t], np.maximum(a_t.data, lo))
-    mn_t = emit("minimum", [mx_t, hi_t], np.minimum(mx_t.data, hi))
-    out_t = emit("select", [live_t, mn_t, adv_t],
-                 np.where(live, mn_t.data, adv))
-
-    kernel = CompiledKernel(tracer, tracer.ids[id(out_t)], adv, input_ids)
-    for n in (n0, 5):
-        ins = example(n) if n != n0 else (adv, g, live, alpha, lo, hi)
-        if not np.array_equal(kernel.replay(*ins), masked_step_reference(*ins)):
-            raise GraphUnsupported(
-                "compiled step kernel does not match the eager reference")
-    return kernel

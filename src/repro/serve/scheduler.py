@@ -482,21 +482,17 @@ class Scheduler:
         ``job.attack.generate(job.x, job.y)`` run alone.
 
         ``compiled=False`` is the eager ladder rung: the head attack's
-        ``use_compiled`` is forced off for the dispatch (which also
-        gates off the recorded whole-loop path), and no fault point
-        fires — eager is the reference implementation faults degrade
-        *to*, never a fault domain itself.  Jobs with deadlines thread
+        ``use_compiled`` is forced off for the dispatch, and no fault
+        point fires — eager is the reference implementation faults
+        degrade *to*, never a fault domain itself.  Jobs with deadlines thread
         a :class:`DeadlineToken` into the step loop; rows whose
         deadline passes retire between steps with their best-so-far
         iterate and the job resolves ``deadline-degraded``.
 
         The merged batch goes through
-        :func:`~repro.attacks.engine.run_scheduled`, so when the head
-        attack's whole-loop plan is warm (``use_loop`` on, models
-        traceable, validation passed) the entire coalesced dispatch
-        replays as one recorded masked program
-        (:mod:`repro.attacks.loop`) — still bit-identical per row, by
-        the loop path's build-time validation contract.
+        :func:`~repro.attacks.engine.run_scheduled`, the step-at-a-time
+        engine: one gradient pass over the occupied slots per step,
+        bit-identical per row to each job's solo run.
         """
         rep = group[0].attack
         if compiled:

@@ -1,6 +1,7 @@
 """Paired-program attack engine: sweep-vs-sequential parity, cross-batch
 work-stealing equivalence, paired-vs-separate executor bit-parity, the
-executor-cache keying fix, and the experiment dtype policy."""
+executor-cache keying fix, pass counts, argument checks, and the
+experiment dtype policy."""
 
 import dataclasses
 import gc
@@ -11,9 +12,14 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.attacks import DIVA, PGD, PairedExecutor, TargetedDIVA, generate_grid
+from repro.attacks import (DIVA, MomentumPGD, PGD, PairedExecutor,
+                           TargetedDIVA, generate_grid)
 from repro.attacks.base import softmax_np, softmax_vjp
+from repro.models import build_model
 from repro.nn.graph import ScratchPool, compile_forward
+from repro.nn.module import Module
+from repro.quantization import calibrate, prepare_qat
+from repro.training import predict_labels
 
 
 @pytest.fixture(scope="module")
@@ -145,21 +151,20 @@ class TestLanes:
         assert pe.lane_steps == 3
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_loop_and_engine_agree_on_lanes(self, pair_setup, dtype):
+    def test_generate_runs_on_two_lanes(self, pair_setup, dtype):
         from repro.nn import set_default_dtype
         set_default_dtype(dtype)
         orig, quant, atk = pair_setup
         x, y = _tile_rows(atk, 64)
         x = x.astype(dtype)
         kw = dict(eps=EPS, alpha=ALPHA, steps=5)
-        looped = DIVA(orig, quant, **kw)
-        stepped = DIVA(orig, quant, **kw)
-        stepped.use_loop = False
-        np.testing.assert_array_equal(looped.generate(x, y),
-                                      stepped.generate(x, y))
-        # both paths ran their steps on two lanes
-        assert looped._paired(x).lane_steps > 0
-        assert stepped._paired(x).lane_steps > 0
+        attack = DIVA(orig, quant, **kw)
+        got = attack.generate(x, y)
+        assert attack._paired(x).lane_steps > 0
+        if dtype == "float64":
+            eager = DIVA(orig, quant, **kw)
+            eager.use_compiled = False
+            np.testing.assert_array_equal(got, eager.generate(x, y))
 
     def test_single_program_submits_nothing(self, pair_setup, monkeypatch):
         orig, quant, atk = pair_setup
@@ -453,3 +458,148 @@ class TestDtypePolicy:
         for name in ("pgd", "diva"):
             assert name in res["dtype_deltas"]
             assert -1.0 <= res["dtype_deltas"][name] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """Untrained resnet + frozen 8-bit adaptation with self-labels."""
+    rng = np.random.default_rng(0)
+    x = rng.random((16, 3, 12, 12), dtype=np.float32)
+    orig = build_model("resnet", num_classes=6, width=4, seed=0)
+    quant = prepare_qat(orig, weight_bits=8)
+    calibrate(quant, x)
+    quant.freeze()
+    quant.eval()
+    y = predict_labels(orig, x, batch_size=len(x))
+    return orig, quant, x, y
+
+
+class _SpyModel(Module):
+    """Counts forward calls through a wrapped model."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.calls = 0
+
+    def forward(self, x):
+        self.calls += 1
+        return self.inner(x)
+
+
+class _NeverSucceedsPGD(PGD):
+    def success_from_logits(self, aux, y):
+        return None if aux is None else np.zeros(len(y), dtype=bool)
+
+    def is_success(self, x_adv, y):
+        return np.zeros(len(x_adv), dtype=bool)
+
+
+class _NeverSucceedsMomentumPGD(MomentumPGD):
+    def success_from_logits(self, aux, y):
+        return None if aux is None else np.zeros(len(y), dtype=bool)
+
+    def is_success(self, x_adv, y):
+        return np.zeros(len(x_adv), dtype=bool)
+
+
+class _FullBatchPGD(PGD):
+    """PGD forced onto the legacy per-batch keep-best loop."""
+
+    shrink_done = False
+
+
+class TestEarlyExit:
+    def test_successful_rows_hold_their_first_success(self, pair):
+        """A keep-best row retires at its first success: stepping it
+        further (keep_best=False) changes bytes, proving the mask (not
+        luck) held the iterate."""
+        orig, quant, x, y = pair
+        a = PGD(quant, eps=0.1, alpha=0.02, steps=10)
+        got = a.generate(x, y)
+        c = PGD(quant, eps=0.1, alpha=0.02, steps=10, keep_best=False)
+        free = c.generate(x, y)
+        ok = a.is_success(got, y)
+        assert ok.any()
+        # every successful row is genuinely adversarial and in-budget
+        assert np.abs(got - x).max() <= 0.1 + 1e-6
+        # at least one early-retired row differs from the free-running one
+        assert any(not np.array_equal(got[i], free[i])
+                   for i in np.flatnonzero(ok))
+
+    def test_engine_pays_exactly_steps_gradient_passes(self, pair):
+        """Warm compiled program, never-succeeding rows: one generate
+        replays the program exactly ``steps`` times — no trailing
+        success forward, no hidden extra passes."""
+        orig, quant, x, y = pair
+        steps = 7
+        a = _NeverSucceedsPGD(quant, eps=0.5, alpha=0.01, steps=steps)
+        a.generate(x[:8], y[:8])                      # warm the program
+        ex = a._compiled(quant, x[:8])
+        assert ex is not None
+        before = ex.replays
+        a.generate(x[:8], y[:8])
+        assert ex.replays - before == steps
+
+
+class TestPassCountRegression:
+    """Satellite bugfix: generate and run_scheduled share done-mask
+    semantics; single-step keep-best runs cost exactly one pass on
+    *both* loops (the legacy per-batch keep-best loop historically paid
+    a trailing success forward)."""
+
+    def test_legacy_keep_best_loop_passes_exactly_steps(self, pair):
+        orig, quant, x, y = pair
+        steps = 5
+        spy = _SpyModel(quant)
+        atk = _NeverSucceedsMomentumPGD(spy, steps=steps, eps=0.1,
+                                        alpha=0.01)
+        atk.use_compiled = False
+        atk.generate(x[:8], y[:8])
+        assert spy.calls == steps
+
+    def test_fgsm_as_single_step_pgd_costs_one_pass_both_loops(self, pair):
+        orig, quant, x, y = pair
+        # float32-exact eps/alpha: the scheduled engine carries them as
+        # per-row float32 vectors, the legacy loop as python scalars
+        spy_sched = _SpyModel(quant)
+        sched = PGD(spy_sched, eps=0.125, alpha=0.125, steps=1)
+        sched.use_compiled = False
+        got_sched = sched.generate(x[:8], y[:8])
+        spy_legacy = _SpyModel(quant)
+        legacy = _FullBatchPGD(spy_legacy, eps=0.125, alpha=0.125, steps=1)
+        legacy.use_compiled = False
+        got_legacy = legacy.generate(x[:8], y[:8])
+        # identical done-mask semantics for rows succeeding on step 0:
+        # same bytes, and exactly one gradient pass on either loop
+        assert np.array_equal(got_sched, got_legacy)
+        assert spy_sched.calls == 1
+        assert spy_legacy.calls == 1
+
+
+class TestBatchSizeCheck:
+    """A slot capacity below one used to spin the scheduler forever."""
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_pgd_generate(self, pair, batch_size, compiled):
+        orig, quant, x, y = pair
+        atk = PGD(quant, steps=3)
+        atk.use_compiled = compiled
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            atk.generate(x[:4], y[:4], batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_diva_generate_sweep(self, pair, batch_size):
+        orig, quant, x, y = pair
+        atk = DIVA(orig, quant, steps=3)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            atk.generate_sweep(x[:4], y[:4], [{"c": 0.5}, {"c": 2.0}],
+                               batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_momentum_pgd_generate(self, pair, batch_size):
+        orig, quant, x, y = pair
+        atk = MomentumPGD(quant, steps=3)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            atk.generate(x[:4], y[:4], batch_size=batch_size)
