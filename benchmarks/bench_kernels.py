@@ -481,7 +481,15 @@ def test_attack_step_cost_pgd_vs_diva(benchmark, attack_models):
     benchmark.extra_info["batch"] = len(x)
     # steps whose (original, adapted) programs ran on two lanes; 0 means
     # the paired step silently ran on one thread (or fell back to eager)
-    benchmark.extra_info["lane_steps"] = diva._paired(x).lane_steps
+    pair = diva._paired(x)
+    benchmark.extra_info["lane_steps"] = pair.lane_steps
+    # the pair's lifetime-planned arenas against the bytes their buffers
+    # would take one allocation each; planned >= unplanned means the
+    # planner packed nothing
+    planned, unplanned = map(sum, zip(*(prog.arena_bytes()
+                                        for prog in pair.programs)))
+    benchmark.extra_info["planned_mib"] = planned / 2 ** 20
+    benchmark.extra_info["unplanned_mib"] = unplanned / 2 ** 20
 
 
 def test_attack_sweep_vs_sequential(benchmark, attack_models):

@@ -18,7 +18,9 @@ Two passes:
    section) must list exactly the op kinds registered in
    ``repro.nn.graph._FWD_FACTORY`` — an op added to the compiler
    without a table row (or a stale row for a removed op) fails the
-   build.
+   build — and each row's "Backward reads" cell must name the rule
+   ``repro.nn.graph._BWD_READS`` gives that kind, the rule the buffer
+   planner keeps its operands live by.
 """
 
 from __future__ import annotations
@@ -94,12 +96,13 @@ def check_markdown(paths) -> list:
     return errors
 
 
-_OP_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.MULTILINE)
+_OP_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|([^|]*)\|", re.MULTILINE)
 
 
 def check_traced_op_table() -> list:
-    """The ARCHITECTURE.md op table must match the compiler registry."""
-    from repro.nn.graph import _FWD_FACTORY
+    """The ARCHITECTURE.md op table must match the compiler registry and
+    its backward-reads table."""
+    from repro.nn.graph import _BWD_READS, _FWD_FACTORY
     md = ROOT / "docs" / "ARCHITECTURE.md"
     text = md.read_text()
     start = text.find("### Traced ops")
@@ -107,9 +110,16 @@ def check_traced_op_table() -> list:
         return ["docs/ARCHITECTURE.md: missing 'Traced ops' section"]
     end = text.find("\n## ", start)
     section = text[start:end if end > 0 else len(text)]
-    documented = set(_OP_ROW.findall(section)) - {"op"}
+    rows = dict(_OP_ROW.findall(section))
+    documented = set(rows)
     registered = set(_FWD_FACTORY)
     errors = []
+    for op in sorted(documented & registered):
+        cell = rows[op].strip()
+        if cell != _BWD_READS.get(op):
+            errors.append(f"docs/ARCHITECTURE.md: traced op `{op}` lists "
+                          f"backward reads {cell!r}, the planner uses "
+                          f"{_BWD_READS.get(op)!r}")
     for op in sorted(registered - documented):
         errors.append(f"docs/ARCHITECTURE.md: traced op `{op}` is "
                       "registered but missing from the Traced ops table")

@@ -148,6 +148,12 @@ class PairedExecutor:
             programs.append(prog)
         return cls(programs)
 
+    @property
+    def alloc_rows(self) -> int:
+        """Rows the programs' buffers are sized for (they replay the
+        same batches, so they grow together)."""
+        return max(prog.alloc_rows for prog in self.programs)
+
     def refresh(self) -> None:
         for prog in self.programs:
             prog.refresh()

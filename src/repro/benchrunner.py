@@ -106,6 +106,8 @@ def summarize(raw: dict, sha: str) -> dict:
                 "pgd_steps_per_sec": extra["pgd_steps_per_sec"],
                 "diva_step_ns": extra["diva_step_ns"],
                 "lane_steps": extra.get("lane_steps", 0),
+                "planned_mib": extra.get("planned_mib", 0),
+                "unplanned_mib": extra.get("unplanned_mib", 0),
             }
         if "sweep_speedup" in extra:
             sweep = {

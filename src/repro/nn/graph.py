@@ -16,10 +16,12 @@ replayable program:
   (pruning masks, weight fake-quantization, ``weight.reshape(...).T``
   for Linear/Conv) is evaluated once at compile time and cached, so a
   QAT model no longer re-quantizes its weights on every attack step;
-- **preallocated buffers** — elementwise/matmul/conv outputs are written
-  into buffers allocated once per executor and reused across replays,
-  and each conv reuses a single im2col scratch buffer for its forward
-  *and* its input-gradient backward;
+- **planned buffers** — every op output and backward scratch array gets
+  a live interval over the fixed replay schedule at compile time, and
+  the buffers are packed into one per-program arena so that two of them
+  share bytes only when their intervals do not overlap; each conv reuses
+  a single im2col scratch buffer for its forward *and* its
+  input-gradient backward;
 - **no per-step Python closure allocation or topo re-sort** — the
   program is a fixed list of bound kernels built at compile time;
 - **fused forward + input gradient** — :meth:`CompiledForward.
@@ -49,7 +51,7 @@ re-fold them.  Attacks do this at the start of every ``generate`` call.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,26 +76,24 @@ _ARENA_ALIGN = 64
 
 
 class ScratchPool:
-    """Transient-buffer store.  Every compiled float program owns one;
-    the int8 edge programs of one model share one through
-    :meth:`acquire`.
+    """Buffer store.  Every compiled float program owns one; the int8
+    edge programs of one model share one through :meth:`acquire`.
 
     It holds two kinds of buffer:
 
     - the **arena**: one flat byte slab holding every buffer with no
-      ``fill`` whose contents die inside a single op closure (im2col
-      scratch, backward matmul outputs, fake_quant's float64 round
-      trip).  A program lays each op's transients out at per-op offsets
-      from the slab's start, so the slab is sized by the largest op,
-      not by the sum of all of them;
+      ``fill`` — op outputs, backward scratch, im2col windows,
+      fake_quant's float64 round trip.  A program plans where each of
+      its buffers sits (:meth:`_Program._plan`): buffers whose live
+      intervals over the replay schedule do not overlap share bytes, so
+      the slab costs the program's peak of simultaneously live bytes,
+      not the sum of all of them;
     - **keyed** buffers: pre-filled padded images (conv and pool pads)
       whose constant borders must persist across replays, keyed by
       geometry so same-shaped layers reuse one allocation.
 
-    Buffers that outlive their op (activation outputs, gradient
-    accumulators) never go through here.  Programs that may replay at
-    the same time (the lanes of a paired attack step) must not share a
-    pool.
+    Programs that may replay at the same time (the lanes of a paired
+    attack step) must not share a pool.
     """
 
     def __init__(self):
@@ -352,9 +352,9 @@ class _Program:
         self._dtype = example.dtype
         self._trailing = example.shape[1:]
         self._n0 = example.shape[0]
-        #: this program's own transient-scratch store (arena + keyed fill
-        #: buffers): programs never share one, so two programs may replay
-        #: at the same time
+        #: this program's own buffer store (arena + keyed fill buffers):
+        #: programs never share one, so two programs may replay at the
+        #: same time
         self._pool = ScratchPool()
 
         # Reachability from the output (plus recorded side effects).
@@ -385,11 +385,19 @@ class _Program:
         self._env: List[Optional[np.ndarray]] = [None] * tracer.count
         self._ctx: Dict[int, dict] = {op.out: {} for op in self._var_ops}
         self._bufs: Dict[object, np.ndarray] = {}
+        #: key -> (per-row shape, dtype, fill, pool key)
         self._buf_shapes: Dict[object, tuple] = {}
-        #: arena closure tag -> that closure's transient bytes per row
-        self._arena_ops: Dict[object, int] = {}
+        #: arena buffer key -> closed live interval (first step, last step)
+        #: over the replay schedule (see :meth:`_plan`)
+        self._live: Dict[object, Tuple[int, int]] = {}
+        #: escaping backward scratch key -> the node whose gradient it is
+        self._grad_of: Dict[object, int] = {}
+        #: arena buffer key -> byte offset per batch row
+        self._offsets: Dict[object, int] = {}
+        self._row_bytes = 0
         self._arena = np.empty(0, dtype=np.uint8)
         self._alloc_n = 0
+        self._step = 0
         self.replays = 0
         self.refresh()
 
@@ -397,42 +405,157 @@ class _Program:
     def _register_buf(self, key, per_sample_shape: Tuple[int, ...],
                       fill: Optional[float] = None,
                       pool_key: Optional[Tuple] = None,
-                      arena: Optional[Tuple] = None,
-                      dtype=None) -> None:
+                      dtype=None, grad_of: Optional[int] = None) -> None:
         """Declare a per-row buffer of ``per_sample_shape`` (``dtype``
-        defaults to the program's).  By default the buffer is private.
+        defaults to the program's), written by the step being bound.
 
-        ``arena`` marks a *transient* with no fill: its contents die
-        inside the closure the tag names (``("fwd", op.out)`` or
-        ``("bwd", op.out)``).  It is laid out in the program's arena
-        (:meth:`ScratchPool.arena`) after the same closure's earlier
-        transients, while other closures' transients overlap it, so the
-        arena costs the largest closure's bytes per row.
+        A buffer with no ``fill`` lives in the program's arena, live from
+        this step to its last reader (:meth:`_plan`).  A buffer keyed by
+        a node id holds that node's value, read by the node's consumers;
+        any other key is scratch, read by this step and by the
+        backward-reads table (:data:`_BWD_READS`) only, unless
+        ``grad_of`` names the node whose gradient the buffer becomes.
 
-        ``pool_key`` marks a keyed *fill* buffer drawn from the
-        program's :class:`ScratchPool`: ``fill`` pre-fills it once per
-        allocation — padded-input buffers whose borders are constant (0
-        for conv, -inf for max-pool), so replays only write the interior
-        — and the key shares it across same-geometry ops.
-
-        Buffers whose contents outlive the op (activation outputs,
-        gradient accumulators) must set neither.
+        ``fill`` pre-fills the buffer once per allocation — padded-input
+        buffers whose borders are constant (0 for conv, -inf for
+        max-pool), so replays only write the interior.  Its borders
+        persist across replays, so it stays outside the arena;
+        ``pool_key`` shares it, through the program's
+        :class:`ScratchPool`, across same-geometry ops.
         """
-        shape = tuple(per_sample_shape)
         dtype = np.dtype(self._dtype if dtype is None else dtype)
-        offset = None
-        if arena is not None:
-            if fill is not None or pool_key is not None:
-                raise ValueError("arena buffers are unfilled and unkeyed")
-            offset = self._arena_ops.get(arena, 0)
-            row = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            self._arena_ops[arena] = offset + -(-row // _ARENA_ALIGN) * \
-                _ARENA_ALIGN
-        self._buf_shapes[key] = (shape, dtype, fill, pool_key, arena, offset)
+        self._buf_shapes[key] = (tuple(per_sample_shape), dtype, fill,
+                                 pool_key)
+        if fill is None:
+            self._live[key] = (self._step, self._step)
+            if grad_of is not None:
+                self._grad_of[key] = grad_of
 
-    def _arena_row_bytes(self) -> int:
-        """Arena bytes per batch row: the largest closure's transients."""
-        return max(self._arena_ops.values(), default=0)
+    def _make_effect(self, fn: Callable[[np.ndarray], None], nid: int):
+        env = self._env
+
+        def run(n, fn=fn, nid=nid):
+            fn(env[nid])
+        return run
+
+    def _build(self, fwd: Sequence, bwd: Sequence[_Op], bwd_var: set) -> None:
+        """Bind the replay schedule, then plan and allocate its buffers.
+
+        ``fwd`` lists the forward steps in replay order: traced ops, or
+        ``(fn, nid)`` side effects that read node ``nid`` (train-mode
+        statistics).  ``bwd`` lists the ops whose backward closures run
+        after them, in order; those factories see ``bwd_var``, the nodes
+        that carry a gradient, as the program's variable set.
+        """
+        reads: List[tuple] = []
+        self._fwd_prog = []
+        for item in fwd:
+            self._step = len(reads)
+            if isinstance(item, _Op):
+                self._fwd_prog.append(_FWD_FACTORY[item.kind](self, item))
+                reads.append(item.inputs)
+            else:
+                self._fwd_prog.append(self._make_effect(*item))
+                reads.append((item[1],))
+        value_var, self._var_set = self._var_set, bwd_var
+        try:
+            self._bwd_prog = []
+            for op in bwd:
+                self._step = len(reads)
+                self._bwd_prog.append(
+                    (_BWD_FACTORY[op.kind](self, op), op.out))
+                reads.append(_READS[_BWD_READS[op.kind]](op, bwd_var))
+        finally:
+            self._var_set = value_var
+        self._plan([item for item in fwd if isinstance(item, _Op)], bwd,
+                   bwd_var, reads)
+        self._ensure(self._n0)
+
+    def _plan(self, fwd_ops: Sequence[_Op], bwd: Sequence[_Op],
+              bwd_var: set, reads: Sequence[tuple]) -> None:
+        """Give every arena buffer a live interval and pack the arena.
+
+        Steps are numbered in replay order, forward then backward, and
+        ``reads[step]`` names the nodes (and scratch keys) each reads;
+        step ``len(reads)`` stands for the caller after the replay, which
+        still holds the output and the gradients of the leaves.  A buffer
+        is live from the step that writes it to its last reader:
+
+        - a node's value through every reader of the node or of a
+          forward view of it (reshape, transpose);
+        - escaping gradient scratch until the backward that consumes its
+          target node, extended through backwards that may pass the
+          gradient on as a view (:data:`_BWD_VIEWS`).
+
+        Intervals are closed, so an op's output never shares bytes with
+        its inputs or its own scratch.  Packing is greedy by size: each
+        buffer, largest first, takes the lowest offset clear of every
+        placed buffer whose interval overlaps its own.
+        """
+        end = len(reads)
+        root: Dict[int, int] = {}
+        for op in fwd_ops:
+            if op.kind in _FWD_VIEWS:
+                src = op.inputs[0]
+                root[op.out] = root.get(src, src)
+        last: Dict[object, int] = {}
+
+        def touch(key, step):
+            key = root.get(key, key) if isinstance(key, int) else key
+            if last.get(key, -1) < step:
+                last[key] = step
+
+        for step, keys in enumerate(reads):
+            for key in keys:
+                touch(key, step)
+        touch(self._out_id, end)
+        base = end - len(bwd)
+        grad_end: Dict[int, int] = {}
+        for k in range(len(bwd) - 1, -1, -1):    # inputs before consumers
+            op = bwd[k]
+            stop = base + k
+            if op.kind in _BWD_VIEWS:
+                stop = max([stop] + [grad_end.get(i, end) for i in op.inputs
+                                     if i in bwd_var])
+            grad_end[op.out] = stop
+        for key, nid in self._grad_of.items():
+            touch(key, grad_end.get(nid, end))
+
+        line = lambda b: -(-b // _ARENA_ALIGN) * _ARENA_ALIGN  # noqa: E731
+        items = []
+        for key, (start, _) in self._live.items():
+            self._live[key] = (start, max(start, last.get(key, start)))
+            shape, dtype = self._buf_shapes[key][:2]
+            items.append((line(int(np.prod(shape, dtype=np.int64))
+                               * dtype.itemsize), start, key))
+        items.sort(key=lambda item: (-item[0], item[1]))
+        placed: List[Tuple[int, int, int, int]] = []
+        for size, start, key in items:
+            stop = self._live[key][1]
+            off = 0
+            for lo, hi in sorted((o, o + sz) for o, sz, a, b in placed
+                                 if a <= stop and start <= b):
+                if off + size <= lo:
+                    break
+                off = max(off, hi)
+            placed.append((off, size, start, stop))
+            self._offsets[key] = off
+        self._row_bytes = max((o + sz for o, sz, _, _ in placed), default=0)
+
+    @property
+    def alloc_rows(self) -> int:
+        """Rows the buffers are sized for: the largest batch replayed."""
+        return self._alloc_n
+
+    def arena_bytes(self) -> Tuple[int, int]:
+        """(planned, unplanned): the arena's bytes at :attr:`alloc_rows`,
+        and the bytes its buffers would take if each had its own."""
+        unplanned = sum(
+            int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            for key, (shape, dtype, _, _) in self._buf_shapes.items()
+            if key in self._live)
+        return (self._alloc_n * self._row_bytes,
+                self._alloc_n * unplanned)
 
     def _slot(self, key, n: int) -> np.ndarray:
         return self._bufs[key][:n]
@@ -440,11 +563,11 @@ class _Program:
     def _ensure(self, n: int) -> None:
         if n <= self._alloc_n:
             return
-        # a transient at per-row offset o occupies bytes [n*o, n*(o+row))
-        # of an n-row arena, so it never reaches its closure's next one
-        self._arena = self._pool.arena(n * self._arena_row_bytes())
-        for key, (shape, dtype, fill, pool_key, _, offset) in \
-                self._buf_shapes.items():
+        # a buffer at per-row offset o occupies bytes [n*o, n*(o+row))
+        # of an n-row arena, so disjoint per-row spans stay disjoint
+        self._arena = self._pool.arena(n * self._row_bytes)
+        for key, (shape, dtype, fill, pool_key) in self._buf_shapes.items():
+            offset = self._offsets.get(key)
             if offset is not None:
                 size = n * int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
                 start = n * offset
@@ -455,8 +578,7 @@ class _Program:
                                                      dtype, fill)
             else:
                 buf = np.empty((n,) + shape, dtype=dtype)
-                if fill is not None:
-                    buf.fill(fill)
+                buf.fill(fill)
                 self._bufs[key] = buf
         self._alloc_n = n
 
@@ -520,10 +642,7 @@ class CompiledForward(_Program):
                 raise GraphUnsupported(
                     f"op {op.kind!r} output is not batch-major "
                     f"(shape {op.out_shape}); cannot replay variable batches")
-        self._fwd_prog = [_FWD_FACTORY[op.kind](self, op) for op in self._var_ops]
-        self._bwd_prog = [(_BWD_FACTORY[op.kind](self, op), op.out)
-                          for op in reversed(self._var_ops)]
-        self._ensure(self._n0)
+        self._build(self._var_ops, self._var_ops[::-1], self._var_set)
 
     def replay(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
         """Forward only: return the output (logits) for batch ``x``.
@@ -700,9 +819,69 @@ def _register_bwd(kind):
     return deco
 
 
+def _other_operand(op, var):
+    a, b = op.inputs
+    return ((b,) if a in var else ()) + ((a,) if b in var else ())
+
+
+#: rules for what a backward closure reads besides its incoming gradient:
+#: each maps (op, nodes carrying a gradient) to the node ids and scratch
+#: keys it reads
+_READS: Dict[str, Callable] = {
+    "nothing": lambda op, var: (),
+    "input": lambda op, var: op.inputs[:1],
+    "output": lambda op, var: (op.out,),
+    "other operand": _other_operand,
+    "divisor; dividend for the divisor's gradient": lambda op, var: (
+        ((op.inputs[1],) if op.inputs[0] in var else ())
+        + (op.inputs if op.inputs[1] in var else ())),
+    "weight; conv_cols if the weight carries a gradient": lambda op, var: (
+        (op.inputs[1],)
+        + ((("conv_cols", op.out),) if op.inputs[1] in var else ())),
+}
+
+#: per op kind, the :data:`_READS` rule of its backward.  The planner
+#: keeps everything a backward reads live until that backward has run,
+#: so a kind whose rule is wrong replays garbage; docs/ARCHITECTURE.md
+#: repeats this table ("Traced ops") and scripts/check_docs.py compares.
+_BWD_READS: Dict[str, str] = {
+    "add": "nothing",
+    "sub": "nothing",
+    "neg": "nothing",
+    "mul": "other operand",
+    "div": "divisor; dividend for the divisor's gradient",
+    "pow": "input",
+    "matmul": "other operand",
+    "exp": "output",
+    "log": "input",
+    "sqrt": "output",
+    "tanh": "output",
+    "sigmoid": "output",
+    "relu": "input",
+    "sum": "nothing",
+    "reshape": "nothing",
+    "transpose": "nothing",
+    "concat": "nothing",
+    "stack": "nothing",
+    "where": "nothing",
+    "pad2d": "nothing",
+    "fake_quant": "input",
+    "conv2d": "weight; conv_cols if the weight carries a gradient",
+    "max_pool2d": "nothing",
+    "avg_pool2d": "nothing",
+}
+
+#: kinds whose forward output may be a view of their first input
+_FWD_VIEWS = frozenset({"reshape", "transpose"})
+
+#: kinds whose backward may pass the incoming gradient on as a view
+_BWD_VIEWS = frozenset({"add", "sub", "reshape", "transpose", "pad2d",
+                        "concat", "stack"})
+
+
 def _ufunc_fwd(prog, op, call):
     """Shared buffer logic for elementwise/matmul/sum ops: write into a
-    preallocated batch-major buffer when possible, else allocate fresh."""
+    planned batch-major buffer when possible, else allocate fresh."""
     env = prog._env
     o = op.out
     if prog._batched(op.out_shape):
@@ -763,7 +942,7 @@ def _b_sub(prog, op):
     buf_b = None
     if b in var and prog._batched(op.out_shape):
         buf_b = ("gsub_b", op.out)
-        prog._register_buf(buf_b, op.out_shape[1:])
+        prog._register_buf(buf_b, op.out_shape[1:], grad_of=b)
 
     def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb):
         if a in var:
@@ -807,7 +986,7 @@ def _b_mul(prog, op):
     var = prog._var_set
     env = prog._env
     sa, sb = op.in_shapes
-    # full-size products land in per-op buffers (same bits, no per-step
+    # full-size products land in planned buffers (same bits, no per-step
     # allocation).  Fixed-batch training programs mark them owned —
     # in-place fan-in accumulation, and no gradient ever leaves the
     # program; variable-batch programs export the input gradient, so
@@ -818,10 +997,10 @@ def _b_mul(prog, op):
     if prog._batched(op.out_shape):
         if a in var:
             buf_a = ("gmul_a", op.out)
-            prog._register_buf(buf_a, op.out_shape[1:])
+            prog._register_buf(buf_a, op.out_shape[1:], grad_of=a)
         if b in var:
             buf_b = ("gmul_b", op.out)
-            prog._register_buf(buf_b, op.out_shape[1:])
+            prog._register_buf(buf_b, op.out_shape[1:], grad_of=b)
 
     def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb):
         if a in var:
@@ -1036,7 +1215,7 @@ def _b_relu(prog, op):
     buf = None
     if prog._batched(op.out_shape):
         buf = ("grelu", op.out)
-        prog._register_buf(buf, op.out_shape[1:])
+        prog._register_buf(buf, op.out_shape[1:], grad_of=a)
 
     def run(g, genv, gowned, n, a=a):
         if buf is not None:
@@ -1068,7 +1247,7 @@ def _b_sum(prog, op):
     buf = None
     if prog._batched(op.in_shapes[0]):
         buf = ("gsum", op.out)
-        prog._register_buf(buf, op.in_shapes[0][1:])
+        prog._register_buf(buf, op.in_shapes[0][1:], grad_of=a)
 
     def run(g, genv, gowned, n, a=a, ax=ax, kd=kd):
         shape = env[a].shape
@@ -1251,7 +1430,7 @@ def _f_pad2d(prog, op):
     env = prog._env
     # The borders are constant zeros: pre-fill once per allocation and
     # rewrite only the interior each replay.  The output feeds later ops,
-    # so the buffer stays private (never pooled).
+    # so the buffer stays private (never pooled or planned).
     prog._register_buf(op.out, op.out_shape[1:], fill=0.0)
 
     def run(n, a=a, o=op.out):
@@ -1312,10 +1491,9 @@ def _f_fake_quant(prog, op):
     # Fused in-place round trip.  ``fake_quantize_array`` detours through
     # int32, but round+clip already leaves exactly integral float64
     # values, so skipping the integer cast is bitwise-identical — while a
-    # single float64 arena transient replaces its eight temporaries.
-    prog._register_buf(("fq_scratch", op.out), op.out_shape[1:])
-    prog._register_buf(("fq64", op.out), op.out_shape[1:],
-                       arena=("fwd", op.out), dtype=np.float64)
+    # single float64 scratch buffer replaces its eight temporaries.
+    prog._register_buf(op.out, op.out_shape[1:])
+    prog._register_buf(("fq64", op.out), op.out_shape[1:], dtype=np.float64)
 
     def run(n, a=a, o=op.out, s=s, z=z, lo=qp.qmin, hi=qp.qmax):
         t = prog._slot(("fq64", o), n)
@@ -1325,7 +1503,7 @@ def _f_fake_quant(prog, op):
         np.clip(t, lo, hi, out=t)
         t -= z
         t *= s
-        out = prog._slot(("fq_scratch", o), n)
+        out = prog._slot(o, n)
         np.copyto(out, t)
         env[o] = out
     return run
@@ -1399,11 +1577,8 @@ def _f_conv2d(prog, op):
     oh, ow = op.out_shape[2], op.out_shape[3]
     env = prog._env
     ctx = prog._ctx[op.out]
-    # Training programs keep the im2col scratch alive until the weight
-    # gradient reads it back in the backward, so it stays private there;
-    # forward-only programs lay it out in the arena (contents die inside
-    # this closure).
-    cols_arena = ("fwd", op.out) if prog._variable_batch else None
+    # The im2col scratch dies inside this closure, except in training
+    # programs, where the weight gradient reads it back (_BWD_READS).
     # Borders of the padded input are constant zeros: keep a pre-filled
     # padded buffer and write only the interior each replay (cheaper
     # than np.pad, bitwise-identical values).  The buffer is read back
@@ -1428,7 +1603,7 @@ def _f_conv2d(prog, op):
         # writes NCHW output with no transposes around the matmul.
         K = C * kh * kw
         P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (K, P), arena=cols_arena)
+        prog._register_buf(("conv_cols", op.out), (K, P))
         prog._register_buf(op.out, (F, P))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1448,8 +1623,7 @@ def _f_conv2d(prog, op):
         # contraction is a batched matvec
         K = kh * kw
         P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (C * K, P),
-                           arena=cols_arena)
+        prog._register_buf(("conv_cols", op.out), (C * K, P))
         prog._register_buf(op.out, (F, P))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1469,8 +1643,7 @@ def _f_conv2d(prog, op):
     else:
         G = groups
         Fg = F // G
-        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw),
-                           arena=cols_arena)
+        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw))
         prog._register_buf(op.out, (G, Fg, oh, ow))
 
         def run(n, x_id=x_id, b_id=b_id, o=op.out):
@@ -1506,10 +1679,9 @@ def _b_conv2d(prog, op):
     # and groups): the producing matmul/einsum emits window rows with
     # the stride-phase image's own pitch, so col2im collapses to one
     # contiguous shifted-slice add per tap (see
-    # ``functional._col2im_flat``).  The accumulator is referenced from
-    # the gradient environment after this closure returns, so it stays
-    # private; the zero-bordered padded gradient is a keyed fill buffer
-    # and the window-row scratch lives in the arena.
+    # ``functional._col2im_flat``).  The input gradient is a view of the
+    # accumulator, so it stays live until that gradient is consumed; the
+    # zero-bordered padded gradient is a keyed fill buffer.
     Xp = _col2im_xpad(W, pw, sw)
     QX = oh * Xp
     Hp, Wp = H + 2 * ph, W + 2 * pw
@@ -1517,9 +1689,12 @@ def _b_conv2d(prog, op):
     phases = sh * sw
     prog._register_buf(("conv_gpad", op.out), (F, oh, Xp), fill=0.0,
                        pool_key=("conv_gpad", F, oh, Xp))
-    prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp))
+    # stride 1 hands back a view of the flat accumulator itself, larger
+    # strides a view of the interleaved image
+    prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp),
+                       grad_of=x_id if phases == 1 else None)
     if phases > 1:
-        prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp))
+        prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp), grad_of=x_id)
 
     def flat_col2im(dcolsp, n, o=op.out):
         dxi = (prog._slot(("conv_dxi", o), n) if phases > 1 else None)
@@ -1529,14 +1704,12 @@ def _b_conv2d(prog, op):
 
     if groups == 1:
         K = C * kh * kw
-        prog._register_buf(("conv_dcols", op.out), (K, QX),
-                           arena=("bwd", op.out))
+        prog._register_buf(("conv_dcols", op.out), (K, QX))
         # same shape gate as the eager _conv_dw_dense, with the batched
-        # product landing in arena scratch (bitwise-identical GEMMs)
+        # product landing in planned scratch (bitwise-identical GEMMs)
         dw_bm = (oh * ow) * 4 >= K
         if w_id in var and dw_bm:
-            prog._register_buf(("conv_dwm", op.out), (F, K),
-                               arena=("bwd", op.out))
+            prog._register_buf(("conv_dwm", op.out), (F, K))
 
         def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
                 o=op.out):
@@ -1563,8 +1736,7 @@ def _b_conv2d(prog, op):
         Fg = F // G
         K = Cg * kh * kw
         dwise = Cg == 1 and F == G
-        prog._register_buf(("conv_gdcols", op.out), (G, K, QX),
-                           arena=("bwd", op.out))
+        prog._register_buf(("conv_gdcols", op.out), (G, K, QX))
 
         def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
                 o=op.out):

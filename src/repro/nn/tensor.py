@@ -556,8 +556,10 @@ class Tensor:
         return self.transpose()
 
     def flatten(self, start_dim: int = 1) -> "Tensor":
+        # the explicit product, not -1: numpy cannot infer -1 next to a
+        # 0-length batch axis
         lead = self.shape[:start_dim]
-        return self.reshape(lead + (-1,))
+        return self.reshape(lead + (int(np.prod(self.shape[start_dim:])),))
 
     def pad2d(self, pad: Tuple[int, int, int, int]) -> "Tensor":
         """Zero-pad an NCHW tensor: pad = (top, bottom, left, right)."""

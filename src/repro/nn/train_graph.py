@@ -60,8 +60,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as _tensor
-from .graph import (GraphUnsupported, _BWD_FACTORY,
-                    _FWD_FACTORY, _Program, _Tracer, _check_input_path)
+from .graph import GraphUnsupported, _Program, _Tracer, _check_input_path
 from .module import Module, Parameter
 from .optim import Optimizer
 from .tensor import Tensor, get_default_dtype
@@ -198,29 +197,26 @@ class CompiledTrainStep(_Program):
             raise GraphUnsupported("output does not depend on any parameter")
         self._grad_set = grad
 
-        # Forward program, with recorded side effects replayed at the
+        # Forward schedule, with recorded side effects replayed at the
         # position they originally ran (an effect recorded after k ops
         # runs before the first variable op whose trace index is >= k).
         pos_of = {op.out: i for i, op in enumerate(tracer.ops)}
         effects = list(tracer.effects)
-        fwd: List[Callable] = []
+        fwd: List = []
         k = 0
         for op in self._var_ops:
             p = pos_of[op.out]
             while k < len(effects) and effects[k][0] <= p:
-                fwd.append(self._make_effect(*effects[k][1:]))
+                fwd.append(effects[k][1:])
                 k += 1
-            fwd.append(_FWD_FACTORY[op.kind](self, op))
-        for _, fn, nid in effects[k:]:
-            fwd.append(self._make_effect(fn, nid))
-        self._fwd_prog = fwd
+            fwd.append(op)
+        fwd.extend(effect[1:] for effect in effects[k:])
 
-        # Backward program in the exact topological order
+        # Backward schedule in the exact topological order
         # ``Tensor.backward`` derives from the traced tape, so gradient
         # contributions accumulate in the same floating-point order as
         # the eager step (bit-parity is checked, not hoped for).  The
-        # kernel factories read ``_var_set`` to decide where gradients
-        # flow, so it is swapped to the gradient set while they bind.
+        # kernel factories bind against the gradient set.
         out_t = tracer.keep[out_id]
         topo: List[Tensor] = []
         visited: set = set()
@@ -238,17 +234,9 @@ class CompiledTrainStep(_Program):
                 if id(par) not in visited and par.requires_grad:
                     stack.append((par, False))
         op_by_tensor = {id(tracer.keep[op.out]): op for op in self._var_ops}
-        value_var = self._var_set
-        self._var_set = grad
-        try:
-            self._bwd_prog = [
-                (_BWD_FACTORY[op.kind](self, op), op.out)
-                for op in (op_by_tensor[id(t)] for t in reversed(topo)
-                           if id(t) in op_by_tensor)]
-        finally:
-            self._var_set = value_var
+        self._build(fwd, [op_by_tensor[id(t)] for t in reversed(topo)
+                          if id(t) in op_by_tensor], grad)
 
-        self._ensure(self._n0)
         tr_ids = tracer.ids
         self._opt_params = [(p, tr_ids.get(id(p))) for p in optimizer.params]
         self._all_params = [(p, tr_ids.get(id(p)))
@@ -268,13 +256,6 @@ class CompiledTrainStep(_Program):
         training loops' dispatch gate (a shape-changing augment or a
         ragged tail batch must take the eager tape)."""
         return np.shape(x) == (self._n0,) + self._trailing
-
-    def _make_effect(self, fn: Callable[[np.ndarray], None], nid: int):
-        env = self._env
-
-        def run(n, fn=fn, nid=nid):
-            fn(env[nid])
-        return run
 
     # -- one training step ---------------------------------------------- #
     def _forward_backward(self, x: np.ndarray, target):

@@ -21,10 +21,13 @@ drive many model variants (the EI-MTD moving-target setting).
   a pinned owner cannot be collected, and a rebound owner misses);
 - **an explicit memory budget** — entry sizes are estimated by walking
   the plan for numpy buffers (:func:`plan_nbytes`); inserting past the
-  budget evicts least-recently-used entries.  Evicted plans are simply
-  rebuilt on the next request, and every rebuild re-runs the leg's own
-  compile-time bit-validation, so eviction can never change results —
-  only warm-up cost;
+  budget evicts least-recently-used entries.  A compiled program sizes
+  its buffers to the largest batch it has replayed (its ``alloc_rows``),
+  so an entry whose plan grew is walked again and re-charged, and the
+  budget re-enforced, on the next lookup or size query.  Evicted plans
+  are simply rebuilt on the next request, and every rebuild re-runs the
+  leg's own compile-time bit-validation, so eviction can never change
+  results — only warm-up cost;
 - **failure pinning with cool-down re-probe** — a builder returning
   ``None`` (the shared "fall back to eager" contract) is cached too, so
   an uncompilable (model, shape) pays the failed compile once, not per
@@ -148,6 +151,12 @@ def plan_nbytes(plan: Any) -> int:
     return sum(bases.values())
 
 
+def _alloc_rows(plan: Any) -> Optional[int]:
+    """The rows a plan's buffers are sized for, if it grows with the
+    batch (compiled float programs); None for fixed-size plans."""
+    return getattr(plan, "alloc_rows", None)
+
+
 class _Entry:
     """One cached plan.  ``owners`` are strong references on purpose
     (they make the ids in the key stable for the entry's lifetime);
@@ -157,13 +166,16 @@ class _Entry:
     process churning sessions would accumulate dead programs until the
     generational GC got around to them."""
 
-    __slots__ = ("owners", "plan", "nbytes", "_scope", "failed_at")
+    __slots__ = ("owners", "plan", "nbytes", "owner_nbytes", "rows",
+                 "_scope", "failed_at")
 
-    def __init__(self, owners: Tuple, plan: Any, nbytes: int, scope: Any,
-                 failed_at: Optional[float] = None):
+    def __init__(self, owners: Tuple, plan: Any, owner_nbytes: int,
+                 scope: Any, failed_at: Optional[float] = None):
         self.owners = owners
         self.plan = plan
-        self.nbytes = nbytes
+        self.owner_nbytes = owner_nbytes
+        self.rows = _alloc_rows(plan)
+        self.nbytes = plan_nbytes(plan) + owner_nbytes
         self._scope = None if scope is None else weakref.ref(scope)
         # when the plan is a pinned failure (None), the clock reading at
         # pin time — drives the cool-down re-probe
@@ -244,6 +256,8 @@ class PlanCache:
                 else:
                     self.hits += 1
                     self._entries.move_to_end(key)
+                    if self._recharge():
+                        self._evict(keep=key)
                     return entry.plan
             else:
                 # stale entry under a recycled/rebound key: rebuild
@@ -257,21 +271,35 @@ class PlanCache:
         # for exactly as long as the entry is: charge them to the
         # budget too (double-charged when several entries pin one
         # owner — conservative, i.e. errs toward evicting)
-        nbytes = plan_nbytes(plan) + sum(plan_nbytes(o) for o in owners)
+        owner_nbytes = sum(plan_nbytes(o) for o in owners)
         failed_at = self.clock.now() if plan is None else None
-        self._insert(key, _Entry(tuple(owners), plan, nbytes, scope,
-                                 failed_at=failed_at))
+        self._entries[key] = _Entry(tuple(owners), plan, owner_nbytes,
+                                    scope, failed_at=failed_at)
+        self._entries.move_to_end(key)
+        self._evict(keep=key)
         return plan
 
-    def _insert(self, key, entry: _Entry) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+    def _recharge(self) -> bool:
+        """Re-measure the entries whose plans grew since they were
+        charged; only those are walked.  True if any grew."""
+        grew = False
+        for entry in self._entries.values():
+            rows = _alloc_rows(entry.plan)
+            if rows != entry.rows:
+                entry.rows = rows
+                entry.nbytes = plan_nbytes(entry.plan) + entry.owner_nbytes
+                grew = True
+        return grew
+
+    def _evict(self, keep) -> None:
+        """Evict least-recently-used entries until the budget holds,
+        never ``keep`` (the entry being handed out)."""
         if self.budget_bytes is None:
             return
         while (self.total_bytes() > self.budget_bytes
                and len(self._entries) > 1):
             victim = next(iter(self._entries))
-            if victim == key:        # never evict the entry just inserted
+            if victim == keep:
                 break
             del self._entries[victim]
             self.evictions += 1
@@ -282,6 +310,7 @@ class PlanCache:
 
     # -- introspection -------------------------------------------------- #
     def total_bytes(self) -> int:
+        self._recharge()
         return sum(e.nbytes for e in self._entries.values())
 
     def __len__(self) -> int:

@@ -51,19 +51,22 @@ def predict_logits(model: Module, x: np.ndarray, batch_size: int = 128,
     """
     was_training = getattr(model, "training", False)
     model.eval()
-    if executor is None and isinstance(model, Module) \
-            and len(x) >= _AUTO_COMPILE_MIN_BATCHES * batch_size:
-        from ..nn.graph import compile_forward_cached
-        executor = compile_forward_cached(model, x[:batch_size])
-    outs = []
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        if executor is not None:
-            outs.append(executor.replay(xb))
-        else:
-            outs.append(model(Tensor(xb)).data.copy())
-    if was_training:
-        model.train()
+    try:
+        if executor is None and isinstance(model, Module) \
+                and len(x) >= _AUTO_COMPILE_MIN_BATCHES * batch_size:
+            from ..nn.graph import compile_forward_cached
+            executor = compile_forward_cached(model, x[:batch_size])
+        outs = []
+        # an empty batch still runs one forward, for its (0, K) shape
+        for start in range(0, max(len(x), 1), batch_size):
+            xb = x[start:start + batch_size]
+            if executor is not None:
+                outs.append(executor.replay(xb))
+            else:
+                outs.append(model(Tensor(xb)).data.copy())
+    finally:
+        if was_training:
+            model.train()
     return np.concatenate(outs, axis=0)
 
 
@@ -99,10 +102,16 @@ def evaluate_topk_accuracy(model: Module, x: np.ndarray, y: np.ndarray, k: int =
 def evaluate_loss(model: Module, x: np.ndarray, y: np.ndarray,
                   batch_size: int = 128) -> float:
     """Mean cross-entropy loss."""
+    was_training = getattr(model, "training", False)
     total = 0.0
     model.eval()
-    for start in range(0, len(x), batch_size):
-        xb = Tensor(x[start:start + batch_size])
-        loss = F.cross_entropy(model(xb), y[start:start + batch_size], reduction="sum")
-        total += float(loss.data)
+    try:
+        for start in range(0, len(x), batch_size):
+            xb = Tensor(x[start:start + batch_size])
+            loss = F.cross_entropy(model(xb), y[start:start + batch_size],
+                                   reduction="sum")
+            total += float(loss.data)
+    finally:
+        if was_training:
+            model.train()
     return total / len(x)

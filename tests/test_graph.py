@@ -146,8 +146,9 @@ class TestReplayParity:
 
 
 class TestArena:
-    """Per-program arena: each closure's no-fill transients laid out
-    disjointly from one slab, fill buffers kept outside it."""
+    """Per-program arena: fill buffers kept outside it, and the fused
+    fake_quant round trip computed in it.  The lifetime plan itself is
+    checked in tests/test_buffer_plan.py."""
 
     @staticmethod
     def _qat(dtype):
@@ -161,77 +162,6 @@ class TestArena:
         qat.freeze()
         qat.eval()
         return qat, x
-
-    @staticmethod
-    def _arena_bufs(prog):
-        """{closure tag: [buffer, ...]} over the program's arena."""
-        by_tag = {}
-        for key, spec in prog._buf_shapes.items():
-            tag = spec[4]
-            if tag is not None:
-                by_tag.setdefault(tag, []).append(prog._bufs[key])
-        return by_tag
-
-    def _assert_layout(self, prog):
-        by_tag = self._arena_bufs(prog)
-        assert by_tag
-        for bufs in by_tag.values():
-            for i, a in enumerate(bufs):
-                assert np.shares_memory(a, prog._arena)
-                for b in bufs[i + 1:]:
-                    assert not np.shares_memory(a, b)
-        # different closures reuse the same bytes
-        firsts = [bufs[0] for bufs in by_tag.values()]
-        assert any(np.shares_memory(firsts[0], b) for b in firsts[1:])
-        return by_tag
-
-    def test_closure_buffers_never_overlap(self):
-        from repro.nn.optim import SGD
-        from repro.nn.train_graph import compile_train_step
-        from repro.nn import functional as F
-        qat, x = self._qat("float64")
-        ex = compile_forward(qat, x)
-        ex.replay(x)
-        self._assert_layout(ex)
-        model, x = _build("resnet")
-        model.train()
-        y = np.arange(len(x)) % 6
-        step = compile_train_step(model, F.cross_entropy, x, y,
-                                  SGD(model.parameters(), lr=0.01))
-        step.step(x, y)
-        by_tag = self._assert_layout(step)
-        # the conv weight-gradient product shares its closure with the
-        # window-row scratch
-        assert max(len(bufs) for bufs in by_tag.values()) >= 2
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_arena_row_bytes_is_the_largest_closure(self, dtype):
-        from repro.nn.functional import _col2im_xpad
-        from repro.nn.graph import _ARENA_ALIGN
-        qat, x = self._qat(dtype)
-        ex = compile_forward(qat, x[:2])
-        item = np.dtype(dtype).itemsize
-        line = lambda b: -(-b // _ARENA_ALIGN) * _ARENA_ALIGN  # noqa: E731
-        want = 0
-        for op in ex._var_ops:
-            if op.kind == "conv2d":
-                _, C, H, W = op.in_shapes[0]
-                _, _, kh, kw = op.in_shapes[1]
-                oh, ow = op.out_shape[2:]
-                xp = _col2im_xpad(W, op.attrs["padding"][1],
-                                  op.attrs["stride"][1])
-                want = max(want, line(C * kh * kw * oh * ow * item),
-                           line(C * kh * kw * oh * xp * item))
-            elif op.kind == "fake_quant":
-                want = max(want, line(int(np.prod(op.out_shape[1:])) * 8))
-        assert want and ex._arena_row_bytes() == want
-        grown = 2
-        for n in (2, 9, 4):
-            ex.value_and_input_grad(x[:1].repeat(n, axis=0),
-                                    np.ones((n, 6)))
-            grown = max(grown, n)
-            assert ex._alloc_n == grown
-            assert ex._arena.nbytes == grown * want
 
     def test_fill_buffers_keep_their_borders(self):
         from repro.nn import Sequential
@@ -276,14 +206,27 @@ class TestArena:
         ex = compile_forward(qat, xs[:4])
         fq_ops = [op for op in ex._var_ops if op.kind == "fake_quant"]
         assert fq_ops
-        for n in (1, 7, 3, 5):
-            got = ex.replay(xs[:n])
-            for op in fq_ops:
+        # the planner hands a fake_quant's bytes on once its readers ran,
+        # so each op is checked right after its own step
+        checked = []
+
+        def checking(op, run):
+            def step(n):
+                run(n)
                 assert np.shares_memory(ex._bufs[("fq64", op.out)],
                                         ex._arena)
                 want = fake_quantize_array(ex._env[op.inputs[0]],
                                            op.attrs["qp"]).astype(dtype)
                 np.testing.assert_array_equal(ex._env[op.out], want)
+                checked.append(op)
+            return step
+
+        ex._fwd_prog = [checking(op, run) if op.kind == "fake_quant" else run
+                        for op, run in zip(ex._var_ops, ex._fwd_prog)]
+        for n in (1, 7, 3, 5):
+            del checked[:]
+            got = ex.replay(xs[:n])
+            assert checked == fq_ops
             np.testing.assert_array_equal(got, qat(Tensor(xs[:n])).data)
 
 

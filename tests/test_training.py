@@ -84,3 +84,56 @@ class TestEvaluate:
     def test_loss_positive(self, tiny_model, tiny_dataset):
         _, val = tiny_dataset
         assert evaluate_loss(tiny_model, val.x, val.y) > 0
+
+
+_ZERO_ROW_MODELS = {
+    "lenet": (dict(num_classes=6, in_channels=1, image_size=12, width=4),
+              (5, 1, 12, 12), 6),
+    "resnet": (dict(num_classes=6, width=4), (5, 3, 12, 12), 6),
+    "mobilenet": (dict(num_classes=6, width=4), (5, 3, 12, 12), 6),
+    "vggface": (dict(num_identities=8, image_size=16, width=4,
+                     embed_dim=8), (5, 3, 16, 16), 8),
+}
+
+
+class TestZeroRows:
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("name", sorted(_ZERO_ROW_MODELS))
+    def test_empty_batch_predicts_empty(self, name, compiled):
+        from repro.nn.graph import compile_forward
+        kwargs, shape, classes = _ZERO_ROW_MODELS[name]
+        model = build_model(name, **kwargs)
+        model.eval()
+        x = np.random.default_rng(0).random(shape)
+        ex = compile_forward(model, x) if compiled else None
+        logits = predict_logits(model, x[:0], executor=ex)
+        assert logits.shape == (0, classes)
+        assert logits.dtype == predict_logits(model, x, executor=ex).dtype
+        assert predict_labels(model, x[:0], executor=ex).shape == (0,)
+
+
+class TestModeRestored:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_loss_keeps_the_mode(self, training):
+        model, x = build_model("resnet", num_classes=6, width=4), \
+            np.random.default_rng(0).random((4, 3, 12, 12))
+        model.train(training)
+        evaluate_loss(model, x, np.arange(4) % 6)
+        assert model.training is training
+
+    @pytest.mark.parametrize("fn", [predict_logits, evaluate_loss])
+    def test_raising_forward_keeps_train_mode(self, fn):
+        from repro.nn.module import Module
+
+        class Boom(Module):
+            def forward(self, x):
+                raise RuntimeError("boom")
+
+        model = Boom()
+        model.train()
+        with pytest.raises(RuntimeError, match="boom"):
+            if fn is evaluate_loss:
+                fn(model, np.zeros((2, 3)), np.zeros(2, dtype=int))
+            else:
+                fn(model, np.zeros((2, 3)))
+        assert model.training
