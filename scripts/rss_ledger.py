@@ -1,0 +1,103 @@
+"""Resident-memory ledger of one perfbench workload, stage by stage.
+
+    python3 scripts/rss_ledger.py --workload edge_int8 [--seed 0]
+
+Run from the root of a checkout, on Linux (it reads ``VmRSS`` and
+``VmHWM`` from ``/proc/self/status``).  BLAS runs single-threaded, as
+in ``perfbench/run.py``, with the float32 default dtype and the heap
+collections ``perfbench/worker.py`` makes.  It walks the stages the
+benchmark runs in and prints one row per stage, in MB:
+
+- ``interpreter+numpy``: RSS after ``import numpy``;
+- ``repro imports``: RSS added by importing the workload module, which
+  imports ``repro`` and every subpackage;
+- ``setup transient``: how far the high-water mark rose during
+  ``setup()`` (models, calibration, compiled plans) above the RSS it
+  started from, and ``setup retained``: what setup left resident;
+- ``steady state``: RSS after ``prepare()`` and three rounds;
+- ``peak``: the high-water mark at the end, the figure ``peak_rss_mb``
+  approximates.
+
+Every ``quantization.calibrate`` call during setup also prints the
+high-water mark before and after it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _status_mb(field: str) -> float:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError(f"{field} not in /proc/self/status")
+
+
+def rss() -> float:
+    return _status_mb("VmRSS")
+
+
+def hwm() -> float:
+    return _status_mb("VmHWM")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=int, default=3)
+    args = p.parse_args(argv)
+    sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+    from perfbench.hostinfo import THREAD_VARS     # does not load numpy
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+
+    rows = []
+    base = rss()
+    import numpy as np
+    rows.append(("interpreter+numpy", rss()))
+    numpy_rss = rss()
+    from perfbench import workloads
+    from repro import nn, quantization
+    rows.append(("repro imports", rss() - numpy_rss))
+    nn.set_default_dtype(np.float32)
+
+    calibrate = quantization.calibrate
+
+    def watched(*a, **kw):
+        before = hwm()
+        out = calibrate(*a, **kw)
+        print(f"calibrate: VmHWM {before:.1f} -> {hwm():.1f} MB")
+        return out
+
+    quantization.calibrate = watched
+    w = workloads.WORKLOADS[args.workload](args.seed)
+    gc.collect()
+    start = rss()
+    w.setup()
+    quantization.calibrate = calibrate
+    rows.append(("setup transient", hwm() - start))
+    gc.collect()
+    rows.append(("setup retained", rss() - start))
+    w.prepare()
+    for r in range(args.rounds):
+        if w.collect_each_round:
+            gc.collect()
+        w.run_round(r % w.batches, record=False)
+    rows.append(("steady state", rss()))
+    rows.append(("peak", hwm()))
+    print(f"{args.workload} (process start {base:.1f} MB)")
+    for name, mb in rows:
+        print(f"  {name:<18} {mb:7.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .datasets import ArrayDataset
 
@@ -40,6 +39,7 @@ def _glyph(digit: int) -> np.ndarray:
 def render_digit(digit: int, rng: np.random.Generator,
                  image_size: int = 28, noise: float = 0.12) -> np.ndarray:
     """Render one distorted instance of ``digit`` as (1, S, S) in [0,1]."""
+    from scipy import ndimage   # ~22 MB resident: kept off ``import repro``
     glyph = _glyph(digit)
     scale = (image_size * 0.6) / max(glyph.shape)
     img = ndimage.zoom(glyph, scale, order=1, mode="constant")

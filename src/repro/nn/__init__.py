@@ -21,11 +21,12 @@ from .module import Module, ModuleList, Parameter, Sequential
 from .norm import GroupNorm, InstanceNorm2d, LayerNorm
 from .optim import Adam, CosineLR, LRScheduler, SGD, StepLR
 from .serialization import load_state, save_state
-from .tensor import (Tensor, concat, get_default_dtype, set_default_dtype,
-                     stack, where)
+from .tensor import (Tensor, concat, enable_grad, get_default_dtype,
+                     is_grad_enabled, no_grad, set_default_dtype, stack, where)
 
 __all__ = [
     "Tensor", "concat", "stack", "where",
+    "no_grad", "enable_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype",
     "CompiledForward", "GraphUnsupported", "compile_forward",
     "compile_forward_or_none",

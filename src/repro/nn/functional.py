@@ -282,7 +282,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         out_data += bias.data.reshape(1, F, 1, 1)
 
     parents = (x, weight) + ((bias,) if bias is not None else ())
-    req = any(p.requires_grad for p in parents)
+    req = any(p.requires_grad for p in parents) and _tensor.is_grad_enabled()
     out = Tensor(out_data, requires_grad=req, _parents=parents if req else ())
     if req:
         x_shape = x.shape
@@ -370,9 +370,9 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
     flat = cols.transpose(0, 1, 4, 5, 2, 3).reshape(N, C, oh, ow, kh * kw)
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, requires_grad=x.requires_grad,
-                 _parents=(x,) if x.requires_grad else ())
-    if x.requires_grad:
+    req = x.requires_grad and _tensor.is_grad_enabled()
+    out = Tensor(out_data, requires_grad=req, _parents=(x,) if req else ())
+    if req:
         x_shape = x.shape
 
         def _bw(g, x=x, arg=arg):
@@ -396,9 +396,9 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
     ph, pw = _pair(padding)
     cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
     out_data = cols.mean(axis=(2, 3))
-    out = Tensor(out_data, requires_grad=x.requires_grad,
-                 _parents=(x,) if x.requires_grad else ())
-    if x.requires_grad:
+    req = x.requires_grad and _tensor.is_grad_enabled()
+    out = Tensor(out_data, requires_grad=req, _parents=(x,) if req else ())
+    if req:
         N, C = x.shape[:2]
         x_shape = x.shape
 

@@ -284,6 +284,9 @@ def _check_input_path(roots, out: Tensor, tracer: _Tracer) -> None:
 # --------------------------------------------------------------------- #
 # compile entry point
 # --------------------------------------------------------------------- #
+# the trace reads ``_parents`` and the validation runs an eager
+# backward, so both need the tape even when called inside ``no_grad``
+@_tensor.enable_grad()
 def compile_forward(module: Callable[[Tensor], Tensor],
                     example: np.ndarray,
                     validate: bool = True) -> "CompiledForward":
@@ -556,6 +559,13 @@ class _Program:
             if key in self._live)
         return (self._alloc_n * self._row_bytes,
                 self._alloc_n * unplanned)
+
+    def fill_bytes(self) -> int:
+        """Bytes of the pre-filled padding buffers kept outside the
+        arena, each distinct buffer once (pooled ones are shared)."""
+        bufs = {id(b): b for key, b in self._bufs.items()
+                if key not in self._offsets}
+        return sum(b.nbytes for b in bufs.values())
 
     def _slot(self, key, n: int) -> np.ndarray:
         return self._bufs[key][:n]

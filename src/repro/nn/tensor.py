@@ -13,6 +13,8 @@ window views).
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,6 +49,45 @@ def get_default_dtype():
 # eager hot path pays (almost) nothing when not tracing.
 # --------------------------------------------------------------------- #
 _GRAPH_TRACER = None
+
+
+# --------------------------------------------------------------------- #
+# grad mode
+#
+# Inside ``no_grad()`` op outputs never require grad, so no tape node,
+# parent link or backward closure is built and every intermediate dies
+# as soon as the next op has consumed it.  Values are unchanged: only
+# the bookkeeping is skipped.  The flag is per-thread because the paired
+# attack step's lane thread runs a forward alongside the caller's; a
+# region entered on one thread must not strip another thread's tape.
+# --------------------------------------------------------------------- #
+_grad_tls = threading.local()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops on this thread currently record the autograd tape."""
+    return getattr(_grad_tls, "enabled", True)
+
+
+@contextmanager
+def _grad_mode(enabled: bool):
+    prev = is_grad_enabled()
+    _grad_tls.enabled = enabled
+    try:
+        yield
+    finally:
+        _grad_tls.enabled = prev
+
+
+def no_grad():
+    """Context manager: forwards on this thread build no tape."""
+    return _grad_mode(False)
+
+
+def enable_grad():
+    """Context manager: record the tape on this thread even inside an
+    enclosing :func:`no_grad` (the graph compilers trace under it)."""
+    return _grad_mode(True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -160,7 +201,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def _make(self, data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
         """Create an op output tensor whose ``requires_grad`` is inherited."""
-        req = any(p.requires_grad for p in parents)
+        req = any(p.requires_grad for p in parents) and is_grad_enabled()
         return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else ())
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
@@ -607,7 +648,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [Tensor._coerce(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
+    req = any(t.requires_grad for t in tensors) and is_grad_enabled()
     out = Tensor(data, requires_grad=req, _parents=tuple(tensors) if req else ())
     if req:
         sizes = [t.shape[axis] for t in tensors]
@@ -628,7 +669,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` (differentiable)."""
     tensors = [Tensor._coerce(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
+    req = any(t.requires_grad for t in tensors) and is_grad_enabled()
     out = Tensor(data, requires_grad=req, _parents=tuple(tensors) if req else ())
     if req:
         def _bw(g, ts=tensors, ax=axis):
@@ -647,7 +688,7 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
     data = np.where(cond, a.data, b.data)
-    req = a.requires_grad or b.requires_grad
+    req = (a.requires_grad or b.requires_grad) and is_grad_enabled()
     out = Tensor(data, requires_grad=req, _parents=(a, b) if req else ())
     if req:
         def _bw(g, a=a, b=b, c=cond):

@@ -121,6 +121,9 @@ def compile_train_step_or_none(module, loss_fn, example, target,
         return None
 
 
+# the trace reads ``_parents`` and the validation runs an eager
+# backward, so both need the tape even when called inside ``no_grad``
+@_tensor.enable_grad()
 def compile_train_step(module: Module,
                        loss_fn: Callable[[Tensor, object], Tensor],
                        example: np.ndarray, target,

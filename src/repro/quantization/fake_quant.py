@@ -32,9 +32,9 @@ def fake_quant_ste(x: Tensor, qp: QuantParams,
     keeps folding the snapshot ``qp``.
     """
     data = fake_quantize_array(x.data, qp)
-    out = Tensor(data, requires_grad=x.requires_grad,
-                 _parents=(x,) if x.requires_grad else ())
-    if x.requires_grad:
+    req = x.requires_grad and _tensor.is_grad_enabled()
+    out = Tensor(data, requires_grad=req, _parents=(x,) if req else ())
+    if req:
         s = qp.scale_for(x.data.ndim)
         z = qp.zero_point_for(x.data.ndim)
         lo = (qp.qmin - z) * s

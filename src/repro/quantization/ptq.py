@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn.module import Module
-from .qat import QATModel, prepare_qat
+from .qat import QATModel, calibrate, prepare_qat
 
 
 def post_training_quantize(model: Module, calib_inputs: np.ndarray,
@@ -28,11 +28,7 @@ def post_training_quantize(model: Module, calib_inputs: np.ndarray,
     """
     q = prepare_qat(model, weight_bits=weight_bits, act_bits=act_bits,
                     per_channel=per_channel)
-    q.train()
-    for start in range(0, len(calib_inputs), batch_size):
-        from ..nn.tensor import Tensor
-        q(Tensor(calib_inputs[start:start + batch_size]))
-    q.eval()
+    calibrate(q, calib_inputs, batch_size=batch_size)
     if freeze:
         q.freeze()
     return q

@@ -23,7 +23,7 @@ from ..nn import functional as F
 from ..nn.layers import Conv2d, Linear, ReLU
 from ..nn.module import Module
 from ..nn.optim import Optimizer, SGD
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .fake_quant import FakeQuantize
 
 
@@ -93,11 +93,20 @@ def prepare_qat(model: Module, weight_bits: int = 8, act_bits: int = 8,
 
 
 def calibrate(qat_model: QATModel, inputs: np.ndarray, batch_size: int = 64) -> QATModel:
-    """Run forward passes in train mode so observers see the data ranges."""
-    qat_model.train()
+    """Run forward passes in train mode so observers see the data ranges.
+
+    Nothing backpropagates through these passes, so they run under
+    ``no_grad``: each batch's activations are freed as the next layer
+    consumes them instead of being pinned by a tape.
+    """
     n = len(inputs)
-    for start in range(0, n, batch_size):
-        qat_model(Tensor(inputs[start:start + batch_size]))
+    if n == 0:
+        # observers that saw no data would freeze to a meaningless grid
+        raise ValueError("calibrate: inputs is empty (0 rows)")
+    qat_model.train()
+    with no_grad():
+        for start in range(0, n, batch_size):
+            qat_model(Tensor(inputs[start:start + batch_size]))
     qat_model.eval()
     return qat_model
 

@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import (Any, Callable, Dict, Iterator, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -155,6 +155,14 @@ def _alloc_rows(plan: Any) -> Optional[int]:
     """The rows a plan's buffers are sized for, if it grows with the
     batch (compiled float programs); None for fixed-size plans."""
     return getattr(plan, "alloc_rows", None)
+
+
+def _float_programs(plan: Any) -> List[Any]:
+    """The compiled float programs a plan holds: itself, or a paired
+    executor's programs; none for edge plans and pinned failures."""
+    progs = getattr(plan, "programs", None)
+    return [p for p in (progs if progs is not None else [plan])
+            if hasattr(p, "arena_bytes")]
 
 
 class _Entry:
@@ -321,11 +329,19 @@ class PlanCache:
 
     @property
     def stats(self) -> Dict[str, int]:
+        """Counters plus memory: ``resident_bytes`` is the budget's
+        charge; ``arena_bytes`` and ``fill_bytes`` split the resident
+        float programs' buffers into the planned arena and the
+        pre-filled padding buffers outside it."""
+        progs = [p for e in self._entries.values()
+                 for p in _float_programs(e.plan)]
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "rebuilds": self.rebuilds,
                 "reprobes": self.reprobes,
                 "entries": len(self._entries),
-                "resident_bytes": self.total_bytes()}
+                "resident_bytes": self.total_bytes(),
+                "arena_bytes": sum(p.arena_bytes()[0] for p in progs),
+                "fill_bytes": sum(p.fill_bytes() for p in progs)}
 
     def items(self, scope: Any = None) -> Iterator[Tuple[Any, _Entry]]:
         """(key, entry) pairs, optionally restricted to one scope tag."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 
 
 def compile_inference(model: Module, example: np.ndarray):
@@ -63,7 +63,8 @@ def predict_logits(model: Module, x: np.ndarray, batch_size: int = 128,
             if executor is not None:
                 outs.append(executor.replay(xb))
             else:
-                outs.append(model(Tensor(xb)).data.copy())
+                with no_grad():
+                    outs.append(model(Tensor(xb)).data.copy())
     finally:
         if was_training:
             model.train()
@@ -102,15 +103,18 @@ def evaluate_topk_accuracy(model: Module, x: np.ndarray, y: np.ndarray, k: int =
 def evaluate_loss(model: Module, x: np.ndarray, y: np.ndarray,
                   batch_size: int = 128) -> float:
     """Mean cross-entropy loss."""
+    if len(x) == 0:
+        raise ValueError("evaluate_loss: x is empty (0 rows)")
     was_training = getattr(model, "training", False)
     total = 0.0
     model.eval()
     try:
-        for start in range(0, len(x), batch_size):
-            xb = Tensor(x[start:start + batch_size])
-            loss = F.cross_entropy(model(xb), y[start:start + batch_size],
-                                   reduction="sum")
-            total += float(loss.data)
+        with no_grad():
+            for start in range(0, len(x), batch_size):
+                xb = Tensor(x[start:start + batch_size])
+                loss = F.cross_entropy(model(xb), y[start:start + batch_size],
+                                       reduction="sum")
+                total += float(loss.data)
     finally:
         if was_training:
             model.train()
