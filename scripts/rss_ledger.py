@@ -18,8 +18,9 @@ benchmark runs in and prints one row per stage, in MB:
 - ``peak``: the high-water mark at the end, the figure ``peak_rss_mb``
   approximates.
 
-Every ``quantization.calibrate`` call during setup also prints the
-high-water mark before and after it.
+Every ``quantization.calibrate`` call during setup, and every
+``compile_forward`` and ``compile_train_step`` call during setup and the
+rounds, also prints the high-water mark before and after it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,20 @@ def hwm() -> float:
     return _status_mb("VmHWM")
 
 
+def watch(owner, name: str) -> None:
+    """Wrap ``owner.name`` so each call prints VmHWM before and after."""
+    fn = getattr(owner, name)
+
+    def watched(*a, **kw):
+        before = hwm()
+        try:
+            return fn(*a, **kw)
+        finally:
+            print(f"{name}: VmHWM {before:.1f} -> {hwm():.1f} MB")
+
+    setattr(owner, name, watched)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
@@ -66,18 +81,15 @@ def main(argv=None) -> int:
     numpy_rss = rss()
     from perfbench import workloads
     from repro import nn, quantization
+    from repro.nn import graph, train_graph
     rows.append(("repro imports", rss() - numpy_rss))
     nn.set_default_dtype(np.float32)
 
     calibrate = quantization.calibrate
-
-    def watched(*a, **kw):
-        before = hwm()
-        out = calibrate(*a, **kw)
-        print(f"calibrate: VmHWM {before:.1f} -> {hwm():.1f} MB")
-        return out
-
-    quantization.calibrate = watched
+    watch(quantization, "calibrate")
+    # every compile entry point reaches these module globals
+    watch(graph, "compile_forward")
+    watch(train_graph, "compile_train_step")
     w = workloads.WORKLOADS[args.workload](args.seed)
     gc.collect()
     start = rss()

@@ -317,6 +317,9 @@ def compile_forward(module: Callable[[Tensor], Tensor],
         raise GraphUnsupported("forward output was not produced by traced ops")
     _check_input_path((xt,), out, tracer)
     prog = CompiledForward(tracer, out_id, x)
+    # the program holds no reference into the trace: free its tape before
+    # the validating eager step, so a compile peaks at about one step
+    del tracer, out, xt
     if validate:
         prog._validate(module, x)
         if rowrep.enabled() and len(x) > 1:
@@ -442,7 +445,8 @@ class _Program:
         return run
 
     def _build(self, fwd: Sequence, bwd: Sequence[_Op], bwd_var: set) -> None:
-        """Bind the replay schedule, then plan and allocate its buffers.
+        """Bind the replay schedule, then plan its buffers; the first
+        replay allocates them (:meth:`_ensure`).
 
         ``fwd`` lists the forward steps in replay order: traced ops, or
         ``(fn, nid)`` side effects that read node ``nid`` (train-mode
@@ -472,7 +476,6 @@ class _Program:
             self._var_set = value_var
         self._plan([item for item in fwd if isinstance(item, _Op)], bwd,
                    bwd_var, reads)
-        self._ensure(self._n0)
 
     def _plan(self, fwd_ops: Sequence[_Op], bwd: Sequence[_Op],
               bwd_var: set, reads: Sequence[tuple]) -> None:
@@ -552,7 +555,8 @@ class _Program:
 
     def arena_bytes(self) -> Tuple[int, int]:
         """(planned, unplanned): the arena's bytes at :attr:`alloc_rows`,
-        and the bytes its buffers would take if each had its own."""
+        and the bytes its buffers would take if each had its own.  Both
+        read 0 before the program's first replay, which allocates it."""
         unplanned = sum(
             int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
             for key, (shape, dtype, _, _) in self._buf_shapes.items()
@@ -562,7 +566,8 @@ class _Program:
 
     def fill_bytes(self) -> int:
         """Bytes of the pre-filled padding buffers kept outside the
-        arena, each distinct buffer once (pooled ones are shared)."""
+        arena, each distinct buffer once (pooled ones are shared); 0
+        before the program's first replay, which allocates them."""
         bufs = {id(b): b for key, b in self._bufs.items()
                 if key not in self._offsets}
         return sum(b.nbytes for b in bufs.values())
@@ -717,19 +722,25 @@ class CompiledForward(_Program):
         rng = np.random.default_rng(0)
         xv = (example + rng.normal(0.0, 1e-2, size=example.shape)
               ).astype(self._dtype)
-        xt = Tensor(xv, requires_grad=True)
-        ref_out_t = module(xt)
-        ref = ref_out_t.data
-        seed = np.ones_like(ref)
-        ref_out_t.backward(seed)
-        gref = xt.grad
-        if isinstance(module, Module):
-            module.zero_grad()       # drop parameter grads the check created
-        got, gx = self.value_and_input_grad(xv, seed)
+        ref, gref = _eager_value_and_input_grad(module, xv)
+        got, gx = self.value_and_input_grad(xv, np.ones_like(ref))
         if got.shape != ref.shape or not np.allclose(got, ref, rtol=1e-5, atol=1e-6):
             raise GraphUnsupported("compiled forward does not match eager tape")
         if gx.shape != gref.shape or not np.allclose(gx, gref, rtol=1e-5, atol=1e-6):
             raise GraphUnsupported("compiled input gradient does not match eager tape")
+
+
+def _eager_value_and_input_grad(module, xv: np.ndarray
+                                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The eager tape's logits and input gradient (ones seed) on ``xv``,
+    copied out: the tape and its gradients are freed on return, before
+    the compiled replay they are checked against allocates its arena."""
+    xt = Tensor(xv, requires_grad=True)
+    out = module(xt)
+    out.backward(np.ones_like(out.data))
+    if isinstance(module, Module):
+        module.zero_grad()       # drop parameter grads the check created
+    return out.data.copy(), xt.grad.copy()
 
 
 # --------------------------------------------------------------------- #

@@ -168,6 +168,9 @@ def compile_train_step(module: Module,
                     if isinstance(t, Parameter)]
     _check_input_path(roots, out, tracer)
     prog = CompiledTrainStep(tracer, out_id, x, module, loss_fn, optimizer)
+    # the program holds no reference into the trace: free its tape before
+    # the validating eager step, so a compile peaks at about one step
+    del tracer, out, xt, roots
     if validate:
         prog._validate(x, target)
     return prog
@@ -304,6 +307,23 @@ class CompiledTrainStep(_Program):
         return loss
 
     # -- validation ----------------------------------------------------- #
+    def _eager_step(self, xv: np.ndarray, target):
+        """The eager tape's logits, loss and parameter gradients on
+        ``xv``, copied out: the tape is freed on return, before the
+        compiled step they are checked against allocates its arena."""
+        # stale gradients (a preceding training loop's last batch
+        # survives Module.copy_structure) would contaminate the eager
+        # reference: backward() accumulates on top of them
+        self._module.zero_grad()
+        out_t = self._module(Tensor(xv))
+        loss_t = self._loss_fn(out_t, target)
+        if not isinstance(loss_t, Tensor) or loss_t.size != 1:
+            raise GraphUnsupported("loss_fn must return a scalar Tensor")
+        loss_t.backward()
+        return (out_t.data.copy(), float(loss_t.data),
+                [None if p.grad is None else p.grad.copy()
+                 for p, _ in self._all_params])
+
     def _validate(self, example: np.ndarray, target) -> None:
         """One eager step vs one compiled step from identical module
         state: logits, loss and every parameter gradient must match
@@ -314,19 +334,7 @@ class CompiledTrainStep(_Program):
               ).astype(self._dtype)
         snap = _ModuleStateSnapshot(module)
         try:
-            # stale gradients (a preceding training loop's last batch
-            # survives Module.copy_structure) would contaminate the
-            # eager reference: backward() accumulates on top of them
-            module.zero_grad()
-            out_t = module(Tensor(xv))
-            loss_t = self._loss_fn(out_t, target)
-            if not isinstance(loss_t, Tensor) or loss_t.size != 1:
-                raise GraphUnsupported("loss_fn must return a scalar Tensor")
-            loss_t.backward()
-            ref_logits = out_t.data.copy()
-            ref_loss = float(loss_t.data)
-            ref_grads = [None if p.grad is None else p.grad.copy()
-                         for p, _ in self._all_params]
+            ref_logits, ref_loss, ref_grads = self._eager_step(xv, target)
         finally:
             module.zero_grad()
             snap.restore()
