@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos serve-net bench bench-all docs-check
+.PHONY: test chaos serve-net docs-check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -22,12 +22,6 @@ serve-net:
 	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest tests/test_net.py -x -q
 	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
 		--net --net-faults --rate 20
-
-bench:
-	$(PYTHON) -m repro.benchrunner
-
-bench-all:
-	$(PYTHON) -m repro.benchrunner --all
 
 # scripts/check_docs.py owns the authoritative doctest module list
 # (DOCTEST_MODULES) and the markdown link/anchor check; the direct

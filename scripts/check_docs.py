@@ -42,7 +42,6 @@ DOCTEST_MODULES = [
     "repro.serve.scheduler",
     "repro.serve.session",
     "repro.serve.workload",
-    "repro.benchrunner",
 ]
 
 DOC_FILES = ["docs/*.md", "examples/README.md", "ROADMAP.md", "PAPER.md"]

@@ -13,9 +13,4 @@ setup(
         "test": ["pytest", "hypothesis"],
         "bench": ["pytest", "pytest-benchmark"],
     },
-    entry_points={
-        "console_scripts": [
-            "repro-bench=repro.benchrunner:main",
-        ],
-    },
 )

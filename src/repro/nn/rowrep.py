@@ -40,8 +40,8 @@ share bytes.  The mode flag is per-thread too, so a region entered on
 one thread never changes what another thread's matmuls compute.
 
 The overhead is bounded and tracked: full-block batches pay ~1-2% over
-raw ``np.matmul`` (the ``rowrep_gemm`` microbench gates it at 15%);
-ragged tails pay for the zero-padding, which coalescing itself
+raw ``np.matmul`` (CI's "Row-reproducible GEMM budget" step gates it
+at 15%); ragged tails pay for the zero-padding, which coalescing itself
 amortizes away (merged batches fill blocks).
 """
 

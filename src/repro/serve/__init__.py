@@ -32,8 +32,8 @@ that layer:
   serve --faults``;
 - :mod:`repro.serve.workload` — recorded mixed workloads, replayable
   sequentially or through a session (``repro-exp serve``), with parity
-  verification, per-job outcome records and the ``serve_throughput``
-  bench protocol;
+  verification, per-job outcome records and the one replay oracle
+  (``check_replay``) every serving mode answers to;
 - :mod:`repro.serve.net` — the networked service boundary: a
   length-prefixed CRC-checked frame protocol, :class:`ServeServer`
   (backpressure as structured responses, health/readiness probes,

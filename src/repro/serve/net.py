@@ -79,6 +79,7 @@ from .resilience import (AdmissionError, Clock, DeadlineError, JobError,
                          ManualClock, QuotaError, ServeError, ShedError)
 from .scheduler import JobFuture
 from .session import ServeSession
+from .workload import check_replay, replay_sequential
 
 # --------------------------------------------------------------------- #
 # errors
@@ -1055,7 +1056,6 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     session's sequential scheduler.
     """
     if reference is None:
-        from .workload import replay_sequential
         reference = replay_sequential(workload)["results"]
     clock = ManualClock()
     session = ServeSession(capacity=capacity, clock=clock,
@@ -1082,26 +1082,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     finally:
         client.close()
         server.shutdown(drain=True)
-    for i, outcome in enumerate(srv["outcomes"]):
-        kind = workload.jobs[i].kind
-        if outcome == "ok":
-            a, b = reference[i], srv["results"][i]
-            if not (a.shape == b.shape and a.dtype == b.dtype
-                    and np.array_equal(a, b)):
-                raise AssertionError(
-                    f"job {i} ({kind}) completed ok over the wire but "
-                    "diverged from its solo in-process run")
-        elif outcome == "deadline-degraded":
-            b = srv["results"][i]
-            if b is None or b.shape != reference[i].shape:
-                raise AssertionError(
-                    f"job {i} ({kind}) is deadline-degraded without a "
-                    "best-so-far batch")
-        elif srv["errors"][i] is None or not isinstance(
-                srv["errors"][i], ServeError):
-            raise AssertionError(
-                f"job {i} ({kind}) ended {outcome!r} without a "
-                "structured ServeError")
+    check_replay(workload, reference, srv)
     out = {
         "jobs": len(workload.jobs),
         "rows": workload.rows,

@@ -12,13 +12,13 @@ order interleaved) that can be replayed two ways and compared:
   ServeSession`, sharing a plan cache and coalescing compatible jobs.
 
 Per-job results must match bit for bit between the two replays
-(:func:`verify_parity` asserts it); the throughput ratio is the
-``serve_throughput`` entry of the BENCH trajectory.
+(:func:`verify_parity` asserts it, and :func:`check_replay` is the
+per-job oracle every serving mode shares).
 
 A workload *spec* is a small JSON-serializable dict — seeds, model
 hyper-parameters, and one record per job — so a workload can be
-committed, shipped to the bench's subprocess-isolated arms, or replayed
-by the ``repro-exp serve`` CLI subcommand.  Materialization
+committed, shipped to a benchmark process, or replayed by the
+``repro-exp serve`` CLI subcommand.  Materialization
 (:func:`build_workload`) deterministically reconstructs models, data and
 attack instances from the spec; it never stores arrays.
 
@@ -210,10 +210,10 @@ class Workload:
 def build_models(spec: Dict[str, Any]):
     """``(original, adapted, edge)`` deterministically from a spec.
 
-    The server-side state mirrors the bench fixtures: an untrained
-    (seeded) original model, its calibrated+frozen 8-bit QAT adaptation
-    as the attack target pair, and a separately quantized feed-forward
-    model compiled to the int8 edge artifact for inference jobs.  The
+    The server-side state is an untrained (seeded) original model, its
+    calibrated+frozen 8-bit QAT adaptation as the attack target pair,
+    and a separately quantized feed-forward model compiled to the int8
+    edge artifact for inference jobs.  The
     networked server calls this with the *same spec* the client
     materialized its workload from, which is what makes wire replays
     comparable bit for bit with in-process ones.
@@ -439,42 +439,65 @@ def replay_serve(workload: Workload, capacity: int = 64,
     return out
 
 
+def check_replay(workload: Workload, reference: List[np.ndarray],
+                 replay: Dict[str, Any]) -> None:
+    """The replay oracle every serving mode answers to.  Checks each
+    job of a replay record (``outcomes`` / ``results`` / ``errors``, as
+    :func:`replay_serve` and :func:`~repro.serve.net.replay_net` return
+    them) against ``reference``, the solo run's results, and raises
+    :class:`AssertionError` at the first job that breaks the contract:
+
+    - **no hangs, no silent drops** — every job resolved (a ``None``
+      outcome never did);
+    - **no silent corruption** — an ``ok`` job is byte-identical to its
+      solo run (shape, dtype and every element);
+    - **flagged degradation** — a ``deadline-degraded`` job returns a
+      best-so-far batch of its reference's shape;
+    - **structured failures** — any other terminal outcome carries a
+      :class:`~repro.serve.resilience.ServeError`.
+    """
+    for i, outcome in enumerate(replay["outcomes"]):
+        job = f"job {i} ({workload.jobs[i].kind})"
+        ref, got = reference[i], replay["results"][i]
+        if outcome is None:
+            raise AssertionError(f"{job} never resolved")
+        if outcome == "ok":
+            if not (got is not None and got.shape == ref.shape
+                    and got.dtype == ref.dtype
+                    and np.array_equal(got, ref)):
+                raise AssertionError(
+                    f"{job} completed ok but diverged from its solo run")
+        elif outcome == "deadline-degraded":
+            if got is None or got.shape != ref.shape:
+                raise AssertionError(
+                    f"{job} is deadline-degraded without a best-so-far "
+                    "batch")
+        elif not isinstance(replay["errors"][i], ServeError):
+            raise AssertionError(
+                f"{job} ended {outcome!r} without a structured ServeError")
+
+
 def verify_parity(workload: Workload, capacity: int = 64,
-                  allow_failures: bool = False,
-                  serve: Optional[Dict[str, Any]] = None,
                   float_coalesce: bool = True) -> Dict[str, Any]:
     """Replay both ways, assert bit-identical per-job results.
 
     The serving layer's whole contract in one call: coalescing and
-    shared caches may change wall-time only.  Returns both replays'
-    timings plus the aggregate throughput ratio
-    (``rows / seconds`` serve over sequential).
-
-    With ``allow_failures`` (chaos runs), jobs that ended ``failed`` /
-    ``rejected`` / ``deadline-degraded`` are excluded from the bit
-    comparison — their degradation is *explicit* in the outcome record —
-    while every ``ok`` job must still match its solo run exactly:
-    graceful degradation is allowed, silent corruption never is.
-    ``serve`` optionally supplies an already-completed served replay
-    (e.g. one run under fault injection) instead of running a fresh one.
+    shared caches may change wall-time only.  Every job must complete
+    ``ok`` (fault-injected replays, where refusals and degradation are
+    legal outcomes, go through :func:`chaos_replay`), then
+    :func:`check_replay` compares each with its solo run.  Returns both
+    replays' timings plus the aggregate throughput ratio (``rows /
+    seconds`` serve over sequential).
     """
     seq = replay_sequential(workload)
-    srv = serve if serve is not None else replay_serve(
-        workload, capacity=capacity, float_coalesce=float_coalesce)
-    not_ok = [(i, o) for i, o in enumerate(srv["outcomes"]) if o != "ok"]
-    if not_ok and not allow_failures:
+    srv = replay_serve(workload, capacity=capacity,
+                       float_coalesce=float_coalesce)
+    not_ok = sum(o != "ok" for o in srv["outcomes"])
+    if not_ok:
         raise AssertionError(
-            f"{len(not_ok)} job(s) did not complete ok "
-            f"(breakdown {srv['outcome_counts']}); pass "
-            "allow_failures=True for chaos replays")
-    for i, (a, b) in enumerate(zip(seq["results"], srv["results"])):
-        if srv["outcomes"][i] != "ok":
-            continue
-        if not (a.shape == b.shape and a.dtype == b.dtype
-                and np.array_equal(a, b)):
-            raise AssertionError(
-                f"job {i} ({workload.jobs[i].kind}) diverged between "
-                "sequential and served replay")
+            f"{not_ok} job(s) did not complete ok "
+            f"(breakdown {srv['outcome_counts']})")
+    check_replay(workload, seq["results"], srv)
     return {
         "jobs": len(workload.jobs),
         "rows": workload.rows,
@@ -495,17 +518,9 @@ def chaos_replay(workload: Workload, capacity: int = 64,
                  admission_policy: str = "reject",
                  float_coalesce: bool = True) -> Dict[str, Any]:
     """Serve the workload under seeded fault injection and check every
-    resilience invariant the chaos suite (and ``repro-exp serve
-    --faults``) relies on:
-
-    - **no hangs, no silent drops** — every submitted job's future
-      resolves with a terminal outcome;
-    - **no silent corruption** — every ``ok`` job is bit-identical to
-      its solo fault-free run;
-    - **structured failures** — every refused/failed job raises a
-      :class:`~repro.serve.resilience.ServeError` subclass;
-    - **flagged degradation** — deadline-degraded jobs return a real
-      best-so-far batch plus per-row ``steps_done`` info.
+    job against its solo fault-free run with :func:`check_replay` — the
+    resilience invariants the chaos suite (and ``repro-exp serve
+    --faults``) relies on.
 
     Time is a :class:`~repro.serve.resilience.ManualClock` advanced only
     by the injector's latency faults, so a given (workload, specs, seed)
@@ -530,28 +545,7 @@ def chaos_replay(workload: Workload, capacity: int = 64,
         float_coalesce=float_coalesce)
     with faults_mod.inject(injector):
         srv = replay_serve(workload, session=session)
-    for i, outcome in enumerate(srv["outcomes"]):
-        kind = workload.jobs[i].kind
-        if outcome is None:
-            raise AssertionError(f"job {i} ({kind}) never resolved")
-        if outcome == "ok":
-            a, b = reference[i], srv["results"][i]
-            if not (a.shape == b.shape and a.dtype == b.dtype
-                    and np.array_equal(a, b)):
-                raise AssertionError(
-                    f"job {i} ({kind}) completed ok under faults but "
-                    "diverged from its solo fault-free run")
-        elif outcome == "deadline-degraded":
-            b = srv["results"][i]
-            if b is None or b.shape != reference[i].shape:
-                raise AssertionError(
-                    f"job {i} ({kind}) is deadline-degraded without a "
-                    "best-so-far batch")
-        elif srv["errors"][i] is None or not isinstance(
-                srv["errors"][i], ServeError):
-            raise AssertionError(
-                f"job {i} ({kind}) ended {outcome!r} without a "
-                "structured ServeError")
+    check_replay(workload, reference, srv)
     return {
         "jobs": len(workload.jobs),
         "rows": workload.rows,

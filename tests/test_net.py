@@ -225,6 +225,7 @@ def test_loopback_chaos_bit_parity_and_determinism(wl, ref):
     # the parity gate inside verify_net_parity already asserted every ok
     # job bit-identical and every refusal structured; here: determinism
     assert a["outcome_counts"] == b["outcome_counts"]
+    assert a["outcome_counts"].get("ok", 0) > 0
     assert a["retried"] == b["retried"] and a["deduped"] == b["deduped"]
     assert a["faults_fired"] == b["faults_fired"]
     lossy = sum(a["faults_fired"].get(pt, {}).get(kind, 0)

@@ -1,6 +1,7 @@
 """Serving layer: PlanCache eviction, scheduler fairness, bit-parity."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from repro.edge import compile_edge
 from repro.models import build_model
 from repro.nn import rowrep
 from repro.quantization import calibrate, prepare_qat
-from repro.serve import (FaultInjector, FaultSpec, JobError, ManualClock,
-                         PlanCache, Scheduler, ServeSession, build_workload,
-                         inject, mixed_workload_spec, plan_nbytes,
-                         replay_sequential, replay_serve, verify_parity)
+from repro.serve import (AdmissionError, FaultInjector, FaultSpec, JobError,
+                         ManualClock, PlanCache, Scheduler, ServeSession,
+                         build_workload, inject, mixed_workload_spec,
+                         plan_nbytes, replay_sequential, replay_serve,
+                         verify_parity)
 from repro.serve.scheduler import _group_key
+from repro.serve.workload import check_replay
 from repro.training import predict_labels
 from repro.training.evaluate import predict_logits
 
@@ -384,6 +387,9 @@ class TestScheduler:
         assert key_for(x[:4]) != key_for(x[:4, :, :8, :8])
 
 
+_ORACLE_REF = np.arange(6, dtype=np.float32).reshape(2, 3)
+
+
 class TestServeParity:
     def test_coalesced_attacks_bit_identical_to_solo(self, pair):
         orig, quant, x, y = pair
@@ -436,6 +442,34 @@ class TestServeParity:
         assert out["outcomes"] == ["ok"] * 15
         assert out["outcome_counts"] == {"ok": 15}
         assert out["errors"] == [None] * 15
+
+    @pytest.mark.parametrize("outcome,result,error,match", [
+        ("ok", _ORACLE_REF + 1, None, "diverged"),
+        ("ok", _ORACLE_REF.astype(np.float64), None, "diverged"),
+        ("deadline-degraded", None, None, "best-so-far"),
+        ("failed", None, None, "structured ServeError"),
+        ("failed", None, Exception("boom"), "structured ServeError"),
+        (None, None, None, "never resolved"),
+        ("ok", _ORACLE_REF.copy(), None, None),
+    ], ids=["ok-bytes", "ok-dtype", "degraded-no-batch", "failed-no-error",
+            "failed-plain-exception", "unresolved", "well-formed"])
+    def test_check_replay_oracle(self, outcome, result, error, match):
+        """The one replay oracle, on hand-built records: job 0 is the
+        case under test, jobs 1-3 are well-formed degraded and refused
+        outcomes that must never trip it."""
+        workload = SimpleNamespace(jobs=[SimpleNamespace(kind="pgd")] * 4)
+        replay = {
+            "outcomes": [outcome, "deadline-degraded", "failed", "rejected"],
+            "results": [result, np.zeros_like(_ORACLE_REF), None, None],
+            "errors": [error, None, JobError("ladder exhausted"),
+                       AdmissionError("queue full")],
+        }
+        reference = [_ORACLE_REF] * 4
+        if match is None:
+            check_replay(workload, reference, replay)
+        else:
+            with pytest.raises(AssertionError, match=match):
+                check_replay(workload, reference, replay)
 
     @pytest.mark.parametrize("text,match", [
         ("[]", "JSON object"),

@@ -14,7 +14,7 @@ from repro.nn.functional import _col2im
 from repro.nn.graph import GraphUnsupported
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam
-from repro.nn.train_graph import (compile_train_step,
+from repro.nn.train_graph import (CompiledTrainStep, compile_train_step,
                                   compile_train_step_or_none)
 from repro.quantization import calibrate, prepare_qat, qat_finetune
 from repro.training import fit, predict_logits
@@ -162,33 +162,52 @@ class TestStepBitParity:
             prog.step(xs[0], ys[0])
 
 
+@pytest.fixture
+def compiled_steps(monkeypatch):
+    """Counts :meth:`CompiledTrainStep.step` calls, so a driver test can
+    tell the compiled path engaged (a parity check alone cannot: two
+    eager runs agree too)."""
+    calls = []
+    step = CompiledTrainStep.step
+
+    def counting(self, x, target):
+        calls.append(len(x))
+        return step(self, x, target)
+
+    monkeypatch.setattr(CompiledTrainStep, "step", counting)
+    return calls
+
+
 class TestDriverParity:
     """fit / distill / qat_finetune give bit-identical results whether
     the compiled path engaged or not — including ragged tail batches,
-    which always use the eager tape."""
+    which always use the eager tape — and the compiled run takes one
+    compiled step per full batch."""
 
     def _data(self, n=40, classes=6, seed=0):
         rng = np.random.default_rng(seed)
         return (rng.random((n, 3, 12, 12)),
                 rng.integers(0, classes, size=n))
 
-    def test_fit_matches_eager_with_tail_batch(self):
+    def test_fit_matches_eager_with_tail_batch(self, compiled_steps):
         x, y = self._data(40)          # batch 16 -> tail of 8
         kw = dict(epochs=2, batch_size=16, lr=0.02, seed=5)
         m_c = build_model("resnet", num_classes=6, width=4, seed=2)
         r_c = fit(m_c, x, y, **kw)
+        assert compiled_steps == [16] * 4       # 2 full batches x 2 epochs
         m_e = build_model("resnet", num_classes=6, width=4, seed=2)
         r_e = fit(m_e, x, y, use_compiled=False, **kw)
         _state_equal(m_c, m_e)
         assert r_c.train_loss == r_e.train_loss
 
-    def test_distill_matches_eager(self):
+    def test_distill_matches_eager(self, compiled_steps):
         x, _ = self._data(32, seed=3)
         teacher = build_model("resnet", num_classes=6, width=4, seed=1)
         teacher.eval()
         kw = dict(epochs=2, batch_size=16, lr=1e-3, seed=2)
         s_c = distill(teacher, build_model("mobilenet", num_classes=6,
                                            width=4, seed=4), x, **kw)
+        assert compiled_steps == [16] * 4
         s_e = distill(teacher, build_model("mobilenet", num_classes=6,
                                            width=4, seed=4), x,
                       use_compiled=False, **kw)
@@ -204,7 +223,7 @@ class TestDriverParity:
                 augment=lambda b, rng: b[:, :, :10, :10])
         assert len(r.train_loss) == 1
 
-    def test_qat_finetune_matches_eager(self):
+    def test_qat_finetune_matches_eager(self, compiled_steps):
         x, y = self._data(32, seed=7)
 
         def make():
@@ -215,6 +234,7 @@ class TestDriverParity:
 
         kw = dict(epochs=2, batch_size=16, lr=0.005)
         q_c = qat_finetune(make(), x, y, **kw)
+        assert compiled_steps == [16] * 4
         q_e = qat_finetune(make(), x, y, use_compiled=False, **kw)
         _state_equal(q_c, q_e)
 
