@@ -4,7 +4,7 @@ Run from the repo root (CI does, via ``make docs-check``)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Two passes:
+Four passes:
 
 1. ``doctest.testmod`` over the documented modules listed in
    ``DOCTEST_MODULES`` (modules with executable examples in their
@@ -20,7 +20,11 @@ Two passes:
    without a table row (or a stale row for a removed op) fails the
    build — and each row's "Backward reads" cell must name the rule
    ``repro.nn.graph._BWD_READS`` gives that kind, the rule the buffer
-   planner keeps its operands live by.
+   planner keeps its operands live by;
+4. every backticked entry point in the "The four legs" table of
+   ``docs/ARCHITECTURE.md`` (e.g. ``PairedExecutor.compile``) must
+   resolve as an attribute of that row's module, so a renamed or
+   deleted entry point fails the build.
 """
 
 from __future__ import annotations
@@ -128,6 +132,33 @@ def check_traced_op_table() -> list:
     return errors
 
 
+_LEG_ROW = re.compile(
+    r"^\|[^|]*\|\s*`src/([\w/]+)\.py`\s*\|[^|]*\|([^|]*)\|", re.MULTILINE)
+
+
+def check_entry_points() -> list:
+    """Each "four legs" row's entry points must exist in its module."""
+    text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    start = text.find("## The four legs")
+    if start < 0:
+        return ["docs/ARCHITECTURE.md: missing 'The four legs' section"]
+    end = text.find("\n## ", start + 1)
+    rows = _LEG_ROW.findall(text[start:end if end > 0 else len(text)])
+    if not rows:
+        return ["docs/ARCHITECTURE.md: 'The four legs' table has no rows"]
+    errors = []
+    for path, cell in rows:
+        module = importlib.import_module(path.replace("/", "."))
+        for name in re.findall(r"`([\w.]+)`", cell):
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                errors.append(f"docs/ARCHITECTURE.md: entry point `{name}` "
+                              f"is not an attribute of {module.__name__}")
+    return errors
+
+
 def run_doctests(modules) -> int:
     failed = 0
     for name in modules:
@@ -159,7 +190,13 @@ def main() -> int:
     for err in op_errors:
         print(f"  {err}")
     print(f"  {len(op_errors)} drifted rows")
-    return 1 if (failed or errors or op_errors) else 0
+
+    print("== four-legs entry points ==")
+    entry_errors = check_entry_points()
+    for err in entry_errors:
+        print(f"  {err}")
+    print(f"  {len(entry_errors)} unresolved entry points")
+    return 1 if (failed or errors or op_errors or entry_errors) else 0
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@ the returned iterate.  Samples that succeed free their slot, which is
 refilled with pending samples from later batches (cross-batch work
 stealing), so the gradient batch stays full until the global tail.
 ``Attack.generate_sweep`` tiles the batch across an (eps, c, ...)
-variant grid and feeds the same scheduler, sharing one compiled program
-pair and per-variant keep-best state across the whole grid.  All
-scheduling is value-neutral: per-sample trajectories are bit-identical
-to the classic one-batch-at-a-time loop.
+variant grid and feeds the same scheduler through the same
+:func:`~repro.attacks.engine.run_tiled` call, sharing one compiled
+program pair and per-variant keep-best state across the whole grid.
+All scheduling is value-neutral: per-sample trajectories are
+bit-identical to the classic one-batch-at-a-time loop.
 
 Subclasses compile their frozen models into replayable programs
 (:mod:`repro.nn.graph`) — DIVA-family attacks fuse the (original,
@@ -32,8 +33,9 @@ programs live in the attack's :class:`~repro.serve.PlanCache`
 (private by default; a :class:`~repro.serve.ServeSession` rebinds it to
 a shared budgeted store, and :meth:`Attack.serve_signature` tells the
 serving scheduler which instances' jobs may merge).  Attacks with
-full-batch gradient state (momentum) keep the legacy per-batch loop
-(``shrink_done = False``).
+full-batch gradient state (momentum, NES noise; ``shrink_done =
+False``) step one whole batch at a time instead
+(:meth:`Attack._run_full_batch`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from ..nn import rowrep
 from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .engine import SCHEDULER_KEYS, _per_item, run_scheduled
+from .engine import SCHEDULER_KEYS, run_tiled
 
 PIXEL_MIN = 0.0
 PIXEL_MAX = 1.0
@@ -337,112 +339,65 @@ class Attack:
         stepped = adv_rows + alpha * np.sign(g_rows)
         return project_linf(stepped, x_rows, eps).astype(x_rows.dtype)
 
-    def _run_plain(self, xb: np.ndarray, yb: np.ndarray, adv: np.ndarray,
-                   snaps: Optional[List[np.ndarray]],
-                   deadline=None, row0: int = 0) -> np.ndarray:
-        """Fixed-step loop (full-batch state attacks with keep_best off).
+    def _run_full_batch(self, xb: np.ndarray, yb: np.ndarray,
+                        adv: np.ndarray, snaps: Optional[List[np.ndarray]],
+                        deadline=None, row0: int = 0) -> np.ndarray:
+        """The loop for attacks with full-batch gradient state (momentum
+        velocity, NES noise): every pass steps the whole batch, so each
+        row's state sees the same batch composition as an undisturbed
+        run.  Rows never leave the batch: a row is *done* once its held
+        iterate is final, and the loop returns the held iterate for
+        done rows.
 
-        Deadline-expired rows are *frozen*, not dropped: the batch keeps
-        its composition so full-batch gradient state (momentum velocity,
-        NES RNG draws) is untouched for every other row — value
-        neutrality is the serving layer's core contract.  A frozen row's
-        held iterate is its best-so-far result.
-        """
-        stopped = (np.zeros(len(xb), dtype=bool)
-                   if deadline is not None else None)
-        held: Optional[np.ndarray] = None
-        for t in range(self.steps):
-            if stopped is not None and not stopped.all():
-                live = np.flatnonzero(~stopped)
-                exp = np.asarray(deadline.poll(row0 + live), dtype=bool)
-                if exp.any():
-                    newly = live[exp]
-                    if held is None:
-                        held = np.empty_like(adv)
-                    held[newly] = adv[newly]
-                    stopped[newly] = True
-                    deadline.expire(row0 + newly, t)
-            if stopped is not None and stopped.all() and snaps is None:
-                break
-            g, _ = self.gradient_with_logits(adv, yb)
-            adv = self._step(adv, xb, g)
-            if snaps is not None:
-                snaps.append(adv)
-        if held is not None:
-            shape = (-1,) + (1,) * (adv.ndim - 1)
-            return np.where(stopped.reshape(shape), held, adv)
-        return adv
+        With ``keep_best``, iterate ``adv_t`` is checked with the logits
+        of the gradient pass that starts iteration ``t`` (the pass
+        needed to produce ``adv_{t+1}`` anyway), and its first success
+        is held; the final iterate is returned *unchecked*, because a
+        success there cannot change the returned bytes.  This keeps the
+        done-mask semantics (and the pass count: exactly ``steps``)
+        identical to :func:`~repro.attacks.engine.run_scheduled_steps`.
 
-    def _run_keep_best(self, xb: np.ndarray, yb: np.ndarray, adv: np.ndarray,
-                       snaps: Optional[List[np.ndarray]],
-                       deadline=None, row0: int = 0) -> np.ndarray:
-        """Keep-best loop with shifted success checks.
-
-        Iterate ``adv_t`` is checked with the logits of the gradient pass
-        that starts iteration ``t`` (the pass needed to produce
-        ``adv_{t+1}`` anyway); the final iterate is returned *unchecked*,
-        because a success there cannot change the returned bytes — the
-        row would retire holding exactly that iterate.  This keeps the
-        done-mask semantics (and the pass count: exactly ``steps`` per
-        row) identical to :func:`~repro.attacks.engine.
-        run_scheduled_steps`; historically this loop paid one trailing
-        success forward, which made single-step keep-best runs
-        (FGSM-as-PGD(steps=1)) cost two passes here and one there.  The
-        sequence of checked iterates — and every produced sample — is
-        identical to checking right after each step.
-
-        Deadline-expired rows reuse the held/done machinery: they freeze
-        at their current iterate (best-so-far) without leaving the
-        batch, so full-batch gradient state stays untouched for the
-        surviving rows.  Rows already done (a genuine success) are never
-        polled — completion always wins over expiry.
+        Deadline-expired rows are held at their current iterate
+        (best-so-far).  Rows already done are never polled — completion
+        always wins over expiry.  The loop stops early only once every
+        row is done and at least one expired: stopping on success alone
+        would change how much RNG a query-based attack's later batches
+        draw.
         """
         held = adv.copy()
         done = np.zeros(len(xb), dtype=bool)
+        expired = False
+        shape = (-1,) + (1,) * (adv.ndim - 1)
 
         def merged() -> np.ndarray:
-            return np.where(done[:, None, None, None], held, adv)
-
-        def check(active: np.ndarray, aux: Any) -> Optional[np.ndarray]:
-            """Update held/done for adv[active]; returns the mask (or None)."""
-            mask = self._success_mask(aux, adv[active], yb[active])
-            if mask is not None:
-                # only first successes count: rows already done keep the
-                # iterate that first satisfied the criterion
-                newly = active[mask & ~done[active]]
-                held[newly] = adv[newly]
-                done[newly] = True
-            return mask
+            return np.where(done.reshape(shape), held, adv)
 
         for t in range(self.steps):
-            if deadline is not None:
-                live = np.flatnonzero(~done)
-                if live.size:
-                    exp = np.asarray(deadline.poll(row0 + live), dtype=bool)
-                    if exp.any():
-                        newly = live[exp]
-                        held[newly] = adv[newly]
-                        done[newly] = True
-                        deadline.expire(row0 + newly, t)
-            active = np.flatnonzero(~done) if self.shrink_done else \
-                np.arange(len(xb))
-            if active.size == 0:
+            live = np.flatnonzero(~done)
+            if deadline is not None and live.size:
+                exp = np.asarray(deadline.poll(row0 + live), dtype=bool)
+                if exp.any():
+                    newly = live[exp]
+                    held[newly] = adv[newly]
+                    done[newly] = True
+                    expired = True
+                    deadline.expire(row0 + newly, t)
+            if expired and done.all():
                 if snaps is not None:
-                    frozen = merged()
-                    while len(snaps) < self.steps:
-                        snaps.append(frozen)
-                return merged()
-            g, aux = self.gradient_with_logits(adv[active], yb[active])
-            if t > 0:
-                mask = check(active, aux)
-                if snaps is not None:
-                    snaps.append(merged())
-                if mask is not None and self.shrink_done:
-                    active, g = active[~mask], g[~mask]
-            if active.size:
-                adv[active] = self._step(adv[active], xb[active], g)
-        if snaps is not None:
-            snaps.append(merged())
+                    snaps.extend([merged()] * (self.steps - len(snaps)))
+                break
+            g, aux = self.gradient_with_logits(adv, yb)
+            if t > 0 and self.keep_best:
+                mask = self._success_mask(aux, adv, yb)
+                if mask is not None:
+                    # only first successes count: rows already done keep
+                    # the iterate that first satisfied the criterion
+                    newly = np.flatnonzero(mask & ~done)
+                    held[newly] = adv[newly]
+                    done[newly] = True
+            adv = self._step(adv, xb, g)
+            if snaps is not None:
+                snaps.append(merged())
         return merged()
 
     def generate(self, x: np.ndarray, y: np.ndarray,
@@ -456,8 +411,9 @@ class Attack:
         without full-batch gradient state run on the active-slot
         scheduler (:mod:`repro.attacks.engine`): ``batch_size`` is the
         slot capacity, and slots freed by successful samples are
-        refilled from later batches.  Iterates are bit-identical to the
-        per-batch loop either way.
+        refilled from later batches; attacks with full-batch gradient
+        state step ``batch_size`` rows at a time.  Iterates are
+        bit-identical to a one-batch-at-a-time loop either way.
 
         ``deadline`` (a :class:`~repro.serve.resilience.DeadlineToken`
         with one entry per row of ``x``) retires expiring rows between
@@ -467,37 +423,27 @@ class Attack:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         y = np.asarray(y)
-        self._refresh_compiled()
         if self.shrink_done:
-            n = len(x)
-            eps = np.full(n, self.eps, dtype=x.dtype)
-            alpha = np.full(n, self.alpha, dtype=x.dtype)
-            check = np.full(n, self.keep_best, dtype=bool)
             snaps = (np.empty((self.steps,) + x.shape, dtype=x.dtype)
                      if trace is not None else None)
-            adv = run_scheduled(self, x, y, self._init(x), eps, alpha, check,
-                                None, capacity=batch_size, snaps=snaps,
-                                deadline=deadline)
+            adv = run_tiled(self, [(x, y, self._init(x), self.eps, self.alpha,
+                                    self.keep_best, {})],
+                            batch_size, snaps=snaps, deadline=deadline)
             if trace is not None:
                 for t in range(self.steps):
                     trace.record(snaps[t])
             return adv
-        # legacy per-batch loop: full-batch gradient state (momentum)
-        # forbids dropping or reordering rows mid-flight
+        # full-batch gradient state (momentum) forbids dropping or
+        # reordering rows mid-flight: one batch at a time
+        self._refresh_compiled()
         outs = []
         step_snaps: List[List[np.ndarray]] = [[] for _ in range(self.steps)]
         for start in range(0, len(x), batch_size):
             xb = x[start:start + batch_size]
-            yb = y[start:start + batch_size]
-            adv = self._init(xb)
             snaps_b: Optional[List[np.ndarray]] = [] if trace is not None else None
-            if self.keep_best:
-                final = self._run_keep_best(xb, yb, adv, snaps_b,
-                                            deadline=deadline, row0=start)
-            else:
-                final = self._run_plain(xb, yb, adv, snaps_b,
-                                        deadline=deadline, row0=start)
-            outs.append(final)
+            outs.append(self._run_full_batch(
+                xb, y[start:start + batch_size], self._init(xb), snaps_b,
+                deadline=deadline, row0=start))
             if trace is not None:
                 for t in range(self.steps):
                     step_snaps[t].append(snaps_b[t])
@@ -541,29 +487,15 @@ class Attack:
                     setattr(clone, key, val)
                 outs.append(clone.generate(x, y, batch_size=batch_size))
             return outs
-        self._refresh_compiled()
-        n = len(x)
-        n_var = len(variants)
-        xt = np.concatenate([x] * n_var, axis=0)
-        yt = np.tile(y, n_var)
-        eps = np.concatenate([
-            _per_item(v.get("eps", self.eps), n, x.dtype) for v in variants])
-        alpha = np.concatenate([
-            _per_item(v.get("alpha", self.alpha), n, x.dtype) for v in variants])
-        check = np.concatenate([
-            np.full(n, bool(v.get("keep_best", self.keep_best)))
-            for v in variants])
-        params = None
         extra = self.sweep_params & {k for v in variants for k in v}
-        if extra:
-            params = {key: np.concatenate([
-                _per_item(v.get(key, getattr(self, key)), n, np.float64)
-                for v in variants]) for key in extra}
-        adv0 = np.concatenate([
-            self._init_variant(x, v.get("eps", self.eps)) for v in variants])
-        adv = run_scheduled(self, xt, yt, adv0, eps, alpha, check, params,
-                            capacity=batch_size)
-        return [adv[i * n:(i + 1) * n] for i in range(n_var)]
+        adv = run_tiled(self, [
+            (x, y, self._init_variant(x, v.get("eps", self.eps)),
+             v.get("eps", self.eps), v.get("alpha", self.alpha),
+             v.get("keep_best", self.keep_best),
+             {key: v.get(key, getattr(self, key)) for key in extra})
+            for v in variants], batch_size)
+        n = len(x)
+        return [adv[i * n:(i + 1) * n] for i in range(len(variants))]
 
     def _init_variant(self, x: np.ndarray, eps: float) -> np.ndarray:
         """Per-variant :meth:`_init`: same rng stream per variant as a

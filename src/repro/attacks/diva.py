@@ -41,17 +41,13 @@ from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
 
 def diva_loss(orig_probs: Tensor, adapted_probs: Tensor, y: np.ndarray,
               c=1.0) -> Tensor:
-    """Summed Eq. 5 over a batch (``c`` scalar or per-row vector)."""
+    """Summed Eq. 5 over a batch (``c`` scalar or per-row vector).
+
+    ``c`` is the right operand: with a vector ``c``, ``c * tensor``
+    would be numpy's multiply, which cannot take a Tensor.
+    """
     y = np.asarray(y)
-    return (orig_probs.gather_rows(y) - c * adapted_probs.gather_rows(y)).sum()
-
-
-def _prob_seed(logits: np.ndarray, y: np.ndarray, coeff: float) -> np.ndarray:
-    """d(coeff * sum softmax(z)[y]) / dz."""
-    p = softmax_np(logits)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(len(y)), y] = coeff
-    return softmax_vjp(p, onehot)
+    return (orig_probs.gather_rows(y) - adapted_probs.gather_rows(y) * c).sum()
 
 
 class DIVA(Attack):

@@ -18,7 +18,7 @@ time, one configuration at a time" into a single scheduled computation:
   second core does real work.
 
 - :func:`run_scheduled` / :func:`run_scheduled_steps` — the active-slot
-  scheduler behind ``Attack.generate`` / ``Attack.generate_sweep``.
+  scheduler behind :func:`run_tiled`.
   Work items (sample, variant) occupy up to ``capacity`` slots; each
   pass runs one gradient batch over the occupied slots, retires items
   that satisfied their success criterion (checked against the logits
@@ -30,9 +30,11 @@ time, one configuration at a time" into a single scheduled computation:
   sequential loop paid is dropped entirely (it cannot change the
   returned iterate when done samples stop stepping).
 
-- variant tiling — ``Attack.generate_sweep`` maps an (eps, c, ...) grid
-  onto per-item parameter vectors so a whole figure's configuration
-  sweep shares one compiled program pair and one scheduler pass.
+- :func:`run_tiled` — variant tiling: one ``(x, y, adv0, eps, alpha,
+  keep_best, params)`` tile per job or variant becomes the per-item
+  vectors of one scheduler pass, so a whole figure's (eps, c, ...)
+  sweep shares one compiled program pair, and a served job runs
+  exactly the pass a solo ``generate`` would.
 """
 
 from __future__ import annotations
@@ -213,6 +215,39 @@ def _per_item(value, n: int, dtype) -> np.ndarray:
         raise ValueError(f"per-item parameter has shape {arr.shape}, "
                          f"expected ({n},)")
     return arr
+
+
+def run_tiled(attack, tiles: Sequence[Tuple], capacity: int,
+              snaps: Optional[np.ndarray] = None,
+              deadline=None) -> np.ndarray:
+    """Run every tile through one :func:`run_scheduled` pass.
+
+    Each tile is ``(x, y, adv0, eps, alpha, keep_best, params)`` for one
+    job or sweep variant: its rows, their labels and initialized
+    iterates, its scalar (or per-row) ``eps``/``alpha``, its
+    ``keep_best`` flag, and a dict of attack parameters to pass as
+    per-row vectors (every tile names the same keys; an empty dict
+    passes none).  ``attack`` drives the gradient passes; the result
+    stacks the tiles' rows in order.  ``Attack.generate``,
+    ``generate_sweep``, ``r_fgsm`` and the serving scheduler all build
+    their pass here, so a served job is the tiling a solo run uses.
+    """
+    attack._refresh_compiled()
+    xs, ys, adv0s, epss, alphas, keeps, params = zip(*tiles)
+    sizes = [len(xt) for xt in xs]
+    x = np.concatenate(xs)
+
+    def per_row(values, dtype) -> np.ndarray:
+        return np.concatenate([_per_item(v, n, dtype)
+                               for v, n in zip(values, sizes)])
+
+    y = np.concatenate([np.asarray(yt) for yt in ys])
+    vectors = {key: per_row([p[key] for p in params], np.float64)
+               for key in params[0]}
+    return run_scheduled(attack, x, y, np.concatenate(adv0s),
+                         per_row(epss, x.dtype), per_row(alphas, x.dtype),
+                         per_row(keeps, bool), vectors or None,
+                         capacity=capacity, snaps=snaps, deadline=deadline)
 
 
 def run_scheduled(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,

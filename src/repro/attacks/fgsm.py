@@ -6,10 +6,9 @@ here: both functions run as single-step PGD configurations on the
 scheduled engine, so they ride the compiled executor when the model
 traces, and fall back to the eager tape (bit-identical to the historic
 per-batch implementation) when it does not.  A single-step keep-best-off
-run pays
-exactly one gradient pass per row either way — the engine's done-mask
-semantics for rows succeeding on step 0 match ``generate``'s
-(no trailing success forward; see ``Attack._run_keep_best``).
+run pays exactly one gradient pass per row either way: the engine pays
+no trailing success forward (see
+:func:`~repro.attacks.engine.run_scheduled_steps`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from ..nn.module import Module
 from .base import DEFAULT_EPS, project_linf
-from .engine import run_scheduled
+from .engine import run_tiled
 from .pgd import PGD
 
 
@@ -61,9 +60,5 @@ def r_fgsm(model: Module, x: np.ndarray, y: np.ndarray,
             xb + alpha * np.sign(rng.normal(size=xb.shape)), xb, eps
         ).astype(xb.dtype)
     atk = PGD(model, eps=eps, alpha=eps - alpha, steps=1, keep_best=False)
-    n = len(x)
-    eps_v = np.full(n, eps, dtype=x.dtype)
-    alpha_v = np.full(n, eps - alpha, dtype=x.dtype)
-    check = np.zeros(n, dtype=bool)
-    return run_scheduled(atk, x, y, x0, eps_v, alpha_v, check, None,
-                         capacity=batch_size)
+    return run_tiled(atk, [(x, y, x0, eps, eps - alpha, False, {})],
+                     batch_size)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..nn.optim import Adam, Optimizer
-from ..nn.tensor import Tensor
+from ..nn.train_graph import train_step_fn
 from ..training.evaluate import predict_logits
 from .losses import distillation_loss
 
@@ -29,50 +29,36 @@ def distill(teacher: Module, student: Module, images: np.ndarray,
             epochs: int = 8, batch_size: int = 64, lr: float = 1e-3,
             temperature: float = 4.0, alpha: float = 0.7,
             optimizer: Optional[Optimizer] = None, seed: int = 0,
-            log_fn: Optional[Callable[[str], None]] = None,
-            use_compiled: bool = True) -> Module:
+            log_fn: Optional[Callable[[str], None]] = None) -> Module:
     """Train ``student`` to imitate ``teacher`` on unlabeled ``images``.
 
     The teacher is queried once up front (labels + logits are all the
     attacker needs) through a compiled forward replay when the pool is
     large enough to amortize compilation; the student then minimizes the
-    KD objective, with the inner loop's full-size batches driven through
-    a compiled train-step program (bit-identical to the eager tape,
-    which still serves the ragged tail batch and any fallback).
+    KD objective through :func:`repro.nn.train_graph.train_step_fn`: the
+    inner loop's full-size batches replay a compiled train-step program
+    (bit-identical to the eager tape, which still serves the ragged tail
+    batch and any fallback).
     """
     teacher_logits = predict_logits(teacher, images)
     rng = np.random.default_rng(seed)
     opt = optimizer if optimizer is not None else Adam(student.parameters(), lr=lr)
     n = len(images)
     student.train()
-    step = None
-    if use_compiled and isinstance(student, Module):
-        from ..nn.train_graph import compile_train_step_or_none
 
-        def kd_loss(logits, t_logits, _t=temperature, _a=alpha):
-            return distillation_loss(logits, t_logits, temperature=_t, alpha=_a)
+    def kd_loss(logits, t_logits):
+        return distillation_loss(logits, t_logits, temperature=temperature,
+                                 alpha=alpha)
 
-        nb = min(batch_size, n)
-        step = compile_train_step_or_none(student, kd_loss, images[:nb],
-                                          teacher_logits[:nb], opt)
-        if step is None and log_fn:
-            log_fn("train-step compilation unavailable; using the eager tape")
+    nb = min(batch_size, n)
+    step = train_step_fn(student, kd_loss, images[:nb], teacher_logits[:nb],
+                         opt, log_fn)
     for epoch in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            if step is not None and step.accepts(images[idx]):
-                batch_loss = step.step(images[idx], teacher_logits[idx])
-            else:
-                logits = student(Tensor(images[idx]))
-                loss = distillation_loss(logits, teacher_logits[idx],
-                                         temperature=temperature, alpha=alpha)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                batch_loss = float(loss.data)
-            total += batch_loss * len(idx)
+            total += step(images[idx], teacher_logits[idx]) * len(idx)
         if log_fn:
             log_fn(f"distill epoch {epoch}: loss={total / n:.4f}")
     student.eval()

@@ -700,8 +700,3 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     if _GRAPH_TRACER is not None:
         _GRAPH_TRACER.emit("where", (a, b), out, {"cond": cond})
     return out
-
-
-def no_grad_tensor(data: ArrayLike) -> Tensor:
-    """Convenience constructor for constant tensors."""
-    return Tensor(data, requires_grad=False)

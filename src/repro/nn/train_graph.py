@@ -42,10 +42,10 @@ state and requiring bit-identical logits, loss and every parameter
 gradient; any mismatch — or any op/side effect the tracer cannot
 capture — raises :class:`GraphUnsupported`, and
 :func:`compile_train_step_or_none` turns that into the loud eager
-fallback the training loops share.  Tracing and validation leave the
-module untouched (buffers, observers and module RNGs are snapshotted
-and restored in place), so a fallback run is bitwise the run that never
-attempted to compile.
+fallback of :func:`train_step_fn`, the step the training loops share.
+Tracing and validation leave the module untouched (buffers, observers
+and module RNGs are snapshotted and restored in place), so a fallback
+run is bitwise the run that never attempted to compile.
 
 The batch size is pinned at trace time: training loops drive full
 batches through the program and the ragged tail batch through the eager
@@ -112,13 +112,43 @@ def compile_train_step_or_none(module, loss_fn, example, target,
 
     Any failure (unsupported op, non-Module model, un-replayable side
     effect, bit-parity validation mismatch) means "use the eager tape" —
-    never an error.  The single fallback policy shared by ``fit``,
-    ``distill`` and ``qat_finetune``.
+    never an error.  The fallback policy of :func:`train_step_fn`.
     """
     try:
         return compile_train_step(module, loss_fn, example, target, optimizer)
     except Exception:
         return None
+
+
+def train_step_fn(module, loss_fn: Callable[[Tensor, object], Tensor],
+                  example: np.ndarray, target, optimizer: Optimizer,
+                  log_fn: Optional[Callable[[str], None]] = None
+                  ) -> Callable[[np.ndarray, object], float]:
+    """The training step ``fit``, ``distill`` and ``qat_finetune`` share.
+
+    Returns ``step(xb, tb) -> loss``: one optimizer update on ``loss_fn(
+    module(xb), tb)``.  Batches the compiled program (built best-effort
+    on ``example``/``target``) ``accepts`` replay it; every other batch
+    (the ragged tail, a shape-changing augment, or all of them when
+    compilation falls back, which ``log_fn`` hears about) runs the eager
+    tape.  The two are bit-identical, so the result does not depend on
+    which one ran.
+    """
+    compiled = compile_train_step_or_none(module, loss_fn, example, target,
+                                          optimizer)
+    if compiled is None and log_fn:
+        log_fn("train-step compilation unavailable; using the eager tape")
+
+    def step(xb: np.ndarray, tb) -> float:
+        if compiled is not None and compiled.accepts(xb):
+            return compiled.step(xb, tb)
+        loss = loss_fn(module(Tensor(xb)), tb)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return float(loss.data)
+
+    return step
 
 
 # the trace reads ``_parents`` and the validation runs an eager

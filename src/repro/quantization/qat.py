@@ -24,6 +24,7 @@ from ..nn.layers import Conv2d, Linear, ReLU
 from ..nn.module import Module
 from ..nn.optim import Optimizer, SGD
 from ..nn.tensor import Tensor, no_grad
+from ..nn.train_graph import train_step_fn
 from .fake_quant import FakeQuantize
 
 
@@ -116,8 +117,7 @@ def qat_finetune(qat_model: QATModel, x_train: np.ndarray, y_train: np.ndarray,
                  momentum: float = 0.9, weight_decay: float = 0.0,
                  optimizer: Optional[Optimizer] = None,
                  rng: Optional[np.random.Generator] = None,
-                 log_fn: Optional[Callable[[str], None]] = None,
-                 use_compiled: bool = True) -> QATModel:
+                 log_fn: Optional[Callable[[str], None]] = None) -> QATModel:
     """Finetune with fake quantization in the loop (QAT proper).
 
     Mirrors the paper's recipe (§5.1): a couple of epochs of QAT after
@@ -135,30 +135,15 @@ def qat_finetune(qat_model: QATModel, x_train: np.ndarray, y_train: np.ndarray,
         qat_model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
     n = len(x_train)
     qat_model.train()
-    step = None
-    if use_compiled:
-        from ..nn.train_graph import compile_train_step_or_none
-        nb = min(batch_size, n)
-        step = compile_train_step_or_none(qat_model, F.cross_entropy,
-                                          x_train[:nb], y_train[:nb], opt)
-        if step is None and log_fn:
-            log_fn("train-step compilation unavailable; using the eager tape")
+    nb = min(batch_size, n)
+    step = train_step_fn(qat_model, F.cross_entropy, x_train[:nb],
+                         y_train[:nb], opt, log_fn)
     for epoch in range(epochs):
         order = rng.permutation(n)
         total_loss = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            yb = y_train[idx]
-            if step is not None and step.accepts(x_train[idx]):
-                batch_loss = step.step(x_train[idx], yb)
-            else:
-                logits = qat_model(Tensor(x_train[idx]))
-                loss = F.cross_entropy(logits, yb)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                batch_loss = float(loss.data)
-            total_loss += batch_loss * len(idx)
+            total_loss += step(x_train[idx], y_train[idx]) * len(idx)
         if log_fn:
             log_fn(f"qat epoch {epoch}: loss={total_loss / n:.4f}")
     qat_model.eval()

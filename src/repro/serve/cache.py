@@ -369,9 +369,6 @@ class PlanCache:
                 continue
             entry.plan.refresh()
 
-    def discard(self, key) -> None:
-        self._entries.pop(key, None)
-
     def clear(self) -> None:
         self._entries.clear()
         self._evicted_keys.clear()

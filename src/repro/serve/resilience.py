@@ -17,10 +17,10 @@ vocabulary:
   :class:`ManualClock` deterministically (latency faults *advance* the
   clock; nothing ever sleeps in tests).
 - **deadline tokens** — a :class:`DeadlineToken` carries per-row
-  absolute deadlines into the attack step loop
-  (:func:`~repro.attacks.engine.run_scheduled` and the legacy
-  full-batch loop).  Rows whose deadline passes retire *between*
-  compiled steps with their best-so-far iterate; the token records
+  absolute deadlines into the attack step loops
+  (:func:`~repro.attacks.engine.run_scheduled_steps` and
+  ``Attack._run_full_batch``).  Rows whose deadline passes retire
+  *between* compiled steps with their best-so-far iterate; the token records
   which rows expired and after how many steps, and the scheduler flags
   the job's future ``deadline-degraded`` instead of failing it.
 - **the circuit breaker** — per-dispatch-key quarantine with cool-down

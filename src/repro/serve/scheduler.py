@@ -18,8 +18,8 @@ gradient batches through machinery that is just as happy with 64).
   the same input shape/dtype; per-item parameters (``eps``, ``alpha``,
   ``keep_best`` and the attack's declared sweep params such as DIVA's
   ``c``) never block coalescing because
-  :func:`~repro.attacks.engine.run_scheduled` already takes them as
-  per-row vectors.  Edge-inference jobs coalesce per
+  :func:`~repro.attacks.engine.run_tiled` already takes them per job.
+  Edge-inference jobs coalesce per
   :class:`~repro.edge.engine.EdgeModel`.  Float-model inference jobs
   (``predict_float``) coalesce per (model, shape, dtype) under the
   row-reproducible GEMM mode, and also ride along with attack groups
@@ -35,12 +35,12 @@ gradient batches through machinery that is just as happy with 64).
   arrivals can never push an incompatible job back: job *i* is
   dispatched no later than the *i*-th round (asserted by the fairness
   tests).
-- **value-neutral merging** — a merged attack batch is exactly the
-  tiling :meth:`Attack.generate_sweep` already performs (per-row
-  parameter vectors into one ``run_scheduled`` call, each job's own
-  ``_init`` for its rows), and per-sample trajectories depend only on
-  that sample's own gradients; merged edge batches ride the integer
-  path, which is exact per row; merged float batches run under
+- **value-neutral merging** — a merged attack batch is one
+  :func:`~repro.attacks.engine.run_tiled` call with a tile per job, the
+  call :meth:`Attack.generate_sweep` makes with a tile per variant
+  (each job's own ``_init`` for its rows), and per-sample trajectories
+  depend only on that sample's own gradients; merged edge batches ride
+  the integer path, which is exact per row; merged float batches run under
   :func:`repro.nn.rowrep.row_reproducible`, whose fixed-order blocked
   accumulation makes each row's float bits independent of batch
   composition.  All are bit-identical to running each job alone — the
@@ -70,7 +70,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..attacks.base import Attack
-from ..attacks.engine import run_scheduled
+from ..attacks.engine import run_tiled
 from ..nn import rowrep
 from ..nn.tensor import Tensor
 from . import faults
@@ -256,8 +256,7 @@ class Scheduler:
     ----------
     capacity:
         Active-slot count handed to
-        :func:`~repro.attacks.engine.run_scheduled` and the chunk size
-        for merged edge-inference batches.
+        :func:`~repro.attacks.engine.run_tiled`.
     max_batch_rows:
         Ceiling on the summed rows of one coalesced dispatch; pending
         compatible jobs beyond it wait for the next round (they keep
@@ -472,14 +471,15 @@ class Scheduler:
                          compiled: bool = True) -> None:
         """One scheduled pass over the merged rows of ``group``.
 
-        Mirrors :meth:`Attack.generate_sweep`'s tiling exactly, with one
-        "variant" per job: per-row ``eps``/``alpha``/``keep_best`` (and
-        sweep-parameter) vectors taken from each job's own attack, each
-        job's rows initialized by its own attack's ``_init`` (so
-        ``random_start`` streams match a solo run), and the group head's
-        attack driving the gradient passes.  Per-sample trajectories are
-        independent, so every job's slice is bit-identical to
-        ``job.attack.generate(job.x, job.y)`` run alone.
+        One :func:`~repro.attacks.engine.run_tiled` tile per job — the
+        call :meth:`Attack.generate` and :meth:`Attack.generate_sweep`
+        make: per-row ``eps``/``alpha``/``keep_best`` (and, in a group
+        of more than one job, sweep-parameter) values taken from each
+        job's own attack, each job's rows initialized by its own
+        attack's ``_init`` (so ``random_start`` streams match a solo
+        run), and the group head's attack driving the gradient passes.
+        Per-sample trajectories are independent, so every job's slice is
+        bit-identical to ``job.attack.generate(job.x, job.y)`` run alone.
 
         ``compiled=False`` is the eager ladder rung: the head attack's
         ``use_compiled`` is forced off for the dispatch, and no fault
@@ -488,11 +488,6 @@ class Scheduler:
         a :class:`DeadlineToken` into the step loop; rows whose
         deadline passes retire between steps with their best-so-far
         iterate and the job resolves ``deadline-degraded``.
-
-        The merged batch goes through
-        :func:`~repro.attacks.engine.run_scheduled`, the step-at-a-time
-        engine: one gradient pass over the occupied slots per step,
-        bit-identical per row to each job's solo run.
         """
         rep = group[0].attack
         if compiled:
@@ -516,27 +511,12 @@ class Scheduler:
                 adv = rep.generate(job.x, job.y, deadline=token)
                 self._resolve_slices(group, adv, token)
                 return
-            rep._refresh_compiled()
-            xs = np.concatenate([j.x for j in group], axis=0)
-            ys = np.concatenate([np.asarray(j.y) for j in group])
-            dtype = xs.dtype
-            eps = np.concatenate([
-                np.full(j.rows, j.attack.eps, dtype=dtype) for j in group])
-            alpha = np.concatenate([
-                np.full(j.rows, j.attack.alpha, dtype=dtype) for j in group])
-            check = np.concatenate([
-                np.full(j.rows, j.attack.keep_best, dtype=bool)
-                for j in group])
-            params: Optional[Dict[str, np.ndarray]] = None
-            if len(group) > 1 and rep.sweep_params:
-                params = {key: np.concatenate([
-                    np.full(j.rows, float(getattr(j.attack, key)),
-                            dtype=np.float64) for j in group])
-                    for key in sorted(rep.sweep_params)}
-            adv0 = np.concatenate([j.attack._init(j.x) for j in group],
-                                  axis=0)
-            adv = run_scheduled(rep, xs, ys, adv0, eps, alpha, check, params,
-                                capacity=self.capacity, deadline=token)
+            keys = rep.sweep_params if len(group) > 1 else ()
+            adv = run_tiled(rep, [
+                (j.x, j.y, j.attack._init(j.x), j.attack.eps, j.attack.alpha,
+                 j.attack.keep_best,
+                 {key: float(getattr(j.attack, key)) for key in keys})
+                for j in group], self.capacity, deadline=token)
             self._resolve_slices(group, adv, token)
         finally:
             rep.use_compiled = prior

@@ -2,8 +2,8 @@
 
 All predictors accept an optional pre-compiled executor
 (:func:`repro.nn.graph.compile_forward`) so repeated evaluation of a
-frozen model can skip tape construction entirely; :func:`compile_inference`
-builds one best-effort.  Without an executor, behaviour is unchanged.
+frozen model can skip tape construction entirely.  Without an executor,
+behaviour is unchanged.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.module import Module
 from ..nn.tensor import Tensor, no_grad
-
-
-def compile_inference(model: Module, example: np.ndarray):
-    """Best-effort compiled forward for repeated inference.
-
-    Returns None when the model cannot be compiled (unsupported ops,
-    train-mode statistics, validation mismatch); callers then use the
-    eager path.  The executor snapshots parameters — recompile or call
-    ``.refresh()`` after training the model further.
-    """
-    from ..nn.graph import compile_forward_or_none
-    return compile_forward_or_none(model, example)
 
 
 #: minimum batches of work before ``predict_logits`` self-compiles: the

@@ -10,7 +10,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.module import Module
 from ..nn.optim import Adam, CosineLR, Optimizer, SGD
-from ..nn.tensor import Tensor
+from ..nn.train_graph import train_step_fn
 from .evaluate import evaluate_accuracy
 
 
@@ -33,8 +33,7 @@ def fit(model: Module, x_train: np.ndarray, y_train: np.ndarray,
         x_val: Optional[np.ndarray] = None, y_val: Optional[np.ndarray] = None,
         augment: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None,
         cosine: bool = True, seed: int = 0,
-        log_fn: Optional[Callable[[str], None]] = None,
-        use_compiled: bool = True) -> FitResult:
+        log_fn: Optional[Callable[[str], None]] = None) -> FitResult:
     """Train ``model`` with softmax cross-entropy.
 
     Deterministic for a given ``seed``.  Pass an ``augment`` callable
@@ -46,22 +45,18 @@ def fit(model: Module, x_train: np.ndarray, y_train: np.ndarray,
     supports it — validated at compile time to produce bit-identical
     parameters, so results do not depend on whether compilation
     succeeded.  The ragged tail batch (and everything, when compilation
-    falls back or ``use_compiled=False``) uses the eager tape.
+    falls back) uses the eager tape
+    (:func:`repro.nn.train_graph.train_step_fn`).
     """
     rng = np.random.default_rng(seed)
     opt = optimizer if optimizer is not None else SGD(
         model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
     sched = CosineLR(opt, t_max=epochs) if cosine and optimizer is None else None
     n = len(x_train)
-    step = None
-    if use_compiled and isinstance(model, Module):
-        from ..nn.train_graph import compile_train_step_or_none
-        model.train()
-        nb = min(batch_size, n)
-        step = compile_train_step_or_none(model, F.cross_entropy,
-                                          x_train[:nb], y_train[:nb], opt)
-        if step is None and log_fn:
-            log_fn("train-step compilation unavailable; using the eager tape")
+    model.train()
+    nb = min(batch_size, n)
+    step = train_step_fn(model, F.cross_entropy, x_train[:nb], y_train[:nb],
+                         opt, log_fn)
     result = FitResult()
     for epoch in range(epochs):
         model.train()
@@ -72,17 +67,7 @@ def fit(model: Module, x_train: np.ndarray, y_train: np.ndarray,
             xb = x_train[idx]
             if augment is not None:
                 xb = augment(xb, rng)
-            yb = y_train[idx]
-            if step is not None and step.accepts(xb):
-                batch_loss = step.step(xb, yb)
-            else:
-                logits = model(Tensor(xb))
-                loss = F.cross_entropy(logits, yb)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                batch_loss = float(loss.data)
-            total += batch_loss * len(idx)
+            total += step(xb, y_train[idx]) * len(idx)
         result.train_loss.append(total / n)
         if x_val is not None:
             acc = evaluate_accuracy(model, x_val, y_val)

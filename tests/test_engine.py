@@ -329,6 +329,29 @@ class TestGenerateSweep:
                            steps=steps, keep_best=v.get("keep_best", True))
             np.testing.assert_array_equal(got, ref_atk.generate(atk.x, atk.y))
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("cls", [DIVA, TargetedDIVA])
+    def test_eager_c_sweep_matches_sequential_eager(self, pair_setup, dtype,
+                                                    cls):
+        """The eager tape takes ``c`` as a per-row vector too."""
+        from repro.nn import set_default_dtype
+        set_default_dtype(dtype)
+        orig, quant, atk = pair_setup
+        x = atk.x.astype(dtype)
+        kw = dict(eps=EPS, alpha=ALPHA, steps=4)
+        if cls is TargetedDIVA:
+            kw["target_class"] = 1
+
+        def eager(**extra):
+            attack = cls(orig, quant, **kw, **extra)
+            attack.use_compiled = False
+            return attack
+
+        variants = [{"c": 0.5}, {"c": 2.0}]
+        sweep = eager().generate_sweep(x, atk.y, variants)
+        for v, got in zip(variants, sweep):
+            np.testing.assert_array_equal(got, eager(**v).generate(x, atk.y))
+
     def test_sweep_rejects_unknown_params(self, pair_setup):
         orig, quant, atk = pair_setup
         with pytest.raises(ValueError, match="unsupported sweep parameter"):
@@ -557,6 +580,23 @@ class TestPassCountRegression:
         atk.use_compiled = False
         atk.generate(x[:8], y[:8])
         assert spy.calls == steps
+
+    @pytest.mark.parametrize("keep_best", [True, False])
+    def test_expired_full_batch_rows_pay_no_pass(self, pair, keep_best):
+        """Every row's deadline passed before step 0: the full-batch loop
+        returns the initial iterates without a gradient pass, whatever
+        ``keep_best`` says."""
+        from repro.serve.resilience import DeadlineToken, ManualClock
+        orig, quant, x, y = pair
+        spy = _SpyModel(quant)
+        atk = MomentumPGD(spy, steps=10, eps=0.1, alpha=0.01,
+                          keep_best=keep_best)
+        atk.use_compiled = False
+        token = DeadlineToken.for_rows([0.0] * 8, ManualClock(1.0))
+        got = atk.generate(x[:8], y[:8], deadline=token)
+        assert spy.calls == 0
+        np.testing.assert_array_equal(got, x[:8])
+        assert token.expired.all() and not token.steps_done.any()
 
     def test_fgsm_as_single_step_pgd_costs_one_pass_both_loops(self, pair):
         orig, quant, x, y = pair

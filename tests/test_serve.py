@@ -407,6 +407,35 @@ class TestServeParity:
             np.testing.assert_array_equal(fut.result(), ref)
         assert session.dispatch_log[0].coalesced
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_eager_diva_jobs_with_different_c_coalesce(self, pair, dtype):
+        """Two eager DIVA tenants with different ``c`` serve in one
+        coalesced dispatch, with no retry, and each equals its solo
+        eager run: the eager tape takes the per-row ``c`` vector."""
+        from repro.nn import set_default_dtype
+        set_default_dtype(dtype)
+        orig, quant, x, y = pair
+        x = x.astype(dtype)
+
+        def eager(c):
+            attack = DIVA(orig, quant, c=c, steps=3)
+            attack.use_compiled = False
+            return attack
+
+        cs = (0.5, 2.0)
+        refs = [eager(c).generate(x[i * 4:(i + 1) * 4], y[i * 4:(i + 1) * 4])
+                for i, c in enumerate(cs)]
+        session = ServeSession(capacity=16)
+        futs = [session.submit_attack(eager(c), x[i * 4:(i + 1) * 4],
+                                      y[i * 4:(i + 1) * 4])
+                for i, c in enumerate(cs)]
+        for ref, fut in zip(refs, futs):
+            np.testing.assert_array_equal(fut.result(), ref)
+        stats = session.stats
+        assert stats["dispatches"] == 1
+        assert stats["coalesced_dispatches"] == 1
+        assert stats["retry_dispatches"] == 0
+
     def test_coalesced_predict_bit_identical_to_solo(self, edge_model):
         edge, x = edge_model
         refs = [edge.predict(x[:12]), edge.predict(x[12:20]),

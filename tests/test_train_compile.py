@@ -2,6 +2,8 @@
 accounting, fallback behaviour, and the tap-major grouped/strided conv
 backward kernels both executors share."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.nn import functional as F
 from repro.nn.functional import _col2im
 from repro.nn.graph import GraphUnsupported
 from repro.nn.module import Module
+from repro.nn import train_graph
 from repro.nn.optim import SGD, Adam
 from repro.nn.train_graph import (CompiledTrainStep, compile_train_step,
                                   compile_train_step_or_none)
@@ -178,6 +181,16 @@ def compiled_steps(monkeypatch):
     return calls
 
 
+@contextlib.contextmanager
+def eager_train_steps():
+    """The training drivers' eager reference: every train-step compile
+    falls back to the tape, as it does for an unsupported model."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_graph, "compile_train_step_or_none",
+                   lambda *args, **kwargs: None)
+        yield
+
+
 class TestDriverParity:
     """fit / distill / qat_finetune give bit-identical results whether
     the compiled path engaged or not — including ragged tail batches,
@@ -196,7 +209,8 @@ class TestDriverParity:
         r_c = fit(m_c, x, y, **kw)
         assert compiled_steps == [16] * 4       # 2 full batches x 2 epochs
         m_e = build_model("resnet", num_classes=6, width=4, seed=2)
-        r_e = fit(m_e, x, y, use_compiled=False, **kw)
+        with eager_train_steps():
+            r_e = fit(m_e, x, y, **kw)
         _state_equal(m_c, m_e)
         assert r_c.train_loss == r_e.train_loss
 
@@ -208,9 +222,9 @@ class TestDriverParity:
         s_c = distill(teacher, build_model("mobilenet", num_classes=6,
                                            width=4, seed=4), x, **kw)
         assert compiled_steps == [16] * 4
-        s_e = distill(teacher, build_model("mobilenet", num_classes=6,
-                                           width=4, seed=4), x,
-                      use_compiled=False, **kw)
+        with eager_train_steps():
+            s_e = distill(teacher, build_model("mobilenet", num_classes=6,
+                                               width=4, seed=4), x, **kw)
         _state_equal(s_c, s_e)
 
     def test_shape_changing_augment_falls_back_per_batch(self):
@@ -235,7 +249,8 @@ class TestDriverParity:
         kw = dict(epochs=2, batch_size=16, lr=0.005)
         q_c = qat_finetune(make(), x, y, **kw)
         assert compiled_steps == [16] * 4
-        q_e = qat_finetune(make(), x, y, use_compiled=False, **kw)
+        with eager_train_steps():
+            q_e = qat_finetune(make(), x, y, **kw)
         _state_equal(q_c, q_e)
 
 
@@ -312,16 +327,18 @@ class TestFallback:
             m, F.cross_entropy, x[:8], y[:8],
             SGD(m.parameters(), lr=0.01)) is None
 
-        def run(use_compiled):
+        def run():
             np.random.seed(0)
             mm = self.Slicey()
-            fit(mm, x, y, epochs=2, batch_size=8, lr=0.05, seed=1,
-                use_compiled=use_compiled)
+            fit(mm, x, y, epochs=2, batch_size=8, lr=0.05, seed=1)
             return mm
 
         # the failed compile attempt must leave no state behind: the
         # fallback run is bitwise the run that never tried
-        _state_equal(run(True), run(False))
+        tried = run()
+        with eager_train_steps():
+            never = run()
+        _state_equal(tried, never)
 
     def test_dropout_model_falls_back_not_corrupts(self):
         """Dropout redraws its mask per step; tracing would freeze one
@@ -343,13 +360,15 @@ class TestFallback:
         x = rng.random((24, 16))
         y = rng.integers(0, 4, size=24)
 
-        def run(use_compiled):
+        def run():
             m = Dropy()
-            fit(m, x, y, epochs=2, batch_size=8, lr=0.05, seed=1,
-                use_compiled=use_compiled)
+            fit(m, x, y, epochs=2, batch_size=8, lr=0.05, seed=1)
             return m
 
-        _state_equal(run(True), run(False))
+        tried = run()
+        with eager_train_steps():
+            never = run()
+        _state_equal(tried, never)
 
 
 class TestTapMajorColim:
