@@ -24,7 +24,11 @@ Four passes:
 4. every backticked entry point in the "The four legs" table of
    ``docs/ARCHITECTURE.md`` (e.g. ``PairedExecutor.compile``) must
    resolve as an attribute of that row's module, so a renamed or
-   deleted entry point fails the build.
+   deleted entry point fails the build;
+5. every method the "Adding an attack" list of ``docs/ARCHITECTURE.md``
+   names must be defined on ``repro.attacks.base.Attack`` or one of its
+   subclasses, so the documented attack contract cannot drift from the
+   code.
 """
 
 from __future__ import annotations
@@ -159,6 +163,33 @@ def check_entry_points() -> list:
     return errors
 
 
+_CONTRACT_ITEM = re.compile(r"^- `(\w+)`", re.MULTILINE)
+
+
+def check_attack_contract() -> list:
+    """Each "Adding an attack" list item must name a method of
+    ``Attack`` or of a class that defines it (a subclass)."""
+    from repro.attacks.base import Attack
+    import repro.attacks  # noqa: F401 - loads every attack subclass
+    text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    start = text.find("## Adding an attack")
+    if start < 0:
+        return ["docs/ARCHITECTURE.md: missing 'Adding an attack' section"]
+    end = text.find("\n## ", start + 1)
+    names = _CONTRACT_ITEM.findall(text[start:end if end > 0 else len(text)])
+    if not names:
+        return ["docs/ARCHITECTURE.md: 'Adding an attack' lists no methods"]
+    classes, todo = [], [Attack]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [f"docs/ARCHITECTURE.md: attack method `{name}` is defined on "
+            "neither Attack nor any subclass"
+            for name in names
+            if not any(name in vars(cls) for cls in classes)]
+
+
 def run_doctests(modules) -> int:
     failed = 0
     for name in modules:
@@ -196,7 +227,14 @@ def main() -> int:
     for err in entry_errors:
         print(f"  {err}")
     print(f"  {len(entry_errors)} unresolved entry points")
-    return 1 if (failed or errors or op_errors or entry_errors) else 0
+
+    print("== attack contract ==")
+    contract_errors = check_attack_contract()
+    for err in contract_errors:
+        print(f"  {err}")
+    print(f"  {len(contract_errors)} undefined attack methods")
+    return 1 if (failed or errors or op_errors or entry_errors
+                 or contract_errors) else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ FGSM, R+FGSM, PGD, Momentum PGD, CW-Linf.
 """
 
 from .base import (Attack, AttackTrace, DEFAULT_ALPHA, DEFAULT_EPS,
-                   DEFAULT_STEPS, compile_model, input_gradient,
+                   DEFAULT_STEPS, input_gradient,
                    linf_distance, project_linf, softmax_np, softmax_vjp)
 from .cw import CWLinf, cw_margin_loss
 from .engine import (PairedExecutor, generate_grid, run_scheduled,
@@ -20,7 +20,7 @@ from .surrogate import (SurrogateBundle, blackbox_diva,
 
 __all__ = [
     "Attack", "AttackTrace", "project_linf", "linf_distance", "input_gradient",
-    "compile_model", "softmax_np", "softmax_vjp",
+    "softmax_np", "softmax_vjp",
     "DEFAULT_EPS", "DEFAULT_ALPHA", "DEFAULT_STEPS",
     "fgsm", "r_fgsm", "PGD", "MomentumPGD", "CWLinf", "cw_margin_loss",
     "DIVA", "TargetedDIVA", "diva_loss", "NESDiva",

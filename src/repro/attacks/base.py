@@ -24,11 +24,14 @@ program pair and per-variant keep-best state across the whole grid.
 All scheduling is value-neutral: per-sample trajectories are
 bit-identical to the classic one-batch-at-a-time loop.
 
-Subclasses compile their frozen models into replayable programs
-(:mod:`repro.nn.graph`) — DIVA-family attacks fuse the (original,
-adapted) pair into a :class:`~repro.attacks.engine.PairedExecutor` with
-shared scratch and one combined softmax-seeded backward — and fall back
-to the eager tape whenever compilation is unsupported.  Compiled
+Subclasses declare four things: their frozen models
+(:meth:`Attack._models`), the logit seeds of their objective
+(:meth:`Attack._seeds`), the same objective on the eager tape
+(:meth:`Attack._eager_loss`) and their success test
+(:meth:`Attack.success_from_logits`).  :class:`Attack` alone chooses
+between one fused :class:`~repro.attacks.engine.PairedExecutor` step
+over compiled programs (:mod:`repro.nn.graph`) and the eager tape,
+which it falls back to whenever compilation is unsupported.  Compiled
 programs live in the attack's :class:`~repro.serve.PlanCache`
 (private by default; a :class:`~repro.serve.ServeSession` rebinds it to
 a shared budgeted store, and :meth:`Attack.serve_signature` tells the
@@ -46,9 +49,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import rowrep
-from ..nn.module import Module
-from ..nn.tensor import Tensor
-from .engine import SCHEDULER_KEYS, run_tiled
+from ..nn.tensor import Tensor, no_grad
+from .engine import SCHEDULER_KEYS, PairedExecutor, run_tiled
 
 PIXEL_MIN = 0.0
 PIXEL_MAX = 1.0
@@ -105,20 +107,6 @@ def softmax_vjp(probs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return probs * (v - (probs * v).sum(axis=-1, keepdims=True))
 
 
-def compile_model(model, example: np.ndarray):
-    """Best-effort compiled forward for a frozen model; None on fallback.
-
-    ``attack.plan.build`` is the chaos harness's plan-build injection
-    point (a no-op import + call unless an injector is installed): an
-    error fault here is a failed compile, surfaced to the serving layer
-    as a dispatch failure it must degrade around.
-    """
-    from ..serve import faults
-    faults.fire("attack.plan.build")
-    from ..nn.graph import compile_forward_or_none
-    return compile_forward_or_none(model, example)
-
-
 @dataclass
 class AttackTrace:
     """Optional per-step snapshots for step-sweep figures (Fig 6d).
@@ -138,16 +126,17 @@ class Attack:
     With ``keep_best`` (default), each sample's *first iterate satisfying
     the attack's own success criterion* is kept and returned even if later
     steps overshoot — standard strong-attack practice, and consistent with
-    the paper's monotone success-vs-steps curves (Fig 6d).  Attacks define
-    success via :meth:`is_success`; the base class has no criterion, so it
-    falls back to returning the final iterate.
+    the paper's monotone success-vs-steps curves (Fig 6d).
 
-    Subclasses that can derive success from the logits of their own
-    gradient pass implement :meth:`gradient_with_logits` /
-    :meth:`success_from_logits` / :meth:`success_logits`; the loop then
-    skips the per-step success forwards entirely.  Subclasses that only
-    implement :meth:`gradient` / :meth:`is_success` keep the classic
-    (slower) behaviour unchanged.
+    A subclass declares :meth:`_models`, :meth:`_seeds`,
+    :meth:`_eager_loss` and :meth:`success_from_logits`; the base class
+    derives :meth:`gradient_with_logits` (compiled when every model
+    traces, else the eager tape — the same bytes either way),
+    :meth:`success_logits`, :meth:`gradient` and :meth:`is_success`.
+    The logits of each gradient pass double as the keep-best success
+    check, so the loop pays no per-step success forward.  A query-only
+    attack overrides :meth:`gradient_with_logits` and returns no logits;
+    its success checks then pay a forward-only :meth:`success_logits`.
     """
 
     #: drop already-successful samples from subsequent gradient batches;
@@ -180,38 +169,30 @@ class Attack:
         self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------ #
-    # subclass surface
+    # subclass surface: the four declarations
     # ------------------------------------------------------------------ #
-    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-batch gradient of the attack objective."""
+    def _models(self) -> Tuple[Any, ...]:
+        """The frozen models this attack queries, in seed order (one
+        logit block per model in every payload below)."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
-                             variant: Optional[Dict[str, np.ndarray]] = None,
-                             ) -> Tuple[np.ndarray, Any]:
-        """Gradient plus whatever logits the pass produced (or None).
+    def _seeds(self, zs: Sequence[np.ndarray], y: np.ndarray,
+               variant: Dict[str, np.ndarray]) -> Sequence[np.ndarray]:
+        """d(objective)/d(logits): one seed per logit block of ``zs``.
+        ``variant`` maps declared :attr:`sweep_params` to per-row
+        vectors (empty: use the attack's own scalars)."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
-        The second element is an attack-defined payload consumed only by
-        :meth:`success_from_logits`; None means "no logits available,
-        fall back to :meth:`is_success`".  ``variant`` carries per-row
-        parameter vectors for sweep runs (keys declared in
-        :attr:`sweep_params`); None means "use the attack's own
-        scalars".
-        """
-        return self.gradient(x_adv, y), None
+    def _eager_loss(self, zs: Tuple[Tensor, ...], y: np.ndarray,
+                    variant: Dict[str, np.ndarray]) -> Tensor:
+        """The summed objective over the tape's logit tensors ``zs`` —
+        the reference implementation :meth:`_seeds` must reproduce."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
-    def success_logits(self, x_adv: np.ndarray, y: np.ndarray) -> Any:
-        """Forward-only logits payload for a success check (or None)."""
-        return None
-
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
-        """Success mask derived from a logits payload, or None."""
-        return None
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
-        """Per-sample success mask under this attack's own objective, or
-        None when the attack defines no early-success criterion."""
-        return None
+    def success_from_logits(self, zs: Sequence[np.ndarray],
+                            y: np.ndarray) -> np.ndarray:
+        """Per-row success mask from a tuple of logit blocks."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
     def serve_signature(self) -> Optional[Tuple]:
         """Coalescing identity for the serving layer, or None.
@@ -228,6 +209,59 @@ class Attack:
         return None
 
     # ------------------------------------------------------------------ #
+    # derived: gradient and success, compiled or eager
+    # ------------------------------------------------------------------ #
+    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
+                             variant: Optional[Dict[str, np.ndarray]] = None,
+                             ) -> Tuple[np.ndarray, Any]:
+        """Gradient of the summed objective plus the pass's logit blocks.
+
+        One fused :class:`~repro.attacks.engine.PairedExecutor` step
+        seeded by :meth:`_seeds` when every model traces, else the eager
+        tape over :meth:`_eager_loss`; the two agree bit for bit.  The
+        logits (a tuple, one block per model; None if the pass produced
+        none) feed :meth:`success_from_logits`.
+        """
+        y = np.asarray(y)
+        variant = variant or {}
+        ex = self._executor(x_adv)
+        if ex is not None:
+            zs, g = ex.value_and_input_grad(
+                x_adv, lambda zs: self._seeds(zs, y, variant))
+            return g, zs
+        xt = Tensor(x_adv, requires_grad=True)
+        zs = tuple(model(xt) for model in self._models())
+        self._eager_loss(zs, y, variant).backward()
+        return xt.grad.copy(), tuple(z.data for z in zs)
+
+    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-batch gradient of the attack objective."""
+        return self.gradient_with_logits(x_adv, y)[0]
+
+    def success_logits(self, x_adv: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Forward-only logit blocks: a replay (views valid until the
+        next one), or eager forwards that build no tape."""
+        ex = self._executor(x_adv)
+        if ex is not None:
+            return ex.replay(x_adv, copy=False)
+        with no_grad():
+            return tuple(model(Tensor(x_adv)).data for model in self._models())
+
+    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-sample success mask on pixel inputs (public API; one
+        eager forward per model, independent of the attack's programs).
+
+        The check runs against the models the *attacker* holds — for
+        surrogate pipelines that is the surrogate pair, so no
+        illegitimate information about the true models leaks in.
+        """
+        from ..training.evaluate import predict_logits
+        batch = max(len(x_adv), 1)
+        zs = tuple(predict_logits(model, x_adv, batch_size=batch)
+                   for model in self._models())
+        return self.success_from_logits(zs, np.asarray(y))
+
+    # ------------------------------------------------------------------ #
     # compiled-executor plumbing
     # ------------------------------------------------------------------ #
     @property
@@ -239,57 +273,38 @@ class Attack:
                       e.plan)
                 for key, e in self.plan_cache.items(scope=self)}
 
-    def _compiled(self, model, x: np.ndarray):
-        """Cached compiled executor for ``model`` (None = eager fallback).
+    def _executor(self, x: np.ndarray):
+        """Cached :class:`~repro.attacks.engine.PairedExecutor` over
+        :meth:`_models` (None = eager fallback).
 
-        The cache entry *holds* the model it was compiled from: a bare
+        The cache entry *holds* the models it was compiled from: a bare
         ``id(model)`` key could collide after garbage collection hands
         the address to a different model (e.g. when ``self.model`` is
         rebound between ``generate`` calls), silently replaying a stale
-        program.  Pinning the model makes the id stable for the entry's
-        lifetime, and the identity check guards the rebind case (both
-        now enforced by :class:`repro.serve.PlanCache`).
+        program.  Pinning the models makes the ids stable for the
+        entry's lifetime, and the identity check guards the rebind case
+        (both enforced by :class:`repro.serve.PlanCache`).  dtype is part
+        of the key: replays silently cast mismatched inputs, so a float64
+        tenant hitting a float32 plan in a shared cache would silently
+        drop precision.  ``attack.plan.build`` is the chaos harness's
+        plan-build injection point: an error fault there is a failed
+        compile the serving layer must degrade around.
         """
         if not self.use_compiled:
             return None
-        # trace/validate on a small slice: replays accept any batch size,
-        # and compile-time validation cost scales with the example batch.
-        # dtype is part of the key: replays silently cast mismatched
-        # inputs, so a float64 tenant hitting a float32 plan in a shared
-        # cache would silently drop precision
-        return self.plan_cache.get(
-            (id(model), x.shape[1:], x.dtype.str, rowrep.mode_key()),
-            (model,),
-            lambda: compile_model(model, x[:_COMPILE_EXAMPLE_ROWS]),
-            scope=self)
+        models = self._models()
 
-    def _paired_executor(self, models: Tuple, x: np.ndarray):
-        """Cached :class:`~repro.attacks.engine.PairedExecutor` over
-        ``models`` (None = eager fallback), with the same held-reference
-        keying discipline as :meth:`_compiled`."""
-        if not self.use_compiled:
-            return None
-
-        def _build():
+        def build():
             from ..serve import faults
             faults.fire("attack.plan.build")
-            from .engine import PairedExecutor
+            # trace/validate on a small slice: replays accept any batch
+            # size, and validation cost scales with the example batch
             return PairedExecutor.compile(models, x[:_COMPILE_EXAMPLE_ROWS])
 
         return self.plan_cache.get(
             (tuple(id(m) for m in models), x.shape[1:], x.dtype.str,
              rowrep.mode_key()),
-            tuple(models), _build, scope=self)
-
-    def _plan_owners(self) -> Optional[List]:
-        """The models whose compiled plans this attack replays, used to
-        scope cache refreshes in a shared store.  The base class reads
-        the conventional attribute names; an attack holding its models
-        elsewhere must override (returning None refreshes everything —
-        always safe)."""
-        owners = [m for name in ("model", "original", "adapted")
-                  for m in [getattr(self, name, None)] if m is not None]
-        return owners or None
+            models, build, scope=self)
 
     def _refresh_compiled(self) -> None:
         """Re-fold constants on the cached plans of *this attack's
@@ -298,7 +313,7 @@ class Attack:
         plan some other instance built after the weights last moved).
         Owner-scoped: other tenants' plans in a shared session store
         are untouched."""
-        self.plan_cache.refresh(owners=self._plan_owners())
+        self.plan_cache.refresh(owners=self._models())
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -312,18 +327,12 @@ class Attack:
         return self._init_variant(x, self.eps)
 
     def _success_mask(self, aux: Any, x_sub: np.ndarray,
-                      y_sub: np.ndarray) -> Optional[np.ndarray]:
-        if aux is None:
-            # gradient pass produced no logits (e.g. query-based
-            # estimators): try a forward-only payload before falling all
-            # the way back to the pixel-level check
-            aux = self.success_logits(x_sub, y_sub)
-        if aux is not None:
-            mask = self.success_from_logits(aux, y_sub)
-            if mask is not None:
-                return np.asarray(mask)
-        mask = self.is_success(x_sub, y_sub)
-        return None if mask is None else np.asarray(mask)
+                      y_sub: np.ndarray) -> np.ndarray:
+        """Success mask of rows ``x_sub`` from the gradient pass's logit
+        blocks ``aux``; a pass that produced none (query-based
+        estimators) pays a forward-only :meth:`success_logits`."""
+        zs = self.success_logits(x_sub) if aux is None else aux
+        return self.success_from_logits(zs, y_sub)
 
     def _step(self, adv_rows: np.ndarray, x_rows: np.ndarray,
               g_rows: np.ndarray, eps=None, alpha=None) -> np.ndarray:
@@ -340,7 +349,7 @@ class Attack:
         return project_linf(stepped, x_rows, eps).astype(x_rows.dtype)
 
     def _run_full_batch(self, xb: np.ndarray, yb: np.ndarray,
-                        adv: np.ndarray, snaps: Optional[List[np.ndarray]],
+                        adv: np.ndarray, snaps: Optional[np.ndarray],
                         deadline=None, row0: int = 0) -> np.ndarray:
         """The loop for attacks with full-batch gradient state (momentum
         velocity, NES noise): every pass steps the whole batch, so each
@@ -362,7 +371,8 @@ class Attack:
         always wins over expiry.  The loop stops early only once every
         row is done and at least one expired: stopping on success alone
         would change how much RNG a query-based attack's later batches
-        draw.
+        draw.  ``snaps[t]`` — when given — receives the merged iterate
+        after ``t + 1`` steps.
         """
         held = adv.copy()
         done = np.zeros(len(xb), dtype=bool)
@@ -384,20 +394,19 @@ class Attack:
                     deadline.expire(row0 + newly, t)
             if expired and done.all():
                 if snaps is not None:
-                    snaps.extend([merged()] * (self.steps - len(snaps)))
+                    snaps[t:] = merged()
                 break
             g, aux = self.gradient_with_logits(adv, yb)
             if t > 0 and self.keep_best:
-                mask = self._success_mask(aux, adv, yb)
-                if mask is not None:
-                    # only first successes count: rows already done keep
-                    # the iterate that first satisfied the criterion
-                    newly = np.flatnonzero(mask & ~done)
-                    held[newly] = adv[newly]
-                    done[newly] = True
+                # only first successes count: rows already done keep
+                # the iterate that first satisfied the criterion
+                newly = np.flatnonzero(self._success_mask(aux, adv, yb)
+                                       & ~done)
+                held[newly] = adv[newly]
+                done[newly] = True
             adv = self._step(adv, xb, g)
             if snaps is not None:
-                snaps.append(merged())
+                snaps[t] = merged()
         return merged()
 
     def generate(self, x: np.ndarray, y: np.ndarray,
@@ -423,34 +432,27 @@ class Attack:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         y = np.asarray(y)
+        snaps = (np.empty((self.steps,) + x.shape, dtype=x.dtype)
+                 if trace is not None else None)
         if self.shrink_done:
-            snaps = (np.empty((self.steps,) + x.shape, dtype=x.dtype)
-                     if trace is not None else None)
             adv = run_tiled(self, [(x, y, self._init(x), self.eps, self.alpha,
                                     self.keep_best, {})],
                             batch_size, snaps=snaps, deadline=deadline)
-            if trace is not None:
-                for t in range(self.steps):
-                    trace.record(snaps[t])
-            return adv
-        # full-batch gradient state (momentum) forbids dropping or
-        # reordering rows mid-flight: one batch at a time
-        self._refresh_compiled()
-        outs = []
-        step_snaps: List[List[np.ndarray]] = [[] for _ in range(self.steps)]
-        for start in range(0, len(x), batch_size):
-            xb = x[start:start + batch_size]
-            snaps_b: Optional[List[np.ndarray]] = [] if trace is not None else None
-            outs.append(self._run_full_batch(
-                xb, y[start:start + batch_size], self._init(xb), snaps_b,
-                deadline=deadline, row0=start))
-            if trace is not None:
-                for t in range(self.steps):
-                    step_snaps[t].append(snaps_b[t])
+        else:
+            # full-batch gradient state (momentum) forbids dropping or
+            # reordering rows mid-flight: one batch at a time
+            self._refresh_compiled()
+            adv = np.empty_like(x)
+            for start in range(0, len(x), batch_size):
+                rows = slice(start, start + batch_size)
+                adv[rows] = self._run_full_batch(
+                    x[rows], y[rows], self._init(x[rows]),
+                    None if snaps is None else snaps[:, rows],
+                    deadline=deadline, row0=start)
         if trace is not None:
             for t in range(self.steps):
-                trace.record(np.concatenate(step_snaps[t], axis=0))
-        return np.concatenate(outs, axis=0)
+                trace.record(snaps[t])
+        return adv
 
     def generate_sweep(self, x: np.ndarray, y: np.ndarray,
                        variants: Sequence[Dict[str, Any]],
@@ -476,6 +478,8 @@ class Attack:
             if unknown:
                 raise ValueError(f"unsupported sweep parameter(s) {unknown}; "
                                  f"this attack accepts {sorted(allowed)}")
+        if not variants:
+            return []
         if not self.shrink_done:
             # full-batch gradient state cannot be tiled; fall back to
             # sequential per-variant runs on parameter clones

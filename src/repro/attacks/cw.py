@@ -6,22 +6,20 @@ Uses the CW margin loss
 
 inside the PGD projection loop, the formulation Madry et al. (2018)
 adopt for apples-to-apples L-inf comparison (and the hyper-parameter
-setup the paper says it follows).  The gradient runs through the
-compiled executor with an analytic margin-loss seed (tie gradients split
-evenly, matching the eager ``Tensor.max`` subgradient), reusing the
-pass's logits for the keep-best success check.
+setup the paper says it follows).  The class declares an analytic
+margin-loss seed (tie gradients split evenly, matching the eager
+``Tensor.max`` subgradient) next to the eager loss it reproduces;
+:class:`~repro.attacks.base.Attack` picks the compiled or eager path and
+reuses the pass's logits for the keep-best success check.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
-                   input_gradient)
+from .base import Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS
 
 
 def cw_margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 0.0) -> Tensor:
@@ -74,39 +72,16 @@ class CWLinf(Attack):
         return (type(self).__qualname__, id(self.model), self.steps,
                 self.kappa)
 
-    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.gradient_with_logits(x_adv, y)[0]
+    def _models(self):
+        return (self.model,)
 
-    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
-                             variant: Optional[Dict[str, np.ndarray]] = None,
-                             ) -> Tuple[np.ndarray, Any]:
-        y = np.asarray(y)
-        ex = self._compiled(self.model, x_adv)
-        if ex is not None:
-            logits, g = ex.value_and_input_grad(
-                x_adv, lambda z: _cw_seed(z, y, self.kappa))
-            return g, logits
-        cap = {}
+    def _seeds(self, zs, y, variant):
+        return (_cw_seed(zs[0], y, self.kappa),)
 
-        def loss(xt: Tensor) -> Tensor:
-            z = self.model(xt)
-            cap["logits"] = z.data
-            # ascend -f: push the true-class margin down
-            return -cw_margin_loss(z, y, self.kappa)
-        return input_gradient(loss, x_adv), cap["logits"]
+    def _eager_loss(self, zs, y, variant):
+        # ascend -f: push the true-class margin down
+        return -cw_margin_loss(zs[0], y, self.kappa)
 
-    def success_logits(self, x_adv: np.ndarray, y: np.ndarray) -> Any:
-        ex = self._compiled(self.model, x_adv)
-        if ex is not None:
-            return ex.replay(x_adv, copy=False)
-        return self.model(Tensor(x_adv)).data
-
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
+    def success_from_logits(self, zs, y) -> np.ndarray:
         """CW's goal: the target model mispredicts."""
-        if aux is None:
-            return None
-        return aux.argmax(axis=1) != np.asarray(y)
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        from ..training.evaluate import predict_labels
-        return predict_labels(self.model, x_adv, batch_size=len(x_adv)) != y
+        return zs[0].argmax(axis=1) != np.asarray(y)

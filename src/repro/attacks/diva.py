@@ -14,21 +14,21 @@ The same class powers every threat model: whitebox passes the true
 true adapted); blackbox passes (surrogate original, surrogate adapted)
 — see :mod:`repro.attacks.surrogate` for the pipelines.
 
-Each gradient step drives both models as one fused unit through the
-paired executor (:mod:`repro.attacks.engine`): the original model's
-program replays on the calling thread and the adapted model's on the
-lane thread, each with its own scratch arena.  Once both forwards join,
-their logits are seeded by a *single* stacked-softmax gradient; once
-both backwards join, the adapted model's input gradient is added into
-the original's — two model passes per step instead of four, with the
-logits doubling as the keep-best success check.  ``c`` may be a per-row
-vector (sweep variants, §5.3).  Untraceable models fall back to the
-eager tape (still reusing the gradient-pass logits).
+The class declares its (original, adapted) models, the Eq. 5 logit
+seeds, the eager loss and the success test; the base class drives both
+models as one fused unit through the paired executor
+(:mod:`repro.attacks.engine`): the original model's program replays on
+the calling thread and the adapted model's on the lane thread, each
+with its own scratch arena.  Once both forwards join, their logits are
+seeded by a *single* stacked-softmax gradient; once both backwards
+join, the adapted model's input gradient is added into the original's —
+two model passes per step instead of four, with the logits doubling as
+the keep-best success check.  ``c`` may be a per-row vector (sweep
+variants, §5.3).  Untraceable models fall back to the eager tape (still
+reusing the gradient-pass logits).
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from ..nn import functional as F
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
-                   input_gradient, softmax_np, softmax_vjp)
+                   softmax_np, softmax_vjp)
 
 
 def diva_loss(orig_probs: Tensor, adapted_probs: Tensor, y: np.ndarray,
@@ -80,10 +80,8 @@ class DIVA(Attack):
         return (type(self).__qualname__, id(self.original),
                 id(self.adapted), self.steps)
 
-    # -- gradient ------------------------------------------------------- #
-    def _paired(self, x: np.ndarray):
-        """Cached paired executor over (original, adapted), or None."""
-        return self._paired_executor((self.original, self.adapted), x)
+    def _models(self):
+        return (self.original, self.adapted)
 
     def _seed_vectors(self, p: np.ndarray, n: int, y: np.ndarray,
                       c) -> np.ndarray:
@@ -96,69 +94,26 @@ class DIVA(Attack):
         v[n + rows, y] = -np.asarray(c, dtype=p.dtype)
         return v
 
-    def _paired_seeds(self, outs: Sequence[np.ndarray], y: np.ndarray,
-                      c) -> Tuple[np.ndarray, np.ndarray]:
+    def _seeds(self, zs, y, variant):
         """One combined softmax-seeded backward: a single stacked softmax
         over both logit blocks, one vjp, split per program.  Row-wise
         identical to seeding the two models separately."""
-        zo, za = outs
+        zo, za = zs
         n = len(zo)
         p = softmax_np(np.concatenate([zo, za], axis=0))
-        seeds = softmax_vjp(p, self._seed_vectors(p, n, y, c))
+        seeds = softmax_vjp(
+            p, self._seed_vectors(p, n, y, variant.get("c", self.c)))
         return seeds[:n], seeds[n:]
 
-    def _eager_loss(self, xt: Tensor, y: np.ndarray, cap: dict, c) -> Tensor:
-        zo = self.original(xt)
-        za = self.adapted(xt)
-        cap["aux"] = (zo.data, za.data)
-        p_orig = F.softmax(zo, axis=-1)
-        p_adapt = F.softmax(za, axis=-1)
-        return diva_loss(p_orig, p_adapt, y, c)
+    def _eager_loss(self, zs, y, variant):
+        p_orig, p_adapt = (F.softmax(z, axis=-1) for z in zs)
+        return diva_loss(p_orig, p_adapt, y, variant.get("c", self.c))
 
-    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.gradient_with_logits(x_adv, y)[0]
-
-    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
-                             variant: Optional[Dict[str, np.ndarray]] = None,
-                             ) -> Tuple[np.ndarray, Any]:
-        y = np.asarray(y)
-        c = variant["c"] if variant and "c" in variant else self.c
-        pe = self._paired(x_adv)
-        if pe is not None:
-            outs, g = pe.value_and_input_grad(
-                x_adv, lambda zs: self._paired_seeds(zs, y, c))
-            return g, outs
-        cap: dict = {}
-        g = input_gradient(lambda xt: self._eager_loss(xt, y, cap, c), x_adv)
-        return g, cap["aux"]
-
-    # -- success -------------------------------------------------------- #
-    def success_logits(self, x_adv: np.ndarray, y: np.ndarray) -> Any:
-        pe = self._paired(x_adv)
-        if pe is not None:
-            return pe.replay(x_adv, copy=False)
-        return (self.original(Tensor(x_adv)).data,
-                self.adapted(Tensor(x_adv)).data)
-
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
+    def success_from_logits(self, zs, y) -> np.ndarray:
         """DIVA's goal: original stays correct AND adapted flips."""
-        if aux is None:
-            return None
-        zo, za = aux
+        zo, za = zs
         y = np.asarray(y)
         return (zo.argmax(axis=1) == y) & (za.argmax(axis=1) != y)
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """DIVA's goal on pixel inputs (public API; one forward per model).
-
-        Note the check runs against the models the *attacker* holds —
-        for surrogate pipelines that is the surrogate pair, so no
-        illegitimate information about the true models leaks in.
-        """
-        from ..training.evaluate import predict_labels
-        po = predict_labels(self.original, x_adv, batch_size=len(x_adv))
-        pa = predict_labels(self.adapted, x_adv, batch_size=len(x_adv))
-        return (po == y) & (pa != y)
 
 
 class TargetedDIVA(DIVA):
@@ -201,30 +156,17 @@ class TargetedDIVA(DIVA):
         v[n:] -= 2.0 * self.target_weight * (pa - onehot)
         return v
 
-    def _eager_loss(self, xt: Tensor, y: np.ndarray, cap: dict, c) -> Tensor:
-        zo = self.original(xt)
-        za = self.adapted(xt)
-        cap["aux"] = (zo.data, za.data)
-        p_orig = F.softmax(zo, axis=-1)
-        p_adapt = F.softmax(za, axis=-1)
-        base = diva_loss(p_orig, p_adapt, y, c)
+    def _eager_loss(self, zs, y, variant):
+        p_orig, p_adapt = (F.softmax(z, axis=-1) for z in zs)
+        base = diva_loss(p_orig, p_adapt, y, variant.get("c", self.c))
         onehot = np.zeros(p_adapt.shape, dtype=p_adapt.data.dtype)
         onehot[np.arange(len(y)), self.target_class] = 1.0
         d = p_adapt - Tensor(onehot)
         return base - self.target_weight * (d * d).sum()
 
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
+    def success_from_logits(self, zs, y) -> np.ndarray:
         """Targeted goal: original stays correct AND adapted says target."""
-        if aux is None:
-            return None
-        zo, za = aux
+        zo, za = zs
         y = np.asarray(y)
         return ((zo.argmax(axis=1) == y) & (za.argmax(axis=1) == self.target_class)
                 & (y != self.target_class))
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Targeted goal on pixel inputs (public API)."""
-        from ..training.evaluate import predict_labels
-        po = predict_labels(self.original, x_adv, batch_size=len(x_adv))
-        pa = predict_labels(self.adapted, x_adv, batch_size=len(x_adv))
-        return (po == y) & (pa == self.target_class) & (np.asarray(y) != self.target_class)

@@ -324,9 +324,7 @@ def run_scheduled_steps(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
         keep = np.ones(len(act), dtype=bool)
         elig = (steps_done[act] > 0) & check[act]
         if elig.any():
-            mask = attack._success_mask(aux, adv[act], y[act])
-            if mask is not None:
-                keep = ~(np.asarray(mask, dtype=bool) & elig)
+            keep = ~(attack._success_mask(aux, adv[act], y[act]) & elig)
 
         kact = act[keep]
         if kact.size:

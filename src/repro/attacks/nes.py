@@ -9,18 +9,21 @@ al. 2018) estimates the DIVA gradient from antithetic query pairs:
     g ~= 1/(2 n sigma) * sum_i  [L(x + sigma u_i) - L(x - sigma u_i)] u_i
 
 and plugs straight into the same sign-step PGD loop, so the only change
-versus whitebox DIVA is where the gradient comes from.  Query cost is
-``2 * n_samples`` model-pair evaluations per step.
+versus whitebox DIVA is where the gradient comes from: the class keeps
+only its query estimator (``gradient_with_logits`` returns no logits)
+and reads both models' probabilities from one forward-only
+:meth:`~repro.attacks.base.Attack.success_logits` pass, compiled when
+the pair traces.  Query cost is ``2 * n_samples`` model-pair
+evaluations per step.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
-from ..training.evaluate import predict_probs
 from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
                    softmax_np)
 
@@ -57,23 +60,20 @@ class NESDiva(Attack):
         self._rng = np.random.default_rng(seed)
         self.queries = 0          # running query counter (pairs of models)
 
-    def _query_probs(self, model, x: np.ndarray) -> np.ndarray:
-        """One probability query; replayed through the compiled forward
-        when the queried model is traceable (same numbers, no tape)."""
-        ex = self._compiled(model, x)
-        if ex is not None:
-            return softmax_np(ex.replay(x, copy=False))
-        return predict_probs(model, x, batch_size=len(x))
+    def _models(self):
+        return (self.original, self.adapted)
 
     def _loss(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-sample Eq. 5 values from probability queries."""
+        """Per-sample Eq. 5 values from one probability query per model."""
         rows = np.arange(len(x))
-        po = self._query_probs(self.original, x)[rows, y]
-        pa = self._query_probs(self.adapted, x)[rows, y]
+        zo, za = self.success_logits(x)
         self.queries += len(x)
-        return po - self.c * pa
+        return softmax_np(zo)[rows, y] - self.c * softmax_np(za)[rows, y]
 
-    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
+                             variant: Optional[Dict[str, np.ndarray]] = None,
+                             ) -> Tuple[np.ndarray, None]:
+        """The NES estimate; no logits, so success checks pay a forward."""
         n, shape = len(x_adv), x_adv.shape[1:]
         grad = np.zeros_like(x_adv, dtype=np.float64)
         for _ in range(self.n_samples):
@@ -82,24 +82,11 @@ class NESDiva(Attack):
             minus = np.clip(x_adv - self.sigma * u, 0, 1)
             delta = self._loss(plus, y) - self._loss(minus, y)
             grad += delta.reshape(-1, *([1] * len(shape))) * u
-        return (grad / (2 * self.n_samples * self.sigma)).astype(x_adv.dtype)
+        grad /= 2 * self.n_samples * self.sigma
+        return grad.astype(x_adv.dtype), None
 
-    def success_logits(self, x_adv: np.ndarray, y: np.ndarray) -> Any:
-        ex_o = self._compiled(self.original, x_adv)
-        ex_a = self._compiled(self.adapted, x_adv)
-        if ex_o is not None and ex_a is not None:
-            return ex_o.replay(x_adv, copy=False), ex_a.replay(x_adv, copy=False)
-        return None
-
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
-        if aux is None:
-            return None
-        zo, za = aux
+    def success_from_logits(self, zs, y) -> np.ndarray:
+        """DIVA's goal: original stays correct AND adapted flips."""
+        zo, za = zs
         y = np.asarray(y)
         return (zo.argmax(axis=1) == y) & (za.argmax(axis=1) != y)
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        from ..training.evaluate import predict_labels
-        po = predict_labels(self.original, x_adv, batch_size=len(x_adv))
-        pa = predict_labels(self.adapted, x_adv, batch_size=len(x_adv))
-        return (po == y) & (pa != y)

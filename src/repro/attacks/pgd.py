@@ -6,10 +6,11 @@ adapted model* (the attacker wants the edge device to mispredict);
 evasiveness against the original model is whatever transfer happens to
 give — which Fig 1 shows is poor, motivating DIVA.
 
-The gradient runs through the compiled executor when the model is
-traceable (falling back to the eager tape otherwise), and the logits it
-produces double as the keep-best success check — one model pass per
-step instead of two.
+Each class declares its model, the cross-entropy seed, the eager loss
+and the success test; :class:`~repro.attacks.base.Attack` runs the
+gradient through the compiled executor when the model traces (the eager
+tape otherwise), and the logits it produces double as the keep-best
+success check — one model pass per step instead of two.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.module import Module
-from ..nn.tensor import Tensor
 from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
-                   input_gradient, softmax_np)
+                   softmax_np)
 
 
 def _ce_sum_seed(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -48,41 +48,18 @@ class PGD(Attack):
         count (eps/alpha/keep_best are per-item in the scheduler)."""
         return (type(self).__qualname__, id(self.model), self.steps)
 
-    def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.gradient_with_logits(x_adv, y)[0]
+    def _models(self):
+        return (self.model,)
 
-    def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
-                             variant: Optional[Dict[str, np.ndarray]] = None,
-                             ) -> Tuple[np.ndarray, Any]:
-        y = np.asarray(y)
-        ex = self._compiled(self.model, x_adv)
-        if ex is not None:
-            logits, g = ex.value_and_input_grad(
-                x_adv, lambda z: _ce_sum_seed(z, y))
-            return g, logits
-        cap = {}
+    def _seeds(self, zs, y, variant):
+        return (_ce_sum_seed(zs[0], y),)
 
-        def loss(xt: Tensor) -> Tensor:
-            z = self.model(xt)
-            cap["logits"] = z.data
-            return F.cross_entropy(z, y, reduction="sum")
-        return input_gradient(loss, x_adv), cap["logits"]
+    def _eager_loss(self, zs, y, variant):
+        return F.cross_entropy(zs[0], y, reduction="sum")
 
-    def success_logits(self, x_adv: np.ndarray, y: np.ndarray) -> Any:
-        ex = self._compiled(self.model, x_adv)
-        if ex is not None:
-            return ex.replay(x_adv, copy=False)
-        return self.model(Tensor(x_adv)).data
-
-    def success_from_logits(self, aux: Any, y: np.ndarray) -> Optional[np.ndarray]:
+    def success_from_logits(self, zs, y) -> np.ndarray:
         """PGD's own goal: the target model mispredicts."""
-        if aux is None:
-            return None
-        return aux.argmax(axis=1) != np.asarray(y)
-
-    def is_success(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        from ..training.evaluate import predict_labels
-        return predict_labels(self.model, x_adv, batch_size=len(x_adv)) != y
+        return zs[0].argmax(axis=1) != np.asarray(y)
 
 
 class MomentumPGD(PGD):
@@ -113,5 +90,7 @@ class MomentumPGD(PGD):
         g, aux = super().gradient_with_logits(x_adv, y, variant)
         norm = np.abs(g).reshape(len(g), -1).mean(axis=1)
         norm = np.maximum(norm, 1e-12).reshape(-1, *([1] * (g.ndim - 1)))
+        if self._velocity is None:          # no generate yet: at rest
+            self._velocity = np.zeros_like(g)
         self._velocity = self.mu * self._velocity + g / norm
         return self._velocity, aux

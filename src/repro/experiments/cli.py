@@ -106,13 +106,14 @@ def _serve_listen(args, spec) -> int:
 
 def _serve_connect(args, spec) -> int:
     """Client mode: materialize the workload locally, replay it through
-    a remote server at ``--rate``x the recorded arrivals, verify every
-    ``ok`` result bit-identical to the in-process solo run, and print
-    the per-outcome breakdown."""
-    import numpy as np
+    a remote server at ``--rate``x the recorded arrivals, hold every job
+    to the replay oracle (:func:`~repro.serve.workload.check_replay`:
+    ``ok`` results byte-identical to the in-process solo run, degraded
+    ones shaped like it, failures structured), and print the
+    per-outcome breakdown."""
     from ..serve import ServeError, build_workload
     from ..serve.net import ServeClient, replay_net
-    from ..serve.workload import replay_sequential
+    from ..serve.workload import check_replay, replay_sequential
 
     host, _, port = args.connect.rpartition(":")
     workload = build_workload(spec)
@@ -130,11 +131,11 @@ def _serve_connect(args, spec) -> int:
     finally:
         client.close()
     reference = replay_sequential(workload)["results"]
-    for i, outcome in enumerate(out["outcomes"]):
-        if outcome == "ok" and not np.array_equal(reference[i],
-                                                  out["results"][i]):
-            print(f"  PARITY FAILURE on job {i}", file=sys.stderr)
-            return 1
+    try:
+        check_replay(workload, reference, out)
+    except AssertionError as exc:
+        print(f"  PARITY FAILURE: {exc}", file=sys.stderr)
+        return 1
     print(f"  parity OK: every ok job bit-identical to its solo run")
     print(f"  outcomes   {_net_breakdown(out['outcome_counts'], out['shed'], out['client']['retries'], deduped)}")
     print(f"  wire       {out['client']['frames_sent']} frames sent, "

@@ -11,9 +11,10 @@ points** — a single ``faults.fire(point)`` / ``faults.corrupt(point,
 arr)`` call that is a no-op unless an injector is installed:
 
 ======================  ================================================
-``attack.plan.build``   :func:`~repro.attacks.base.compile_model` and
-                        the paired-executor builder, before compiling —
-                        an error fault is a failed plan build.
+``attack.plan.build``   :meth:`Attack._executor
+                        <repro.attacks.base.Attack._executor>`, before
+                        compiling — an error fault is a failed plan
+                        build.
 ``edge.plan.build``     :class:`~repro.edge.program.EdgeProgram`
                         construction — an error fault aborts lowering
                         (caught by the loud eager-fallback path).

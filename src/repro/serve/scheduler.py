@@ -369,7 +369,7 @@ class Scheduler:
             # plan cache) instead of waiting behind it
             owners: Tuple[Any, ...] = ()
             if key[0] == "attack" and self.float_coalesce:
-                owners = tuple(head.attack._plan_owners())
+                owners = tuple(head.attack._models())
             kept: List[Job] = []
             for job in self.pending:
                 fits = rows + job.rows <= self.max_batch_rows

@@ -4,9 +4,10 @@ evasive property."""
 import numpy as np
 import pytest
 
-from repro.attacks import (CWLinf, DIVA, MomentumPGD, PGD, AttackTrace,
-                           TargetedDIVA, cw_margin_loss, diva_loss, fgsm,
-                           input_gradient, linf_distance, project_linf, r_fgsm)
+from repro.attacks import (CWLinf, DIVA, MomentumPGD, NESDiva, PGD,
+                           AttackTrace, TargetedDIVA, cw_margin_loss,
+                           diva_loss, fgsm, input_gradient, linf_distance,
+                           project_linf, r_fgsm)
 from repro.metrics import evaluate_attack
 from repro.nn import Tensor
 from repro.training import evaluate_accuracy, predict_labels
@@ -242,3 +243,80 @@ class TestTargetedDIVA:
         # on clean inputs both models are correct, so no sample can
         # already satisfy "adapted says target but label differs"
         assert not mask[atk.y != target].any()
+
+
+ATTACKS = ["pgd", "momentum", "cw", "diva", "targeted", "nes"]
+
+
+def _attack(name, orig, quant, **kw):
+    """One of the six attack classes over the tiny pair."""
+    if name == "pgd":
+        return PGD(quant, **kw)
+    if name == "momentum":
+        return MomentumPGD(quant, **kw)
+    if name == "cw":
+        return CWLinf(quant, **kw)
+    if name == "diva":
+        return DIVA(orig, quant, **kw)
+    if name == "targeted":
+        return TargetedDIVA(orig, quant, target_class=1, **kw)
+    return NESDiva(orig, quant, n_samples=4, **kw)
+
+
+class TestAttackContract:
+    """Every attack class answers the same base-class contract: compiled
+    and eager passes agree byte for byte, the pixel-level success check
+    agrees with the loop's, and empty input gives empty output."""
+
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_compiled_generate_equals_eager(self, attack_setup, name):
+        orig, quant, atk = attack_setup
+        x, y = atk.x.astype(np.float64), atk.y
+        kw = dict(eps=EPS, alpha=ALPHA, steps=6)
+        fast = _attack(name, orig, quant, **kw)
+        slow = _attack(name, orig, quant, **kw)
+        slow.use_compiled = False
+        adv = fast.generate(x, y)
+        ref = slow.generate(x, y)
+        assert adv.dtype == ref.dtype == np.float64
+        np.testing.assert_array_equal(adv, ref)
+        mask = fast.is_success(adv, y)
+        assert mask.any()
+        for a in (fast, slow):
+            np.testing.assert_array_equal(a._success_mask(None, adv, y), mask)
+
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_is_success_on_zero_rows(self, attack_setup, name):
+        orig, quant, atk = attack_setup
+        mask = _attack(name, orig, quant).is_success(atk.x[:0], atk.y[:0])
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_generate_on_zero_rows(self, attack_setup, name, compiled):
+        """Both loops — the slot scheduler and the full-batch loop —
+        return an empty batch, and a trace of empty snapshots."""
+        orig, quant, atk = attack_setup
+        a = _attack(name, orig, quant, steps=2)
+        a.use_compiled = compiled
+        trace = AttackTrace()
+        adv = a.generate(atk.x[:0], atk.y[:0], trace=trace)
+        assert adv.shape == (0,) + atk.x.shape[1:]
+        assert adv.dtype == atk.x.dtype
+        assert [s.shape for s in trace.snapshots] == [adv.shape] * 2
+
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_empty_sweep_is_empty(self, attack_setup, name):
+        orig, quant, atk = attack_setup
+        a = _attack(name, orig, quant, steps=2)
+        assert a.generate_sweep(atk.x[:4], atk.y[:4], []) == []
+
+    def test_momentum_gradient_starts_at_rest(self, attack_setup):
+        """``gradient`` before any ``generate`` starts from zero
+        velocity, as ``generate`` does for each batch."""
+        orig, quant, atk = attack_setup
+        x, y = atk.x[:4], atk.y[:4]
+        cold = MomentumPGD(quant).gradient(x, y)
+        reset = MomentumPGD(quant)
+        reset._init(x)
+        np.testing.assert_array_equal(cold, reset.gradient(x, y))

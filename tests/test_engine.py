@@ -50,7 +50,7 @@ class TestPairedExecutor:
         assert pe is not None
         atk_obj = DIVA(orig, quant, c=c)
         (zo, za), g = pe.value_and_input_grad(
-            x, lambda zs: atk_obj._paired_seeds(zs, y, c))
+            x, lambda zs: atk_obj._seeds(zs, y, {"c": c}))
 
         exo = compile_forward(orig, x)
         exa = compile_forward(quant, x)
@@ -138,9 +138,9 @@ class TestLanes:
             x = x.astype(dtype)
             c = (np.linspace(0.1, 4.0, n) if kind == "c_sweep" else 1.0)
             (zo, za), g = pe.value_and_input_grad(
-                x, lambda zs: attack._paired_seeds(zs, y, c))
-            so, sa = attack._paired_seeds(
-                (exo.replay(x), exa.replay(x)), y, c)
+                x, lambda zs: attack._seeds(zs, y, {"c": c}))
+            so, sa = attack._seeds(
+                (exo.replay(x), exa.replay(x)), y, {"c": c})
             zo_ref, go = exo.value_and_input_grad(x, so)
             za_ref, ga = exa.value_and_input_grad(x, sa)
             go += ga
@@ -160,7 +160,7 @@ class TestLanes:
         kw = dict(eps=EPS, alpha=ALPHA, steps=5)
         attack = DIVA(orig, quant, **kw)
         got = attack.generate(x, y)
-        assert attack._paired(x).lane_steps > 0
+        assert attack._executor(x).lane_steps > 0
         if dtype == "float64":
             eager = DIVA(orig, quant, **kw)
             eager.use_compiled = False
@@ -185,7 +185,7 @@ class TestLanes:
 
     def _step(self, pe, attack, x, y):
         (zo, za), g = pe.value_and_input_grad(
-            x, lambda zs: attack._paired_seeds(zs, y, 1.0))
+            x, lambda zs: attack._seeds(zs, y, {"c": 1.0}))
         return zo.copy(), za.copy(), g
 
     @pytest.mark.parametrize("method", ["_forward", "_backward_from_seed"])
@@ -558,11 +558,11 @@ class TestEarlyExit:
         steps = 7
         a = _NeverSucceedsPGD(quant, eps=0.5, alpha=0.01, steps=steps)
         a.generate(x[:8], y[:8])                      # warm the program
-        ex = a._compiled(quant, x[:8])
+        ex = a._executor(x[:8])
         assert ex is not None
-        before = ex.replays
+        before = ex.programs[0].replays
         a.generate(x[:8], y[:8])
-        assert ex.replays - before == steps
+        assert ex.programs[0].replays - before == steps
 
 
 class TestPassCountRegression:

@@ -322,7 +322,7 @@ class TestFallback:
             compile_forward(m, np.random.default_rng(0).random((2, 1, 4, 4)))
 
     def test_non_module_model_falls_back_in_attacks(self):
-        from repro.attacks.base import compile_model
+        from repro.attacks import PairedExecutor
 
         class NotATensorModel:
             def eval(self):
@@ -331,7 +331,8 @@ class TestFallback:
             def __call__(self, x):
                 return "nonsense"
 
-        assert compile_model(NotATensorModel(), np.zeros((2, 1, 4, 4))) is None
+        assert PairedExecutor.compile((NotATensorModel(),),
+                                      np.zeros((2, 1, 4, 4))) is None
 
 
 class SpyModel(Module):

@@ -510,6 +510,61 @@ def test_threaded_server_real_clock_roundtrip(wl, ref):
     assert not thread.is_alive()
 
 
+class TestServeConnectCli:
+    """``repro-exp serve --connect``: the client-mode CLI holds a remote
+    server's replay to the same oracle as every in-process mode."""
+
+    @pytest.fixture
+    def remote(self, tmp_path):
+        from repro.nn import set_default_dtype
+        from repro.serve import save_workload
+        # the CLI materializes its workload in float32; the server builds
+        # its models from the same spec under the same dtype
+        set_default_dtype("float32")
+        path = save_workload(copy.deepcopy(SPEC), str(tmp_path / "wl.json"))
+        server = ServeServer(ServeSession(capacity=64), spec=SPEC)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01},
+                                  daemon=True)
+        thread.start()
+        yield ["serve", "--connect", f"{server.host}:{server.port}",
+               "--workload", path]
+        client = ServeClient(server.host, server.port,
+                             attempt_timeout_s=10.0)
+        try:
+            assert client.shutdown_server()
+        finally:
+            client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_clean_run_exits_zero(self, remote, capsys):
+        from repro.experiments.cli import main
+        assert main(remote) == 0
+        assert "parity OK" in capsys.readouterr().out
+
+    def test_dtype_drift_fails_the_oracle(self, remote, capsys,
+                                          monkeypatch):
+        """A float64 result equal in value to its float32 reference is
+        still a parity failure."""
+        from repro.experiments.cli import main
+        from repro.serve import net
+
+        real = net.replay_net
+
+        def drifting(workload, client, **kw):
+            out = real(workload, client, **kw)
+            i = next(i for i, (o, r) in enumerate(zip(out["outcomes"],
+                                                      out["results"]))
+                     if o == "ok" and r.dtype == np.float32)
+            out["results"][i] = out["results"][i].astype(np.float64)
+            return out
+
+        monkeypatch.setattr(net, "replay_net", drifting)
+        assert main(remote) == 1
+        assert "PARITY FAILURE" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [b"[" * 200000, b'{"type": "acc\xffept"}'],
                          ids=["deep-nesting", "non-utf8"])
 def test_journal_scan_undecodable_lines(tmp_path, bad):
