@@ -23,8 +23,10 @@ Four passes:
    planner keeps its operands live by;
 4. every backticked entry point in the "The four legs" table of
    ``docs/ARCHITECTURE.md`` (e.g. ``PairedExecutor.compile``) must
-   resolve as an attribute of that row's module, so a renamed or
-   deleted entry point fails the build;
+   resolve as an attribute of that row's module, and every backticked
+   ``rowrep.<name>`` in ``docs/*.md`` as an attribute of
+   ``repro.nn.rowrep``, so a renamed or deleted entry point fails the
+   build;
 5. every method the "Adding an attack" list of ``docs/ARCHITECTURE.md``
    names must be defined on ``repro.attacks.base.Attack`` or one of its
    subclasses, so the documented attack contract cannot drift from the
@@ -153,13 +155,36 @@ def check_entry_points() -> list:
     errors = []
     for path, cell in rows:
         module = importlib.import_module(path.replace("/", "."))
-        for name in re.findall(r"`([\w.]+)`", cell):
-            obj = module
-            for part in name.split("."):
-                obj = getattr(obj, part, None)
-            if obj is None:
-                errors.append(f"docs/ARCHITECTURE.md: entry point `{name}` "
-                              f"is not an attribute of {module.__name__}")
+        errors += _unresolved("docs/ARCHITECTURE.md", module,
+                              re.findall(r"`([\w.]+)`", cell))
+    return errors
+
+
+_ROWREP_REF = re.compile(r"`rowrep\.([\w.]+)")
+
+
+def check_rowrep_refs() -> list:
+    """Every backticked ``rowrep.<name>`` in ``docs/*.md`` must exist in
+    ``repro.nn.rowrep``."""
+    module = importlib.import_module("repro.nn.rowrep")
+    errors = []
+    for md in sorted((ROOT / "docs").glob("*.md")):
+        errors += _unresolved(_display(md), module,
+                              _ROWREP_REF.findall(md.read_text()))
+    return errors
+
+
+def _unresolved(where: str, module, names) -> list:
+    """An error for each dotted name that is not an attribute of
+    ``module``."""
+    errors = []
+    for name in names:
+        obj = module
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            errors.append(f"{where}: entry point `{name}` is not an "
+                          f"attribute of {module.__name__}")
     return errors
 
 
@@ -222,8 +247,8 @@ def main() -> int:
         print(f"  {err}")
     print(f"  {len(op_errors)} drifted rows")
 
-    print("== four-legs entry points ==")
-    entry_errors = check_entry_points()
+    print("== entry points (four legs, rowrep) ==")
+    entry_errors = check_entry_points() + check_rowrep_refs()
     for err in entry_errors:
         print(f"  {err}")
     print(f"  {len(entry_errors)} unresolved entry points")

@@ -48,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import rowrep
 from ..nn.tensor import Tensor, no_grad
 from .engine import SCHEDULER_KEYS, PairedExecutor, run_tiled
 
@@ -302,8 +301,7 @@ class Attack:
             return PairedExecutor.compile(models, x[:_COMPILE_EXAMPLE_ROWS])
 
         return self.plan_cache.get(
-            (tuple(id(m) for m in models), x.shape[1:], x.dtype.str,
-             rowrep.mode_key()),
+            (tuple(id(m) for m in models), x.shape[1:], x.dtype.str),
             models, build, scope=self)
 
     def _refresh_compiled(self) -> None:
@@ -348,15 +346,24 @@ class Attack:
         stepped = adv_rows + alpha * np.sign(g_rows)
         return project_linf(stepped, x_rows, eps).astype(x_rows.dtype)
 
+    def _carry(self, g: np.ndarray, state: Any) -> Tuple[np.ndarray, Any]:
+        """Fold the full-batch loop's carried gradient state into this
+        pass's gradient ``g``; returns the step direction and the next
+        state.  ``state`` is None on each batch's first pass, so every
+        batch (and every public :meth:`gradient` call) starts at rest.
+        Stateless attacks step along ``g``."""
+        return g, state
+
     def _run_full_batch(self, xb: np.ndarray, yb: np.ndarray,
                         adv: np.ndarray, snaps: Optional[np.ndarray],
                         deadline=None, row0: int = 0) -> np.ndarray:
         """The loop for attacks with full-batch gradient state (momentum
         velocity, NES noise): every pass steps the whole batch, so each
         row's state sees the same batch composition as an undisturbed
-        run.  Rows never leave the batch: a row is *done* once its held
-        iterate is final, and the loop returns the held iterate for
-        done rows.
+        run.  Accumulated gradient state is loop state, threaded through
+        :meth:`_carry`, never attack state.  Rows never leave the batch:
+        a row is *done* once its held iterate is final, and the loop
+        returns the held iterate for done rows.
 
         With ``keep_best``, iterate ``adv_t`` is checked with the logits
         of the gradient pass that starts iteration ``t`` (the pass
@@ -377,6 +384,7 @@ class Attack:
         held = adv.copy()
         done = np.zeros(len(xb), dtype=bool)
         expired = False
+        state = None
         shape = (-1,) + (1,) * (adv.ndim - 1)
 
         def merged() -> np.ndarray:
@@ -404,6 +412,7 @@ class Attack:
                                        & ~done)
                 held[newly] = adv[newly]
                 done[newly] = True
+            g, state = self._carry(g, state)
             adv = self._step(adv, xb, g)
             if snaps is not None:
                 snaps[t] = merged()

@@ -66,8 +66,9 @@ class MomentumPGD(PGD):
     """PGD with gradient momentum (MI-FGSM).
 
     Accumulates an L1-normalized gradient moving average; §5.4 evaluates
-    it with ``mu = 0.5``.  The velocity is full-batch state, so the loop
-    must not shrink the batch as samples succeed.
+    it with ``mu = 0.5``.  The velocity is full-batch loop state
+    (:meth:`_carry`), so the loop must not shrink the batch as samples
+    succeed.
     """
 
     shrink_done = False
@@ -78,19 +79,16 @@ class MomentumPGD(PGD):
                  keep_best: bool = True, seed: int = 0):
         super().__init__(model, eps, alpha, steps, random_start, keep_best, seed)
         self.mu = float(mu)
-        self._velocity = None
-
-    def _init(self, x: np.ndarray) -> np.ndarray:
-        self._velocity = np.zeros_like(x)   # reset per batch
-        return super()._init(x)
 
     def gradient_with_logits(self, x_adv: np.ndarray, y: np.ndarray,
                              variant: Optional[Dict[str, np.ndarray]] = None,
                              ) -> Tuple[np.ndarray, Any]:
+        """The L1-normalized gradient: one velocity update from rest."""
         g, aux = super().gradient_with_logits(x_adv, y, variant)
         norm = np.abs(g).reshape(len(g), -1).mean(axis=1)
         norm = np.maximum(norm, 1e-12).reshape(-1, *([1] * (g.ndim - 1)))
-        if self._velocity is None:          # no generate yet: at rest
-            self._velocity = np.zeros_like(g)
-        self._velocity = self.mu * self._velocity + g / norm
-        return self._velocity, aux
+        return g / norm, aux
+
+    def _carry(self, g: np.ndarray, velocity: Any) -> Tuple[np.ndarray, Any]:
+        velocity = self.mu * (0.0 if velocity is None else velocity) + g
+        return velocity, velocity

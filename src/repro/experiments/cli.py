@@ -308,10 +308,9 @@ def main(argv=None) -> int:
     parser.add_argument("--float-coalesce", choices=("on", "off"),
                         default="on",
                         help="serve: coalesce float-predict jobs (and mix "
-                             "them into attack dispatch rounds) under the "
-                             "row-reproducible GEMM mode; 'off' serves "
-                             "every float job solo (the parity gate runs "
-                             "either way)")
+                             "them into attack dispatch rounds); 'off' "
+                             "serves every float job solo (the parity gate "
+                             "runs either way)")
     args = parser.parse_args(argv)
 
     set_default_dtype("float32")

@@ -166,19 +166,22 @@ def _conv_grouped_fwd(cols2: np.ndarray, wmat: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
     """Grouped-conv forward contraction into ``out`` (N, G, Fg, oh, ow).
 
-    Depthwise layers (Fg == 1) run a batched matvec — roughly 3x the
-    einsum's speed on the MobileNet hot shapes; general grouped layers
-    keep the einsum.  The choice is shape-deterministic, so the eager
-    tape and the compiled executor always take the same path.
+    One batched matmul over (row, group) slices: every slice is the
+    same ``(Fg, K) x (K, oh*ow)`` GEMM whatever ``N`` is, so each
+    row's bits are independent of the batch (a BLAS-backed einsum
+    contracts across rows and is not).  Depthwise layers (Fg == 1) run
+    it as a matvec.  The eager tape and the compiled executor share
+    this function.
     """
     N, G, oh, ow, K = cols2.shape
     Fg = wmat.shape[1]
+    cols = cols2.reshape(N, G, oh * ow, K)
     if Fg == 1:
-        np.matmul(cols2.reshape(N, G, oh * ow, K),
-                  wmat.reshape(1, G, K, 1),
+        np.matmul(cols, wmat.reshape(1, G, K, 1),
                   out=out.reshape(N, G, oh * ow, 1))
         return out
-    np.einsum("ngxyk,gfk->ngfxy", cols2, wmat, out=out, optimize=True)
+    np.matmul(wmat.reshape(1, G, Fg, K), cols.transpose(0, 1, 3, 2),
+              out=out.reshape(N, G, Fg, oh * ow))
     return out
 
 

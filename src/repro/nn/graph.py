@@ -165,11 +165,7 @@ def compile_forward_cached(module, example, cache=None):
     """
     cache = cache if cache is not None else default_plan_cache()
     example = np.asarray(example)
-    # mode-keyed: row-reproducible plans bake the fixed-order GEMM into
-    # their kernel closures at build time, so the two modes' plans for
-    # one (module, shape, dtype) are distinct cache entries
-    key = ("nn-forward", id(module), example.shape[1:], example.dtype.str,
-           rowrep.mode_key())
+    key = ("nn-forward", id(module), example.shape[1:], example.dtype.str)
     hit_before = key in cache
     plan = cache.get(key, (module,),
                      lambda: compile_forward_or_none(module, example))
@@ -322,21 +318,6 @@ def compile_forward(module: Callable[[Tensor], Tensor],
     del tracer, out, xt
     if validate:
         prog._validate(module, x)
-        if rowrep.enabled() and len(x) > 1:
-            # row-reproducible plans additionally bit-validate against
-            # per-row execution: every probe row replayed alone must
-            # equal its full-batch bits, forward and input gradient —
-            # the property that makes coalescing float traffic (and
-            # degradation down the serve ladder) value-neutral
-            def _grad(xb):
-                _, gx = prog.value_and_input_grad(
-                    xb, lambda o: np.ones_like(o))
-                return gx.copy()
-            if not (rowrep.validate_per_row(prog.replay, x)
-                    and rowrep.validate_per_row(_grad, x)):
-                raise GraphUnsupported(
-                    "compiled forward is not row-reproducible "
-                    "(per-row bits change with batch composition)")
     return prog
 
 
@@ -728,6 +709,21 @@ class CompiledForward(_Program):
             raise GraphUnsupported("compiled forward does not match eager tape")
         if gx.shape != gref.shape or not np.allclose(gx, gref, rtol=1e-5, atol=1e-6):
             raise GraphUnsupported("compiled input gradient does not match eager tape")
+        # bit-validate against per-row execution: the first, middle and
+        # last row replayed alone must equal their full-batch bits,
+        # forward and input gradient — the property that makes coalescing
+        # float traffic (and degradation down the serve ladder)
+        # value-neutral
+        n = len(xv)
+        if n < 2:
+            return
+        got = got.copy()
+        for i in sorted({0, n // 2, n - 1}):
+            z, g = self.value_and_input_grad(xv[i:i + 1], np.ones_like(ref[:1]))
+            if not (np.array_equal(z[0], got[i]) and np.array_equal(g[0], gx[i])):
+                raise GraphUnsupported(
+                    "compiled forward is not row-reproducible "
+                    "(per-row bits change with batch composition)")
 
 
 def _eager_value_and_input_grad(module, xv: np.ndarray
@@ -762,7 +758,7 @@ def _eval_const(op: _Op, env) -> np.ndarray:
     if k == "pow":
         return ins[0] ** at["exponent"]
     if k == "matmul":
-        return ins[0] @ ins[1]
+        return rowrep.matmul(ins[0], ins[1])
     if k == "exp":
         return np.exp(ins[0])
     if k == "log":
@@ -1089,14 +1085,9 @@ def _f_matmul(prog, op):
     env = prog._env
     if len(op.in_shapes[0]) < 2 or len(op.in_shapes[1]) < 2:
         raise GraphUnsupported("vector matmul is not replayable")
-    # the row-reproducible mode is baked into the plan at build time
-    # (plan-cache keys carry rowrep.mode_key(), so a plan can never be
-    # replayed under the other mode's bits)
-    if (rowrep.enabled() and len(op.in_shapes[0]) == 2
-            and len(op.in_shapes[1]) == 2):
-        return _ufunc_fwd(prog, op,
-                          lambda out: rowrep.rr_matmul(env[a], env[b], out=out))
-    return _ufunc_fwd(prog, op, lambda out: np.matmul(env[a], env[b], out=out))
+    # the eager tape's kernel seam: fixed-order for 2-D float operands
+    return _ufunc_fwd(prog, op,
+                      lambda out: rowrep.matmul(env[a], env[b], out=out))
 
 
 @_register_bwd("matmul")
@@ -1106,15 +1097,12 @@ def _b_matmul(prog, op):
     env = prog._env
     sa, sb = op.in_shapes
     # input-gradient leg (rows of g against a fixed right operand): per
-    # row, so it takes the fixed-order kernel when the plan was built
-    # in row-reproducible mode; the b-side (weight-style) gradient
-    # reduces over the batch and is never per-row
-    rr = rowrep.enabled() and len(sa) == 2 and len(sb) == 2
+    # row, so it rides the kernel seam like the eager tape; the b-side
+    # (weight-style) gradient reduces over the batch and is never per-row
 
-    def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb, rr=rr):
+    def run(g, genv, gowned, n, a=a, b=b, sa=sa, sb=sb):
         if a in var:
-            bt = np.swapaxes(env[b], -1, -2)
-            ga = rowrep.rr_matmul(g, bt) if rr else g @ bt
+            ga = rowrep.matmul(g, np.swapaxes(env[b], -1, -2))
             _gacc(genv, gowned, a,
                   _unbroadcast(ga, _grad_target_shape(prog, sa, n)), True)
         if b in var:

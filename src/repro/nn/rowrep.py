@@ -3,13 +3,13 @@
 numpy's float ``matmul`` is not *row-reproducible*: the BLAS backend
 picks kernels, blocking and accumulation order by the full matrix
 shape, so row ``i`` of ``(M, K) @ (K, F)`` can change in the last ulp
-when ``M`` changes — the same sample's logits depend on which other
-rows happened to share the batch.  That composition-dependence is why
-the serving layer historically coalesced only the integer edge path
-(exact by construction) and ran every float inference job on its own
-pass.
+when ``M`` changes — the same sample's logits would depend on which
+other rows happened to share the batch.
 
-This module closes the gap with a fixed-order blocked GEMM:
+This module closes the gap with a fixed-order blocked GEMM, and
+:func:`matmul` routes every 2-D float matmul through it — the eager
+``Tensor.__matmul__`` and the compiled matmul lowering alike, in
+training, attacks and serving:
 
 - the left operand is processed in fixed :data:`ROW_BLOCK`-row blocks,
   every block presented to BLAS as the *same* ``(ROW_BLOCK, K) @
@@ -26,18 +26,11 @@ which is exactly the property that makes cross-request float
 coalescing value-neutral:
 any partition of any merged batch produces identical per-row bytes.
 
-The mode is a *per-thread* flag (:func:`row_reproducible` context
-manager).  Compiled programs capture the mode at *plan build time* (the
-kernel closures bake it in), so every plan-cache key that can hold a
-float GEMM plan must include :func:`mode_key`; replaying a plan under
-the other mode is a cache-keying bug, not a runtime dispatch.
-Thread-locality matters for the paired attack step's lane thread
-(:func:`repro.attacks.engine.lane_step`): the original and adapted
-programs replay at the same time, one on the caller's thread and one on
-the lane, so the tail-padding scratch buffers are thread-local — two
-lanes padding ragged tails of the same ``(K, dtype)`` geometry must not
-share bytes.  The mode flag is per-thread too, so a region entered on
-one thread never changes what another thread's matmuls compute.
+The tail-padding scratch buffers are *per thread*: the paired attack
+step (:func:`repro.attacks.engine.lane_step`) replays the original and
+adapted programs at the same time, one on the caller's thread and one
+on the lane, so two lanes padding ragged tails of the same
+``(K, dtype)`` geometry must not share bytes.
 
 The overhead is bounded and tracked: full-block batches pay ~1-2% over
 raw ``np.matmul`` (CI's "Row-reproducible GEMM budget" step gates it
@@ -48,25 +41,18 @@ amortizes away (merged batches fill blocks).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 #: the one true GEMM row-block: every row of every batch is computed by
-#: a ``(ROW_BLOCK, K) @ (K, F)`` BLAS call.  Part of :func:`mode_key`
-#: (and thereby of every plan-cache key), because different block sizes
+#: a ``(ROW_BLOCK, K) @ (K, F)`` BLAS call.  Different block sizes
 #: produce different — individually reproducible — bits.
 ROW_BLOCK = 256
 
-#: per-thread mode flag + tail scratch; the paired step's lane thread
-#: pads tails concurrently with the caller, so neither may live at
-#: module scope
+#: per-thread tail scratch; the paired step's lane thread pads tails
+#: concurrently with the caller, so it may not live at module scope
 _tls = threading.local()
-
-
-def _state_enabled() -> bool:
-    return getattr(_tls, "enabled", False)
 
 
 def _pad_cache() -> Dict[Tuple[int, str], np.ndarray]:
@@ -74,44 +60,6 @@ def _pad_cache() -> Dict[Tuple[int, str], np.ndarray]:
     if cache is None:
         cache = _tls.pad_scratch = {}
     return cache
-
-
-def enabled() -> bool:
-    """Whether 2D float matmuls currently route through the fixed-order
-    blocked kernel (on the calling thread)."""
-    return _state_enabled()
-
-
-def mode_key() -> Tuple[str, int]:
-    """The cache-key component for the current mode.
-
-    ``("rr", ROW_BLOCK)`` when row-reproducible execution is on,
-    ``("rr", 0)`` otherwise.  Compiled plans bake the mode into their
-    kernel closures at build time, so any plan cache that can hold a
-    float GEMM must key on this — a legacy plan replayed inside a
-    row-reproducible region (or vice versa) would silently produce the
-    other mode's bits.
-    """
-    return ("rr", ROW_BLOCK if _state_enabled() else 0)
-
-
-@contextmanager
-def row_reproducible(on: bool = True):
-    """Context manager switching the fixed-order GEMM on (or off).
-
-    Nestable and exception-safe; the previous mode is restored on exit.
-    The serving layer wraps every float-inference dispatch — coalesced,
-    solo and eager alike — in this, so degradation down the ladder can
-    change latency but never bytes.  The flag is per-thread: a region
-    on one thread never leaks into (or gets torn down by) another's,
-    such as the paired step's lane thread.
-    """
-    prev = _state_enabled()
-    _tls.enabled = bool(on)
-    try:
-        yield
-    finally:
-        _tls.enabled = prev
 
 
 def _pad_buffer(k: int, dtype: np.dtype) -> np.ndarray:
@@ -162,39 +110,16 @@ def rr_matmul(a: np.ndarray, b: np.ndarray,
 
 def matmul(a: np.ndarray, b: np.ndarray,
            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The kernel seam: fixed-order blocked GEMM for 2D float matmuls
-    when the mode is on, raw ``np.matmul`` otherwise.
+    """The kernel seam: the fixed-order blocked GEMM for 2D float
+    matmuls, raw ``np.matmul`` otherwise.
 
     Non-2D matmuls (the conv kernels' per-sample batched forms, whose
     per-slice call shapes are already composition-independent) and
-    integer operands always take the raw path.
+    integer operands (exact) take the raw path.
     """
-    if (_state_enabled() and a.ndim == 2 and b.ndim == 2
-            and a.dtype.kind == "f"):
+    if a.ndim == 2 and b.ndim == 2 and a.dtype.kind == "f":
         return rr_matmul(a, b, out=out)
     if out is None:
         return a @ b
     return np.matmul(a, b, out=out)
 
-
-def validate_per_row(run, x: np.ndarray, rows: Optional[Tuple[int, ...]] = None
-                     ) -> bool:
-    """Bit-validate that ``run`` is composition-independent on ``x``.
-
-    Replays probe rows of ``x`` alone through ``run`` and compares them
-    bitwise against the full-batch result — the compile-time gate the
-    row-reproducible contract promises: a plan that passes serves
-    coalesced float traffic; one that fails falls back loudly.
-    Probe rows default to the first, middle and last row (every block
-    position a row can occupy: full-block interior and padded tail).
-    """
-    full = np.asarray(run(x))
-    n = len(x)
-    if rows is None:
-        rows = tuple(sorted({0, n // 2, n - 1}))
-    for i in rows:
-        solo = np.asarray(run(x[i:i + 1]))
-        if not (solo.shape[1:] == full.shape[1:]
-                and np.array_equal(solo[0], full[i])):
-            return False
-    return True

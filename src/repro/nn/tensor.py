@@ -358,9 +358,9 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        # rowrep.matmul is the row-reproducible kernel seam: a plain
-        # `@` when the mode is off, the fixed-order blocked GEMM when
-        # on (per-row bits then independent of the batch composition)
+        # rowrep.matmul is the row-reproducible kernel seam: 2-D float
+        # operands take the fixed-order blocked GEMM, so per-row bits
+        # are independent of the batch composition
         out = self._make(rowrep.matmul(self.data, other.data), (self, other))
         if out.requires_grad:
             def _bw(g, a=self, b=other):

@@ -21,9 +21,9 @@ gradient batches through machinery that is just as happy with 64).
   :func:`~repro.attacks.engine.run_tiled` already takes them per job.
   Edge-inference jobs coalesce per
   :class:`~repro.edge.engine.EdgeModel`.  Float-model inference jobs
-  (``predict_float``) coalesce per (model, shape, dtype) under the
-  row-reproducible GEMM mode, and also ride along with attack groups
-  targeting the same models (mixed traffic shares the dispatch round).
+  (``predict_float``) coalesce per (model, shape, dtype), and also
+  ride along with attack groups targeting the same models (mixed
+  traffic shares the dispatch round).
   Everything else (NES and momentum attacks with full-batch
   RNG/velocity state, attacks with no signature, float predicts with
   coalescing disabled) runs solo — with the reason recorded on its
@@ -40,11 +40,12 @@ gradient batches through machinery that is just as happy with 64).
   call :meth:`Attack.generate_sweep` makes with a tile per variant
   (each job's own ``_init`` for its rows), and per-sample trajectories
   depend only on that sample's own gradients; merged edge batches ride
-  the integer path, which is exact per row; merged float batches run under
-  :func:`repro.nn.rowrep.row_reproducible`, whose fixed-order blocked
-  accumulation makes each row's float bits independent of batch
-  composition.  All are bit-identical to running each job alone — the
-  scheduler may only change wall-time, never bytes.
+  the integer path, which is exact per row; merged float batches run
+  every 2-D float GEMM through :func:`repro.nn.rowrep.rr_matmul`, whose
+  fixed-order blocked accumulation makes each row's float bits
+  independent of batch composition.  All are bit-identical to running
+  each job alone — the scheduler may only change wall-time, never
+  bytes.
 
 Failure handling runs down the **degradation ladder**
 (:data:`~repro.serve.resilience.LADDER`): a dispatch that raises at the
@@ -71,7 +72,6 @@ import numpy as np
 
 from ..attacks.base import Attack
 from ..attacks.engine import run_tiled
-from ..nn import rowrep
 from ..nn.tensor import Tensor
 from . import faults
 from .resilience import (EAGER_LEVEL, CircuitBreaker, Clock, DeadlineError,
@@ -198,9 +198,9 @@ def _group_key(job: Job, float_coalesce: bool = True):
     Solo keys always set ``job.solo_reason`` — a job that cannot
     coalesce dispatches solo *with attribution* (surfaced on its
     :class:`DispatchRecord`), never silently serializes.  Float-predict
-    keys embed the row-reproducible mode (``("rr", ROW_BLOCK)``): only
-    the fixed-order GEMM makes per-row float bits independent of batch
-    composition, so only under that mode is coalescing value-neutral.
+    keys need no kernel component: every float GEMM is fixed-order
+    (:mod:`repro.nn.rowrep`), so per-row float bits never depend on
+    batch composition and coalescing is always value-neutral.
     """
     if job.kind == "predict":
         return ("predict", id(job.model), job.x.shape[1:], job.x.dtype.str)
@@ -212,7 +212,7 @@ def _group_key(job: Job, float_coalesce: bool = True):
             job.solo_reason = "float-coalesce-disabled"
             return ("solo", job.seq)
         return ("predict_float", id(job.model), job.x.shape[1:],
-                job.x.dtype.str, ("rr", rowrep.ROW_BLOCK))
+                job.x.dtype.str)
     atk = job.attack
     sig = atk.serve_signature()
     if sig is None or not atk.shrink_done:
@@ -230,8 +230,9 @@ def _float_forward(model: Any, xs: np.ndarray, batch_size: int,
     ``predict_logits`` silently re-enter the compiled path for large
     batches would make "eager" mean "compiled sometimes", which is
     exactly the attribution ambiguity the ladder exists to rule out.
-    Chunking is irrelevant to bits here because every caller wraps this
-    in :func:`repro.nn.rowrep.row_reproducible`.
+    Chunking is irrelevant to bits here because every float GEMM is
+    fixed-order (:mod:`repro.nn.rowrep`): per-row bits do not depend on
+    which rows share a chunk.
     """
     was_training = getattr(model, "training", False)
     model.eval()
@@ -273,12 +274,12 @@ class Scheduler:
         stats surface on ``ServeSession.stats()``.
     float_coalesce:
         When True (default), float-predict jobs coalesce per (model,
-        shape, dtype) under the row-reproducible GEMM mode, and mixed
-        traffic rides along: a float-predict job whose model belongs to
-        an attack group head's plan owners joins that head's dispatch
-        round (sharing the session plan cache and round latency).  When
-        False every float-predict job runs solo — attributed on its
-        :class:`DispatchRecord`, never silently serialized.
+        shape, dtype), and mixed traffic rides along: a float-predict
+        job whose model belongs to an attack group head's plan owners
+        joins that head's dispatch round (sharing the session plan cache
+        and round latency).  When False every float-predict job runs
+        solo — attributed on its :class:`DispatchRecord`, never silently
+        serialized.
     """
 
     def __init__(self, capacity: int = 64, max_batch_rows: int = 512,
@@ -567,26 +568,24 @@ class Scheduler:
                                 compiled: bool = True) -> None:
         """Merged float rows through one shared row-reproducible pass.
 
-        Unlike the integer edge path, a float GEMM's per-row bits depend
-        on batch composition under BLAS (kernel/blocking selection keys
-        off the row count), so naive merging would change results.  The
-        whole dispatch therefore runs under
-        :func:`repro.nn.rowrep.row_reproducible`: every matmul uses the
-        fixed-order blocked accumulation, making each row's bits a
-        function of that row and the weights alone.  With the mode on,
-        coalesced-compiled == solo-compiled == eager per row (compiled
-        plans are bit-validated against per-row execution at build
-        time), so the degradation ladder is byte-neutral for float
-        predicts exactly as it is for attacks and edge inference.
+        Unlike the integer edge path, a raw BLAS GEMM's per-row bits
+        depend on batch composition (kernel/blocking selection keys off
+        the row count), so naive merging would change results.  Every
+        2-D float matmul therefore uses the fixed-order blocked
+        accumulation of :mod:`repro.nn.rowrep`, making each row's bits a
+        function of that row and the weights alone: coalesced-compiled
+        == solo-compiled == eager per row (compiled plans are
+        bit-validated against per-row execution at build time), so the
+        degradation ladder is byte-neutral for float predicts exactly as
+        it is for attacks and edge inference.
 
         Mixed groups may carry riders against several models / input
         shapes; each (model, shape, dtype) partition runs one shared
         pass.  Compiled rungs look up plans in the model's adopted
         session :class:`~repro.serve.cache.PlanCache` (falling back to
-        the process-wide store), where row-reproducible plans are keyed
-        apart from unconstrained ones by ``rowrep.mode_key()``; a plan
-        that fails to build pins None and the pass runs the eager tape —
-        bit-identical under the mode, per the shared fallback contract.
+        the process-wide store); a plan that fails to build pins None
+        and the pass runs the eager tape — bit-identical, per the shared
+        fallback contract.
         Deadlines are ignored as in :meth:`_dispatch_predict`: a single
         pass has no partial result to return.
         """
@@ -598,20 +597,19 @@ class Scheduler:
             parts.setdefault(
                 (id(job.model), job.x.shape[1:], job.x.dtype.str),
                 []).append(job)
-        with rowrep.row_reproducible():
-            for members in parts.values():
-                model = members[0].model
-                xs = np.concatenate([j.x for j in members], axis=0)
-                executor = None
-                if compiled:
-                    # 8 example rows, like Attack's executor cache: the
-                    # plan replays any batch size, and the memo key only
-                    # uses shape[1:]/dtype/mode
-                    executor = compile_forward_cached(
-                        model, xs[:8],
-                        cache=getattr(model, "plan_cache", None))
-                out = _float_forward(model, xs, self.predict_batch, executor)
-                start = 0
-                for job in members:
-                    self.settle(job, value=out[start:start + job.rows].copy())
-                    start += job.rows
+        for members in parts.values():
+            model = members[0].model
+            xs = np.concatenate([j.x for j in members], axis=0)
+            executor = None
+            if compiled:
+                # 8 example rows, like Attack's executor cache: the
+                # plan replays any batch size, and the memo key only
+                # uses shape[1:]/dtype
+                executor = compile_forward_cached(
+                    model, xs[:8],
+                    cache=getattr(model, "plan_cache", None))
+            out = _float_forward(model, xs, self.predict_batch, executor)
+            start = 0
+            for job in members:
+                self.settle(job, value=out[start:start + job.rows].copy())
+                start += job.rows

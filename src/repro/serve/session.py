@@ -83,9 +83,8 @@ class ServeSession:
         chaos tests.
     float_coalesce:
         Whether float-model inference jobs may coalesce (and ride along
-        with attack groups) under the row-reproducible GEMM mode; off,
-        they dispatch solo with the reason on their
-        :class:`~repro.serve.scheduler.DispatchRecord` (see
+        with attack groups); off, they dispatch solo with the reason on
+        their :class:`~repro.serve.scheduler.DispatchRecord` (see
         :class:`~repro.serve.scheduler.Scheduler`).
     """
 
@@ -214,10 +213,9 @@ class ServeSession:
         (anything with a ``predict`` method — exact integer path,
         coalesces freely) or a float :class:`~repro.nn.module.Module`
         scored by forward logits.  Float jobs resolve to exactly what
-        ``predict_logits(model, x)`` under
-        :func:`repro.nn.rowrep.row_reproducible` returns — the mode is
-        what makes their per-row bits independent of how the scheduler
-        batches them.
+        ``predict_logits(model, x)`` returns — every float GEMM is
+        fixed-order (:mod:`repro.nn.rowrep`), which makes their per-row
+        bits independent of how the scheduler batches them.
 
         Inference takes no deadline: it is a single pass with no
         intermediate iterate, so there is no meaningful partial result

@@ -42,9 +42,9 @@ Job kinds and their materialization:
              int8 edge artifact.
 ``predict_float``
              float logits from the workload's *adapted* model (the
-             attack target itself), scored under
-             :func:`repro.nn.rowrep.row_reproducible` so per-row bits
-             are batch-composition independent; coalesces with other
+             attack target itself); every float GEMM is fixed-order
+             (:mod:`repro.nn.rowrep`), so per-row bits are
+             batch-composition independent; coalesces with other
              float predicts and rides along with attack groups against
              the same model (mixed traffic on shared passes).
 ===========  ==========================================================
@@ -365,11 +365,12 @@ def replay_sequential(workload: Workload) -> Dict[str, Any]:
 
     Every attack job gets a fresh instance from its factory (distinct
     requests hold distinct configurations; nothing is shared but the
-    models themselves), and inference jobs call ``predict`` (edge) or a
-    row-reproducible ``predict_logits`` (float) on their own rows only —
-    exactly what a naive per-request handler would do.
+    models themselves), and inference jobs call ``predict`` (edge) or
+    ``predict_logits`` (float) on their own rows only — exactly what a
+    naive per-request handler would do.  Float GEMMs are fixed-order
+    (:mod:`repro.nn.rowrep`), so these solo rows are comparable bit for
+    bit with the served, coalesced ones.
     """
-    from ..nn import rowrep
     from ..training.evaluate import predict_logits
 
     results = []
@@ -378,12 +379,7 @@ def replay_sequential(workload: Workload) -> Dict[str, Any]:
         if job.kind == "predict":
             results.append(job.model.predict(job.x))
         elif job.kind == "predict_float":
-            # the solo float reference runs under the same
-            # row-reproducible mode the scheduler uses: the mode is the
-            # *definition* of a float job's bits, so solo and coalesced
-            # replays are comparable bit for bit
-            with rowrep.row_reproducible():
-                results.append(predict_logits(job.model, job.x))
+            results.append(predict_logits(job.model, job.x))
         else:
             results.append(job.make_attack().generate(job.x, job.y))
     elapsed = time.perf_counter() - t0

@@ -320,3 +320,28 @@ class TestAttackContract:
         reset = MomentumPGD(quant)
         reset._init(x)
         np.testing.assert_array_equal(cold, reset.gradient(x, y))
+
+    @staticmethod
+    def _rows(atk, n):
+        idx = np.arange(n) % len(atk.x)
+        return atk.x[idx], atk.y[idx]
+
+    def test_momentum_gradient_after_ragged_generate(self, attack_setup):
+        """The velocity is per-batch loop state: after ``generate`` left
+        a 2-row last batch, ``gradient`` on 3 rows still starts at
+        rest."""
+        orig, quant, atk = attack_setup
+        x, y = self._rows(atk, 10)
+        a = MomentumPGD(quant, steps=2)
+        a.generate(x, y, batch_size=4)
+        np.testing.assert_array_equal(
+            a.gradient(x[:3], y[:3]), MomentumPGD(quant).gradient(x[:3], y[:3]))
+
+    def test_momentum_gradient_after_generate_starts_at_rest(self,
+                                                             attack_setup):
+        orig, quant, atk = attack_setup
+        x, y = self._rows(atk, 4)
+        a = MomentumPGD(quant, steps=3)
+        a.generate(x, y)
+        np.testing.assert_array_equal(
+            a.gradient(x, y), MomentumPGD(quant).gradient(x, y))

@@ -132,7 +132,6 @@ class TestDegradationLadder:
         coalesced float key, every member completes solo-compiled with
         bits identical to its row-reproducible solo run, and the key
         walks back to coalesced after the cool-down."""
-        from repro.nn import rowrep
         from repro.training import predict_logits
         orig, quant, x, y = pair
         clock = ManualClock()
@@ -143,8 +142,7 @@ class TestDegradationLadder:
                                quarantine_cooldown_s=1.0)
         refs = []
         for lo, hi in ((0, 5), (5, 16)):
-            with rowrep.row_reproducible():
-                refs.append(predict_logits(quant, x[lo:hi]))
+            refs.append(predict_logits(quant, x[lo:hi]))
 
         def submit_both():
             futs = [session.submit_predict(quant, x[:5]),

@@ -1,8 +1,8 @@
 """Row-reproducible float GEMMs: per-row bits vs batch composition.
 
-The contract under test (repro.nn.rowrep): with the mode on, every
-row of a float matmul/conv/linear result — forward and input-gradient,
-eager and compiled — is bit-identical whether the row runs alone, in a
+The contract under test (repro.nn.rowrep): every row of a float
+matmul/conv/linear result — forward and input-gradient, eager and
+compiled — is bit-identical whether the row runs alone, in a
 shuffled batch, in a ragged batch, or coalesced with strangers' rows.
 That bit-independence is what licenses the serving layer to merge float
 inference jobs (and mix them into attack dispatch rounds) without
@@ -14,7 +14,7 @@ import pytest
 
 from repro.models import build_model
 from repro.nn import rowrep, set_default_dtype
-from repro.nn.graph import compile_forward, compile_forward_cached
+from repro.nn.graph import compile_forward
 from repro.nn.tensor import Tensor
 from repro.serve import ServeSession
 from repro.serve.workload import (build_workload, mixed_workload_spec,
@@ -63,18 +63,6 @@ class TestRRMatmul:
         assert rowrep.rr_matmul(a, b, out=out) is out
         assert np.array_equal(out, got)
 
-    def test_dispatch_seam_respects_mode(self, rng):
-        a = rng.standard_normal((64, 16)).astype(np.float32)
-        b = rng.standard_normal((16, 4)).astype(np.float32)
-        assert not rowrep.enabled()
-        assert np.array_equal(rowrep.matmul(a, b), np.matmul(a, b))
-        with rowrep.row_reproducible():
-            assert rowrep.enabled()
-            assert rowrep.mode_key() == ("rr", rowrep.ROW_BLOCK)
-            assert np.array_equal(rowrep.matmul(a, b), rowrep.rr_matmul(a, b))
-        assert not rowrep.enabled()
-        assert rowrep.mode_key() == ("rr", 0)
-
     def test_integer_and_nd_inputs_stay_raw(self, rng):
         # the seam only rewrites 2D float GEMMs; exact integer matmuls
         # and batched 3D matmuls keep BLAS verbatim
@@ -82,9 +70,8 @@ class TestRRMatmul:
         bi = rng.integers(-50, 50, (6, 3)).astype(np.int64)
         a3 = rng.standard_normal((2, 5, 4)).astype(np.float32)
         b3 = rng.standard_normal((2, 4, 3)).astype(np.float32)
-        with rowrep.row_reproducible():
-            assert np.array_equal(rowrep.matmul(ai, bi), np.matmul(ai, bi))
-            assert np.array_equal(rowrep.matmul(a3, b3), np.matmul(a3, b3))
+        assert np.array_equal(rowrep.matmul(ai, bi), np.matmul(ai, bi))
+        assert np.array_equal(rowrep.matmul(a3, b3), np.matmul(a3, b3))
 
 
 # --------------------------------------------------------------------- #
@@ -102,70 +89,68 @@ class TestModelRowParity:
         m.eval()
         ch = kw.get("in_channels", 3)
         x = rng.random((13, ch, 12, 12)).astype(dtype)
-        with rowrep.row_reproducible():
-            def eager(xb):
-                return m(Tensor(xb)).data.copy()
-            assert _rows_match(eager, x, rng)
-            prog = compile_forward(m, x[:8])
-            assert _rows_match(prog.replay, x, rng)
-            # the degradation ladder's byte-neutrality in one line:
-            # compiled == eager bitwise under the mode
-            assert np.array_equal(prog.replay(x), eager(x))
+
+        def eager(xb):
+            return m(Tensor(xb)).data.copy()
+        assert _rows_match(eager, x, rng)
+        prog = compile_forward(m, x[:8])
+        assert _rows_match(prog.replay, x, rng)
+        # the degradation ladder's byte-neutrality in one line:
+        # compiled == eager bitwise
+        assert np.array_equal(prog.replay(x), eager(x))
 
     def test_input_gradient_eager_and_compiled(self, rng):
         set_default_dtype("float32")
         m = build_model("resnet", num_classes=6, width=4, seed=0)
         m.eval()
         x = rng.random((12, 3, 12, 12)).astype(np.float32)
-        with rowrep.row_reproducible():
-            prog = compile_forward(m, x[:8])
+        prog = compile_forward(m, x[:8])
 
-            def cgrad(xb):
-                _, g = prog.value_and_input_grad(
-                    xb, lambda o: np.ones_like(o))
-                return g
+        def cgrad(xb):
+            _, g = prog.value_and_input_grad(
+                xb, lambda o: np.ones_like(o))
+            return g
 
-            def egrad(xb):
-                xt = Tensor(xb, requires_grad=True)
-                m(xt).backward(np.ones((len(xb), 6), dtype=xb.dtype))
-                return xt.grad.copy()
+        def egrad(xb):
+            xt = Tensor(xb, requires_grad=True)
+            m(xt).backward(np.ones((len(xb), 6), dtype=xb.dtype))
+            return xt.grad.copy()
 
-            assert _rows_match(cgrad, x, rng)
-            assert _rows_match(egrad, x, rng)
-            assert np.array_equal(cgrad(x), egrad(x))
-
-    def test_mode_off_is_bitwise_unchanged(self, rng):
-        # with the mode off nothing in the forward path may differ from
-        # plain BLAS — the seam must cost nothing when unused
-        set_default_dtype("float32")
-        m = build_model("resnet", num_classes=6, width=4, seed=0)
-        m.eval()
-        x = rng.random((9, 3, 12, 12)).astype(np.float32)
-        before = m(Tensor(x)).data.copy()
-        with rowrep.row_reproducible():
-            pass
-        assert np.array_equal(m(Tensor(x)).data, before)
+        assert _rows_match(cgrad, x, rng)
+        assert _rows_match(egrad, x, rng)
+        assert np.array_equal(cgrad(x), egrad(x))
 
 
-# --------------------------------------------------------------------- #
-# plan caching: the mode is part of every float plan's identity
-# --------------------------------------------------------------------- #
+#: every registered architecture, small enough to compile in a second
+ARCHS = {
+    "resnet": dict(num_classes=6, width=4),
+    "mobilenet": dict(num_classes=6, width=4),
+    "densenet": dict(num_classes=6, growth=3, width=4),
+    "lenet": dict(num_classes=6, in_channels=1, image_size=16),
+    "vggface": dict(num_identities=6, image_size=16, width=4, embed_dim=8),
+}
 
-def test_compiled_plans_are_mode_keyed(rng):
-    set_default_dtype("float32")
-    m = build_model("resnet", num_classes=6, width=4, seed=0)
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_compiled_ragged_prefixes_match_full_batch(arch, dtype, rng):
+    """One compiled program replays ragged prefixes of a batch: every
+    row's logits and input gradient are byte-equal to its full-batch
+    bits, whatever number of rows shares its replay."""
+    set_default_dtype(dtype)
+    m = build_model(arch, seed=0, **ARCHS[arch])
     m.eval()
-    x = rng.random((8, 3, 12, 12)).astype(np.float32)
-    plain = compile_forward_cached(m, x)
-    with rowrep.row_reproducible():
-        rr_plan = compile_forward_cached(m, x)
-        assert compile_forward_cached(m, x) is rr_plan
-    assert plain is not None and rr_plan is not None
-    # distinct plans: the rr plan bakes fixed-order GEMM closures at
-    # build time, so sharing one entry across modes would serve wrong
-    # bits to whichever mode compiled second
-    assert plain is not rr_plan
-    assert compile_forward_cached(m, x) is plain
+    ch = ARCHS[arch].get("in_channels", 3)
+    n = 40
+    x = rng.random((n, ch, 16, 16)).astype(dtype)
+    prog = compile_forward(m, x[:8])
+    seed = rng.standard_normal((n, 6)).astype(dtype)
+    full_z, full_g = (a.copy() for a in prog.value_and_input_grad(
+        x, lambda z: seed[:len(z)]))
+    for k in (1, 5, 17, n - 1):
+        z, g = prog.value_and_input_grad(x[:k], lambda z: seed[:len(z)])
+        assert np.array_equal(z, full_z[:k]), (k, "logits")
+        assert np.array_equal(g, full_g[:k]), (k, "input gradient")
 
 
 # --------------------------------------------------------------------- #
@@ -191,8 +176,7 @@ class TestServeFloatCoalescing:
     def _reference(self, model, batches):
         out = []
         for x in batches:
-            with rowrep.row_reproducible():
-                out.append(predict_logits(model, x))
+            out.append(predict_logits(model, x))
         return out
 
     def test_coalesced_matches_solo_and_sequential(self, float_model, rng):
@@ -211,7 +195,6 @@ class TestServeFloatCoalescing:
             assert np.array_equal(r, b)
         [rec] = on.dispatch_log
         assert rec.key[0] == "predict_float" and rec.coalesced
-        assert rec.key[-1] == ("rr", rowrep.ROW_BLOCK)
 
     def test_uncoalesced_float_jobs_are_attributed(self, float_model, rng):
         set_default_dtype("float32")
@@ -243,8 +226,7 @@ class TestServeFloatCoalescing:
         xf = rng.random((10, 3, 12, 12)).astype(np.float32)
         make = lambda: DIVA(orig, adapted, c=1.0, eps=8 / 255, steps=4)
         ref_adv = make().generate(xa, ya)
-        with rowrep.row_reproducible():
-            ref_logits = predict_logits(adapted, xf)
+        ref_logits = predict_logits(adapted, xf)
 
         session = ServeSession(capacity=32)
         fa = session.submit_attack(make(), xa, ya)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from repro.attacks import CWLinf, DIVA, PGD, TargetedDIVA
 from repro.edge import compile_edge
 from repro.models import build_model
-from repro.nn import rowrep
 from repro.quantization import calibrate, prepare_qat
 from repro.serve import (AdmissionError, FaultInjector, FaultSpec, JobError,
                          ManualClock, PlanCache, Scheduler, ServeSession,
@@ -628,8 +627,7 @@ class TestSequentialDispatch:
             elif kind == "predict":
                 ref = edge.predict(x_edge[:rows])
             else:
-                with rowrep.row_reproducible():
-                    ref = predict_logits(orig, x[:rows])
+                ref = predict_logits(orig, x[:rows])
             assert _result_bytes([fut.result()]) == _result_bytes([ref])
 
     def test_run_group_accepts_the_four_argument_wrapper(self, pair):
