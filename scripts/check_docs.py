@@ -22,8 +22,8 @@ Four passes:
    ``repro.nn.graph._BWD_READS`` gives that kind, the rule the buffer
    planner keeps its operands live by;
 4. every backticked entry point in the "The four legs" table of
-   ``docs/ARCHITECTURE.md`` (e.g. ``PairedExecutor.compile``) must
-   resolve as an attribute of that row's module, and every backticked
+   ``docs/ARCHITECTURE.md`` (e.g. ``PairedExecutor``, ``lane_step``)
+   must resolve as an attribute of that row's module, and every backticked
    ``rowrep.<name>`` in ``docs/*.md`` as an attribute of
    ``repro.nn.rowrep``, so a renamed or deleted entry point fails the
    build;

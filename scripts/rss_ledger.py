@@ -18,6 +18,11 @@ benchmark runs in and prints one row per stage, in MB:
 - ``peak``: the high-water mark at the end, the figure ``peak_rss_mb``
   approximates.
 
+It ends with one line per float model the workload holds: how many
+compiled float programs the model's store holds for it (one per input
+shape and dtype, shared by every attack and predict on the model) and
+their planned arena + pre-filled padding MB.
+
 Every ``quantization.calibrate`` call during setup, and every
 ``compile_forward`` and ``compile_train_step`` call during setup and the
 rounds, also prints the high-water mark before and after it.
@@ -81,7 +86,7 @@ def main(argv=None) -> int:
     numpy_rss = rss()
     from perfbench import workloads
     from repro import nn, quantization
-    from repro.nn import graph, train_graph
+    from repro.nn import Module, graph, train_graph
     rows.append(("repro imports", rss() - numpy_rss))
     nn.set_default_dtype(np.float32)
 
@@ -108,6 +113,16 @@ def main(argv=None) -> int:
     print(f"{args.workload} (process start {base:.1f} MB)")
     for name, mb in rows:
         print(f"  {name:<18} {mb:7.1f} MB")
+    seen = set()
+    for name, model in vars(w).items():
+        if not isinstance(model, Module) or id(model) in seen:
+            continue
+        seen.add(id(model))
+        progs = graph.cached_programs(model)
+        arena = sum(p.arena_bytes()[0] for p in progs) / 2**20
+        fill = sum(p.fill_bytes() for p in progs) / 2**20
+        print(f"  model {name} ({type(model).__name__}): {len(progs)} "
+              f"float programs, arena {arena:.1f} + fill {fill:.1f} MB")
     return 0
 
 

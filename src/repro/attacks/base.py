@@ -32,10 +32,13 @@ Subclasses declare four things: their frozen models
 between one fused :class:`~repro.attacks.engine.PairedExecutor` step
 over compiled programs (:mod:`repro.nn.graph`) and the eager tape,
 which it falls back to whenever compilation is unsupported.  Compiled
-programs live in the attack's :class:`~repro.serve.PlanCache`
-(private by default; a :class:`~repro.serve.ServeSession` rebinds it to
-a shared budgeted store, and :meth:`Attack.serve_signature` tells the
-serving scheduler which instances' jobs may merge).  Attacks with
+programs belong to the models, not the attack: each model's store
+(:func:`~repro.nn.graph.compile_forward_cached`; a
+:class:`~repro.serve.ServeSession` adopts an attack's models into its
+shared budgeted cache) holds one program per trailing shape and dtype,
+so DIVA and PGD on one adapted model replay one program, and
+:meth:`Attack.serve_signature` tells the serving scheduler which
+instances' jobs may merge.  Attacks with
 full-batch gradient state (momentum, NES noise; ``shrink_done =
 False``) step one whole batch at a time instead
 (:meth:`Attack._run_full_batch`).
@@ -44,10 +47,13 @@ False``) step one whole batch at a time instead
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.graph import (cached_programs, compile_forward_cached,
+                        compile_forward_or_none)
 from ..nn.tensor import Tensor, no_grad
 from .engine import SCHEDULER_KEYS, PairedExecutor, run_tiled
 
@@ -136,6 +142,10 @@ class Attack:
     check, so the loop pays no per-step success forward.  A query-only
     attack overrides :meth:`gradient_with_logits` and returns no logits;
     its success checks then pay a forward-only :meth:`success_logits`.
+
+    The attack holds no compiled program: :meth:`_executor` looks up
+    each model's program in the model's store on every pass, so every
+    attack and predict on one model shares that model's programs.
     """
 
     #: drop already-successful samples from subsequent gradient batches;
@@ -161,11 +171,6 @@ class Attack:
         #: set False to force the eager-tape path (e.g. for counting
         #: model calls, or when model weights mutate mid-generate).
         self.use_compiled = True
-        #: compiled-program store; private by default, rebound to a
-        #: shared budgeted cache when the attack is served through a
-        #: :class:`repro.serve.ServeSession`
-        from ..serve.cache import PlanCache
-        self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------ #
     # subclass surface: the four declarations
@@ -238,11 +243,11 @@ class Attack:
         return self.gradient_with_logits(x_adv, y)[0]
 
     def success_logits(self, x_adv: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Forward-only logit blocks: a replay (views valid until the
-        next one), or eager forwards that build no tape."""
+        """Forward-only logit blocks: a replay, or eager forwards that
+        build no tape."""
         ex = self._executor(x_adv)
         if ex is not None:
-            return ex.replay(x_adv, copy=False)
+            return ex.replay(x_adv)
         with no_grad():
             return tuple(model(Tensor(x_adv)).data for model in self._models())
 
@@ -263,55 +268,52 @@ class Attack:
     # ------------------------------------------------------------------ #
     # compiled-executor plumbing
     # ------------------------------------------------------------------ #
-    @property
-    def _exec_cache(self) -> Dict[Any, Tuple[Any, Any]]:
-        """Introspection view of :attr:`plan_cache`, ``{key: (owner,
-        plan)}`` with single owners unwrapped — the shape the historic
-        per-attack dict had (kept for tests and debugging)."""
-        return {key: (e.owners[0] if len(e.owners) == 1 else e.owners,
-                      e.plan)
-                for key, e in self.plan_cache.items(scope=self)}
-
     def _executor(self, x: np.ndarray):
-        """Cached :class:`~repro.attacks.engine.PairedExecutor` over
-        :meth:`_models` (None = eager fallback).
+        """A :class:`~repro.attacks.engine.PairedExecutor` over the
+        programs of :meth:`_models` for ``x``'s trailing shape and dtype
+        (None = eager fallback).
 
-        The cache entry *holds* the models it was compiled from: a bare
-        ``id(model)`` key could collide after garbage collection hands
-        the address to a different model (e.g. when ``self.model`` is
-        rebound between ``generate`` calls), silently replaying a stale
-        program.  Pinning the models makes the ids stable for the
-        entry's lifetime, and the identity check guards the rebind case
-        (both enforced by :class:`repro.serve.PlanCache`).  dtype is part
-        of the key: replays silently cast mismatched inputs, so a float64
-        tenant hitting a float32 plan in a shared cache would silently
-        drop precision.  ``attack.plan.build`` is the chaos harness's
-        plan-build injection point: an error fault there is a failed
-        compile the serving layer must degrade around.
+        Each program is its model's entry in the model's store
+        (:func:`~repro.nn.graph.compile_forward_cached`), shared with
+        every other attack and predict on that model; a model named
+        twice gets one program per occurrence.  The store keys by dtype
+        too: replays silently cast mismatched inputs, so a float64
+        tenant hitting a float32 program would silently drop precision.
+        ``attack.plan.build`` is the chaos harness's plan-build
+        injection point: an error fault there is a failed compile the
+        serving layer must degrade around.
         """
         if not self.use_compiled:
             return None
-        models = self._models()
+        # trace/validate on a small slice: replays accept any batch
+        # size, and validation cost scales with the example batch
+        example = x[:_COMPILE_EXAMPLE_ROWS]
 
-        def build():
+        def build(model):
             from ..serve import faults
             faults.fire("attack.plan.build")
-            # trace/validate on a small slice: replays accept any batch
-            # size, and validation cost scales with the example batch
-            return PairedExecutor.compile(models, x[:_COMPILE_EXAMPLE_ROWS])
+            return compile_forward_or_none(model, example)
 
-        return self.plan_cache.get(
-            (tuple(id(m) for m in models), x.shape[1:], x.dtype.str),
-            models, build, scope=self)
+        models = self._models()
+        programs = []
+        for i, model in enumerate(models):
+            occurrence = sum(m is model for m in models[:i])
+            prog = compile_forward_cached(model, example, occurrence,
+                                          partial(build, model))
+            if prog is None:
+                return None
+            programs.append(prog)
+        return PairedExecutor(programs)
 
     def _refresh_compiled(self) -> None:
-        """Re-fold constants on the cached plans of *this attack's
-        models* — including plans an equal-signature sibling compiled
-        (shared-cache keys are model/shape-based, so a hit may be on a
-        plan some other instance built after the weights last moved).
-        Owner-scoped: other tenants' plans in a shared session store
-        are untouched."""
-        self.plan_cache.refresh(owners=self._models())
+        """Re-fold constants on every cached program of this attack's
+        models — including programs another attack or predict built
+        after the weights last moved."""
+        models = self._models()
+        for i, model in enumerate(models):
+            if not any(m is model for m in models[:i]):
+                for prog in cached_programs(model):
+                    prog.refresh()
 
     # ------------------------------------------------------------------ #
     # the loop

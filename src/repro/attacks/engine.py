@@ -3,10 +3,11 @@
 Three cooperating pieces turn the attack loop from "one model pass at a
 time, one configuration at a time" into a single scheduled computation:
 
-- :class:`PairedExecutor` — compiles the (original, adapted) model pair
-  into replayable programs, each owning its
-  :class:`~repro.nn.graph.ScratchPool`, and runs one DIVA Eq. 5 step
-  over both as a single fused unit (:func:`lane_step`).
+- :class:`PairedExecutor` — drives the compiled programs of the
+  (original, adapted) model pair, each the one program its model's
+  store holds (:func:`~repro.nn.graph.compile_forward_cached`) and each
+  owning its :class:`~repro.nn.graph.ScratchPool`, through one DIVA
+  Eq. 5 step as a single fused unit (:func:`lane_step`).
   Program 0 replays on the calling thread and the others on one
   module-level lane thread, with two join points: the forwards run
   together and the *one* combined softmax-seeded gradient is computed
@@ -15,7 +16,9 @@ time, one configuration at a time" into a single scheduled computation:
   (``g0 += g1``).  Each program replays exactly the ops it would
   alone, so the lanes change wall-time, never bytes; numpy releases
   the GIL inside the conv GEMMs and col2im that dominate a step, so a
-  second core does real work.
+  second core does real work.  Programs are shared by every attack and
+  predict on their model, so a step holds its programs' locks, taken
+  in ``id`` order, from the forwards through the backwards.
 
 - :func:`run_scheduled` / :func:`run_scheduled_steps` — the active-slot
   scheduler behind :func:`run_tiled`.
@@ -42,12 +45,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..nn.graph import compile_forward_or_none
 
 #: variant keys interpreted by the scheduler itself (all attacks)
 SCHEDULER_KEYS = frozenset({"eps", "alpha", "keep_best"})
@@ -108,15 +110,25 @@ def lane_step(programs: Sequence, x: np.ndarray,
     logit blocks at once.  Join point 2: the backwards run on both
     lanes; the gradients are summed into program 0's in program order.
     Every program owns its scratch pool, so the lanes share no scratch.
-    The logits are buffer views valid until each program's next replay;
-    the gradient is freshly owned.
+    The calling thread holds every program's lock, taken in ``id``
+    order, from the forwards through the backwards, so a program shared
+    with another thread's attack or predict never replays mid-step.  The
+    logits and the gradient are freshly owned.
     """
+    if len({id(prog) for prog in programs}) != len(programs):
+        raise ValueError("a program appears twice in one step; each "
+                         "occurrence of a model needs its own program")
     xs = [prog._check_input(x) for prog in programs]
-    outs = tuple(_on_lanes([partial(prog._forward, xc)
-                            for prog, xc in zip(programs, xs)]))
-    seeds = seeds_fn(outs)
-    grads = _on_lanes([partial(prog._backward_from_seed, np.asarray(seed), xc)
-                       for prog, xc, seed in zip(programs, xs, seeds)])
+    with ExitStack() as held:
+        for prog in sorted(programs, key=id):
+            held.enter_context(prog._lock)
+        outs = tuple(_on_lanes([partial(prog._forward, xc)
+                                for prog, xc in zip(programs, xs)]))
+        seeds = seeds_fn(outs)
+        grads = _on_lanes([partial(prog._backward_from_seed,
+                                   np.asarray(seed), xc)
+                           for prog, xc, seed in zip(programs, xs, seeds)])
+        outs = tuple(out.copy() for out in outs)
     gx = grads[0]                            # freshly owned by contract
     for g in grads[1:]:
         np.add(gx, g, out=gx)
@@ -127,28 +139,19 @@ class PairedExecutor:
     """N compiled programs driven in lockstep over one input batch.
 
     Built for the two-model DIVA objective (hence the name), but any
-    number of frozen models over the same input works.  Each program
-    owns its transient scratch, so the programs of one step can replay
-    on two lanes at once (:func:`lane_step`).
-    ``lane_steps`` counts the steps whose programs ran on two lanes.
+    number of frozen models over the same input works.  It owns no
+    program: :meth:`Attack._executor <repro.attacks.base.Attack.
+    _executor>` assembles one per lookup from the per-model programs
+    (:func:`~repro.nn.graph.compile_forward_cached`), so DIVA and PGD
+    on one adapted model replay the same program.  Each program owns
+    its transient scratch and lock, so the programs of one step can
+    replay on two lanes at once (:func:`lane_step`).  ``lane_steps``
+    counts the steps whose programs ran on two lanes.
     """
 
     def __init__(self, programs: Sequence):
         self.programs = list(programs)
         self.lane_steps = 0
-
-    @classmethod
-    def compile(cls, models: Sequence, example: np.ndarray
-                ) -> Optional["PairedExecutor"]:
-        """Compile every model against ``example``; None (eager
-        fallback) unless all of them compile."""
-        programs = []
-        for model in models:
-            prog = compile_forward_or_none(model, example)
-            if prog is None:
-                return None
-            programs.append(prog)
-        return cls(programs)
 
     @property
     def alloc_rows(self) -> int:
@@ -156,14 +159,9 @@ class PairedExecutor:
         same batches, so they grow together)."""
         return max(prog.alloc_rows for prog in self.programs)
 
-    def refresh(self) -> None:
-        for prog in self.programs:
-            prog.refresh()
-
-    def replay(self, x: np.ndarray, copy: bool = True) -> Tuple[np.ndarray, ...]:
-        """Forward-only logits for every program (views when ``copy``
-        is False, valid until that program's next replay)."""
-        return tuple(prog.replay(x, copy=copy) for prog in self.programs)
+    def replay(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Forward-only logits for every program, freshly owned."""
+        return tuple(prog.replay(x) for prog in self.programs)
 
     def value_and_input_grad(self, x: np.ndarray,
                              seeds_fn: Callable[[Sequence[np.ndarray]],
@@ -173,8 +171,8 @@ class PairedExecutor:
 
         ``seeds_fn`` maps the tuple of logit blocks to one seed per
         program (computed together — DIVA does a single stacked softmax
-        for both models).  The returned logits are buffer views valid
-        until the next replay; the gradient is freshly owned.
+        for both models).  The logits and the gradient are freshly
+        owned.
         """
         result = lane_step(self.programs, x, seeds_fn)
         if len(self.programs) > 1:
@@ -192,9 +190,8 @@ def generate_grid(attacks: Dict[str, Any], x: np.ndarray, y: np.ndarray,
     parameter ``variants`` (``{name: [variant, ...]}``) run as a single
     vectorized sweep sharing that attack's compiled programs.  Returns
     ``{name: adversarial_batch}`` — or a list of per-variant batches for
-    swept entries.  Distinct attacks hold distinct model pairs, so they
-    cannot share programs with each other; the win across entries is
-    scheduling, the win within an entry is the sweep.
+    swept entries.  Programs are per model, so entries attacking the
+    same model (DIVA and PGD on one adapted model) replay one program.
     """
     out: Dict[str, Any] = {}
     for name, attack in attacks.items():

@@ -13,10 +13,11 @@ data) into a surrogate adapted model; DIVA runs on the two surrogates and
 transfers to the true pair.
 
 Both pipelines finish training their surrogates *before* the returned
-bundle's ``attack`` runs, so the DIVA instance fuses the (frozen) model
-pair into a shared-scratch :class:`~repro.attacks.engine.PairedExecutor`
-on its first gradient batch and steps at two fused model passes per
-iteration on the active-slot scheduler; the bundle's ``attack`` also
+bundle's ``attack`` runs, so the DIVA instance compiles each (frozen)
+surrogate's program on its first gradient batch, drives the pair
+through one :class:`~repro.attacks.engine.PairedExecutor` step per
+pass and steps at two fused model passes per iteration on the
+active-slot scheduler; the bundle's ``attack`` also
 exposes ``generate_sweep`` for (eps, c) grids over the surrogate pair.
 ``Attack.generate`` re-folds the compiled constants on every call, so
 reusing a bundle after further finetuning stays correct.

@@ -47,10 +47,22 @@ treat that as "fall back to the eager tape", never as an error.
 Constants are snapshots: if parameters are mutated after compilation
 (e.g. by an optimizer step), call :meth:`CompiledForward.refresh` to
 re-fold them.  Attacks do this at the start of every ``generate`` call.
+
+One program per model: :func:`compile_forward_cached` keeps each
+model's programs in the model's store (the session cache it was adopted
+into, else a store that dies with the model), keyed by trailing shape
+and dtype, so attacks, served float predicts and ``predict_logits`` on
+one model replay one program.  A shared program may be replayed from
+several threads: each holds a lock that :meth:`CompiledForward.refresh`
+and every public replay take.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+import warnings
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -67,6 +79,26 @@ from .tensor import Tensor, _unbroadcast, get_default_dtype
 
 class GraphUnsupported(RuntimeError):
     """A forward cannot be traced into a replayable program."""
+
+
+try:                            # glibc only; elsewhere a no-op
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError):
+    _MALLOC_TRIM = None
+
+
+def release_freed_heap() -> None:
+    """Hand the heap's free pages back to the OS.
+
+    Compiles call it between the eager reference step and the program's
+    first replay.  Whether glibc returns the freed tape before the
+    replay allocates the program's arena otherwise depends on which
+    small allocation sits at the top of the heap: on
+    ``surrogate_distill`` that moved peak RSS by ~20 MB between builds
+    that differed by a few import-time objects.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 #: byte alignment of every buffer laid out in a :meth:`ScratchPool.arena`
@@ -126,52 +158,84 @@ def compile_forward_or_none(module, example):
 
     Any failure (unsupported op, non-Module test double, train-mode
     batch statistics, parity-validation mismatch) means "use the eager
-    tape" — never an error.  The single fallback policy shared by
-    attacks and evaluation.
+    tape" — never an error, but never silent either: each failed build
+    warns with the model class, the example shape and the cause (the
+    program store pins the failure, so a model warns once per shape).
+    The single fallback policy shared by attacks and evaluation.
     """
     try:
         return compile_forward(module, example)
-    except Exception:
+    except Exception as exc:
+        warnings.warn(
+            f"forward compile failed for {type(module).__name__} on input "
+            f"{np.shape(example)}: {exc!r}; running the eager tape",
+            RuntimeWarning, stacklevel=2)
         return None
 
 
-#: process-wide default plan store for :func:`compile_forward_cached`;
-#: budgeted so long-lived evaluation processes cannot accumulate
-#: unbounded per-(model, shape, dtype) programs
-_DEFAULT_CACHE_BUDGET = 256 << 20
-_default_plan_cache = None
+#: program stores of models no session adopted, one per model; a store
+#: never references its model, so it dies with it
+_own_stores: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_own_stores_lock = threading.Lock()
 
 
-def default_plan_cache():
-    """The process-wide :class:`repro.serve.PlanCache` (lazily built)."""
-    global _default_plan_cache
-    if _default_plan_cache is None:
-        from ..serve.cache import PlanCache
-        _default_plan_cache = PlanCache(budget_bytes=_DEFAULT_CACHE_BUDGET)
-    return _default_plan_cache
+def _program_store(module, create: bool = True):
+    """``(store, owners)`` for ``module``'s compiled programs.
 
-
-def compile_forward_cached(module, example, cache=None):
-    """Best-effort compiled forward, memoized per (module, shape, dtype).
-
-    The caching discipline matches ``Attack``'s executor cache: entries
-    pin the module they were compiled from (identity-checked, so a
-    recycled ``id()`` can never alias a dead module's program) and a
-    cache hit is :meth:`CompiledForward.refresh`-ed before being
-    returned, re-folding constants in case parameters were mutated since
-    compilation — a refreshed replay equals a fresh compile bit for bit.
-    Failures are pinned as None (eager fallback), also per the shared
-    contract.  ``cache`` defaults to the process-wide budgeted store.
+    The store is the session :class:`~repro.serve.PlanCache` the model
+    was adopted into (``module.plan_cache``; its entries pin the model,
+    so ``owners`` is ``(module,)``), else the model's own store, which
+    pins nothing.  Adoption drops the own store.
     """
-    cache = cache if cache is not None else default_plan_cache()
+    from ..serve.cache import PlanCache
+    shared = getattr(module, "plan_cache", None)
+    own = None
+    try:
+        with _own_stores_lock:
+            if shared is not None:
+                _own_stores.pop(module, None)
+            else:
+                own = _own_stores.get(module)
+                if own is None and create:
+                    own = _own_stores[module] = PlanCache()
+    except TypeError:           # not weak-referenceable: nothing to keep
+        own = PlanCache() if create else None
+    return (shared, (module,)) if shared is not None else (own, ())
+
+
+def compile_forward_cached(module, example, occurrence: int = 0,
+                           build: Optional[Callable[[], object]] = None):
+    """``module``'s compiled forward for ``example``'s trailing shape and
+    dtype, from the model's store (None = eager fallback).
+
+    The one lookup attacks, the scheduler's float predicts and
+    :func:`repro.training.evaluate.predict_logits` share: one program
+    per (model, trailing shape, dtype) per store.  ``occurrence`` keys
+    extra programs of one model — an attack naming the same model twice
+    replays a separate program per occurrence, so two lanes never replay
+    one arena.  ``build`` replaces the default best-effort compile on a
+    miss; failures (None) are pinned.  A hit is *not* refreshed: callers
+    re-fold constants after mutating parameters (:func:`cached_programs`,
+    :meth:`CompiledForward.refresh`).
+    """
     example = np.asarray(example)
-    key = ("nn-forward", id(module), example.shape[1:], example.dtype.str)
-    hit_before = key in cache
-    plan = cache.get(key, (module,),
-                     lambda: compile_forward_or_none(module, example))
-    if plan is not None and hit_before:
-        plan.refresh()
-    return plan
+    store, owners = _program_store(module)
+    key = ("nn-forward", id(module), example.shape[1:], example.dtype.str,
+           occurrence)
+    return store.get(key, owners, build or (
+        lambda: compile_forward_or_none(module, example)))
+
+
+def cached_programs(module) -> List["CompiledForward"]:
+    """Every compiled forward ``module``'s store holds for it (all
+    shapes, dtypes and occurrences; pinned failures excluded)."""
+    store, _ = _program_store(module, create=False)
+    if store is None:
+        return []
+    head = ("nn-forward", id(module))
+    return [e.plan for key, e in store.items()
+            if isinstance(key, tuple) and key[:2] == head
+            and e.plan is not None]
 
 
 class _Op:
@@ -334,6 +398,9 @@ class _Program:
 
     def __init__(self, tracer: _Tracer, out_id: int, example: np.ndarray,
                  var_roots: Optional[set] = None):
+        #: serializes replays and refreshes: a program is shared by every
+        #: caller of its model (taken in ``id`` order by ``lane_step``)
+        self._lock = threading.Lock()
         self._input_id = tracer.input_id
         self._out_id = out_id
         self._dtype = example.dtype
@@ -589,22 +656,23 @@ class _Program:
         relative to even a single replay, so attacks call it once per
         ``generate``.
         """
-        env = self._env
-        for nid, t in self._leaves.items():
-            env[nid] = t.data
-        for ctx in self._ctx.values():
-            for key in ("wmat", "wmat_g", "w2", "w2T"):
-                ctx.pop(key, None)
-        for op in self._const_ops:
-            val = _eval_const(op, env)
-            if val.dtype.kind == "f" and val.dtype != self._dtype:
-                # the eager tape wraps every op result in a Tensor,
-                # which casts to the session dtype — mirror it, or a
-                # folded float64 intermediate (fake_quant's dequantize
-                # round trip) promotes the downstream BLAS calls and
-                # drifts off the tape by ulps
-                val = val.astype(self._dtype)
-            env[op.out] = val
+        with self._lock:
+            env = self._env
+            for nid, t in self._leaves.items():
+                env[nid] = t.data
+            for ctx in self._ctx.values():
+                for key in ("wmat", "wmat_g", "w2", "w2T"):
+                    ctx.pop(key, None)
+            for op in self._const_ops:
+                val = _eval_const(op, env)
+                if val.dtype.kind == "f" and val.dtype != self._dtype:
+                    # the eager tape wraps every op result in a Tensor,
+                    # which casts to the session dtype — mirror it, or a
+                    # folded float64 intermediate (fake_quant's dequantize
+                    # round trip) promotes the downstream BLAS calls and
+                    # drifts off the tape by ulps
+                    val = val.astype(self._dtype)
+                env[op.out] = val
 
     # -- replay --------------------------------------------------------- #
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -646,8 +714,9 @@ class CompiledForward(_Program):
         With ``copy=False`` the returned array is a view into an
         internal buffer, valid until the next replay.
         """
-        out = self._forward(self._check_input(x))
-        return out.copy() if copy else out
+        with self._lock:
+            out = self._forward(self._check_input(x))
+            return out.copy() if copy else out
 
     def value_and_input_grad(self, x: np.ndarray,
                              out_grad: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
@@ -661,9 +730,10 @@ class CompiledForward(_Program):
         valid until the next replay; the gradient is freshly owned.
         """
         x = self._check_input(x)
-        out = self._forward(x)
-        g = out_grad(out) if callable(out_grad) else np.asarray(out_grad)
-        return out, self._backward_from_seed(g, x)
+        with self._lock:
+            out = self._forward(x)
+            g = out_grad(out) if callable(out_grad) else np.asarray(out_grad)
+            return out, self._backward_from_seed(g, x)
 
     def _backward_from_seed(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         """d(loss)/d(input) for the *most recent* forward, seeded with the
@@ -704,6 +774,7 @@ class CompiledForward(_Program):
         xv = (example + rng.normal(0.0, 1e-2, size=example.shape)
               ).astype(self._dtype)
         ref, gref = _eager_value_and_input_grad(module, xv)
+        release_freed_heap()
         got, gx = self.value_and_input_grad(xv, np.ones_like(ref))
         if got.shape != ref.shape or not np.allclose(got, ref, rtol=1e-5, atol=1e-6):
             raise GraphUnsupported("compiled forward does not match eager tape")

@@ -55,12 +55,14 @@ tape, which is exactly the code path the program was validated against.
 from __future__ import annotations
 
 import copy
+import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as _tensor
-from .graph import GraphUnsupported, _Program, _Tracer, _check_input_path
+from .graph import (GraphUnsupported, _Program, _Tracer, _check_input_path,
+                    release_freed_heap)
 from .module import Module, Parameter
 from .optim import Optimizer
 from .tensor import Tensor, get_default_dtype
@@ -112,11 +114,17 @@ def compile_train_step_or_none(module, loss_fn, example, target,
 
     Any failure (unsupported op, non-Module model, un-replayable side
     effect, bit-parity validation mismatch) means "use the eager tape" —
-    never an error.  The fallback policy of :func:`train_step_fn`.
+    never an error, but never silent either: each failed build warns
+    with the model class, the example shape and the cause.  The
+    fallback policy of :func:`train_step_fn`.
     """
     try:
         return compile_train_step(module, loss_fn, example, target, optimizer)
-    except Exception:
+    except Exception as exc:
+        warnings.warn(
+            f"train-step compile failed for {type(module).__name__} on "
+            f"input {np.shape(example)}: {exc!r}; running the eager tape",
+            RuntimeWarning, stacklevel=2)
         return None
 
 
@@ -368,6 +376,7 @@ class CompiledTrainStep(_Program):
         finally:
             module.zero_grad()
             snap.restore()
+        release_freed_heap()
         try:
             loss_v, logits, genv = self._forward_backward(xv, target)
         finally:

@@ -8,10 +8,10 @@ serving on top of the four compiled-executor legs.  This package is
 that layer:
 
 - :class:`PlanCache` (:mod:`repro.serve.cache`) — one budgeted LRU
-  store for every compiled plan (forward replays, paired attack
-  programs, integer edge programs), replacing the per-attack and
-  per-edge-model ad-hoc dicts; pinned failures re-probe after a
-  cool-down so transient compile faults heal;
+  store for every compiled plan (each model's forward programs, shared
+  by its attacks and predicts, and integer edge programs), replacing
+  the per-attack and per-edge-model ad-hoc dicts; pinned failures
+  re-probe after a cool-down so transient compile faults heal;
 - :class:`Scheduler` (:mod:`repro.serve.scheduler`) — arrival-order
   dispatch that coalesces compatible requests (same serve signature,
   same shape/dtype) into single scheduled passes, starvation-free by

@@ -2,11 +2,14 @@
 program store.
 
 Before this module, every compiled-executor leg grew its own ad-hoc
-per-(model, shape, dtype) cache: ``Attack._exec_cache`` (a plain dict of
-``CompiledForward`` / ``PairedExecutor`` entries), ``EdgeModel._programs``
-(a never-evicting dict of :class:`~repro.edge.program.EdgeProgram`
-plans), and :func:`repro.training.evaluate.predict_logits` recompiling a
-fresh replay on every large evaluation.  A multi-tenant server cannot
+per-(model, shape, dtype) cache: a per-attack dict of compiled pairs,
+``EdgeModel._programs`` (a never-evicting dict of
+:class:`~repro.edge.program.EdgeProgram` plans), and
+:func:`repro.training.evaluate.predict_logits` recompiling a fresh
+replay on every large evaluation.  Today each float model's programs
+live in one store per model (:func:`repro.nn.graph.
+compile_forward_cached`): the session cache it was adopted into, else a
+private ``PlanCache`` that dies with the model.  A multi-tenant server cannot
 afford N independent unbounded caches: compiled plans pin preallocated
 activation and scratch buffers, so their footprint is real memory, and
 the set of (model, shape) pairs in flight is open-ended once many users
@@ -36,9 +39,10 @@ drive many model variants (the EI-MTD moving-target setting).
   *transient* compile fault (an OOM spike, an injected chaos fault)
   heals instead of pinning eager forever.
 
-The cache is deliberately single-threaded, like the scheduler that
-drives it, and makes no attempt to share eviction pressure across
-processes.
+Lookups take a lock, because a model's store is shared by every
+thread that attacks or evaluates the model (a build runs under it, so
+two threads never compile one key twice); the cache makes no attempt to
+share eviction pressure across processes.
 
 Doctest — the full lifecycle on toy plans::
 
@@ -66,10 +70,10 @@ Doctest — the full lifecycle on toy plans::
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -170,7 +174,7 @@ class _Entry:
     (they make the ids in the key stable for the entry's lifetime);
     ``scope`` is a *weak* reference — a scope tag holding its own cache
     entries strongly would form uncollectable-by-refcount cycles
-    (attack -> cache -> entry -> attack), and a long-lived serving
+    (edge model -> cache -> entry -> edge model), and a long-lived serving
     process churning sessions would accumulate dead programs until the
     generational GC got around to them."""
 
@@ -225,6 +229,7 @@ class PlanCache:
         self.failure_cooldown_s = failure_cooldown_s
         self.clock = clock if clock is not None else Clock()
         self._entries: "OrderedDict[Any, _Entry]" = OrderedDict()
+        self._lock = threading.RLock()
         # evicted keys awaiting a possible rebuild, kept only so a miss
         # can be classified as a rebuild in the stats; bounded (oldest
         # dropped) so an open-ended key stream cannot leak through a
@@ -236,6 +241,12 @@ class PlanCache:
         self.rebuilds = 0
         self.reprobes = 0
 
+    def __deepcopy__(self, memo) -> "PlanCache":
+        """A store is a shared resource, not model state: a deep-copied
+        model (``Module.copy_structure``, ``prepare_qat``) keeps its
+        original's store, whose lock could not be copied anyway."""
+        return self
+
     # -- core ----------------------------------------------------------- #
     def get(self, key, owners: Tuple, build: Callable[[], Any],
             scope: Any = None) -> Any:
@@ -245,9 +256,13 @@ class PlanCache:
         ``id()`` in ``key`` therefore cannot alias a dead model's plan);
         ``build`` runs on miss and may return None to pin an eager
         fallback for this key.  ``scope`` tags the entry for scoped
-        iteration/refresh (e.g. one attack instance inside a shared
-        session cache).
+        iteration (e.g. one edge model inside a shared session cache).
         """
+        with self._lock:
+            return self._get(key, owners, build, scope)
+
+    def _get(self, key, owners: Tuple, build: Callable[[], Any],
+             scope: Any) -> Any:
         entry = self._entries.get(key)
         if entry is not None:
             if (len(entry.owners) == len(owners)
@@ -318,8 +333,9 @@ class PlanCache:
 
     # -- introspection -------------------------------------------------- #
     def total_bytes(self) -> int:
-        self._recharge()
-        return sum(e.nbytes for e in self._entries.values())
+        with self._lock:
+            self._recharge()
+            return sum(e.nbytes for e in self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -333,8 +349,7 @@ class PlanCache:
         charge; ``arena_bytes`` and ``fill_bytes`` split the resident
         float programs' buffers into the planned arena and the
         pre-filled padding buffers outside it."""
-        progs = [p for e in self._entries.values()
-                 for p in _float_programs(e.plan)]
+        progs = [p for _, e in self.items() for p in _float_programs(e.plan)]
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "rebuilds": self.rebuilds,
                 "reprobes": self.reprobes,
@@ -345,29 +360,11 @@ class PlanCache:
 
     def items(self, scope: Any = None) -> Iterator[Tuple[Any, _Entry]]:
         """(key, entry) pairs, optionally restricted to one scope tag."""
-        for key, entry in list(self._entries.items()):
+        with self._lock:
+            snapshot = list(self._entries.items())
+        for key, entry in snapshot:
             if scope is None or entry.scope_is(scope):
                 yield key, entry
-
-    def refresh(self, owners: Optional[Sequence] = None) -> None:
-        """Re-fold constants on cached plans with a ``refresh`` method.
-
-        The parameters a plan snapshot may have been mutated since it
-        was built (optimizer steps between ``generate`` calls); attacks
-        call this once per run.  ``owners`` restricts the pass to
-        entries pinning at least one of the given objects (identity) —
-        a plan's constants can only go stale through the models it was
-        compiled from, so refreshing by owner is exact while staying
-        O(own plans) in a shared multi-tenant store.  None refreshes
-        everything.
-        """
-        for _, entry in self.items():
-            if entry.plan is None or not hasattr(entry.plan, "refresh"):
-                continue
-            if owners is not None and not any(
-                    e is o for e in entry.owners for o in owners):
-                continue
-            entry.plan.refresh()
 
     def clear(self) -> None:
         self._entries.clear()

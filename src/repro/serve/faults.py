@@ -13,8 +13,8 @@ arr)`` call that is a no-op unless an injector is installed:
 ======================  ================================================
 ``attack.plan.build``   :meth:`Attack._executor
                         <repro.attacks.base.Attack._executor>`, before
-                        compiling — an error fault is a failed plan
-                        build.
+                        compiling a model's program — an error fault is
+                        a failed plan build.
 ``edge.plan.build``     :class:`~repro.edge.program.EdgeProgram`
                         construction — an error fault aborts lowering
                         (caught by the loud eager-fallback path).

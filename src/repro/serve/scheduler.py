@@ -581,11 +581,11 @@ class Scheduler:
 
         Mixed groups may carry riders against several models / input
         shapes; each (model, shape, dtype) partition runs one shared
-        pass.  Compiled rungs look up plans in the model's adopted
-        session :class:`~repro.serve.cache.PlanCache` (falling back to
-        the process-wide store); a plan that fails to build pins None
-        and the pass runs the eager tape — bit-identical, per the shared
-        fallback contract.
+        pass.  Compiled rungs replay the model's one program in its
+        adopted session :class:`~repro.serve.cache.PlanCache` — the
+        program its attacks step on — refreshed first; a plan that
+        fails to build pins None and the pass runs the eager tape —
+        bit-identical, per the shared fallback contract.
         Deadlines are ignored as in :meth:`_dispatch_predict`: a single
         pass has no partial result to return.
         """
@@ -602,12 +602,12 @@ class Scheduler:
             xs = np.concatenate([j.x for j in members], axis=0)
             executor = None
             if compiled:
-                # 8 example rows, like Attack's executor cache: the
-                # plan replays any batch size, and the memo key only
-                # uses shape[1:]/dtype
-                executor = compile_forward_cached(
-                    model, xs[:8],
-                    cache=getattr(model, "plan_cache", None))
+                # 8 example rows, like Attack's executor: the program
+                # replays any batch size, and the key only uses
+                # shape[1:]/dtype
+                executor = compile_forward_cached(model, xs[:8])
+                if executor is not None:
+                    executor.refresh()
             out = _float_forward(model, xs, self.predict_batch, executor)
             start = 0
             for job in members:

@@ -1,9 +1,10 @@
 """ServeSession — the attack-serving layer's front door.
 
 One session owns the shared resources of the serving story: a single
-budgeted :class:`~repro.serve.cache.PlanCache` (every submitted attack
-and edge model is rebound to it, so compiled programs are shared across
-requests and bounded in memory), one
+budgeted :class:`~repro.serve.cache.PlanCache` (every model a submitted
+job runs — an attack's models, a float model, an edge model — is
+adopted into it, so each model's compiled programs are shared across
+requests and job kinds and bounded in memory), one
 :class:`~repro.serve.scheduler.Scheduler` (arrival-order dispatch with
 compatible-request coalescing), the
 :class:`~repro.serve.resilience.CircuitBreaker` quarantining faulty
@@ -60,7 +61,7 @@ class ServeSession:
         width), as in ``Attack.generate``'s ``batch_size``.
     plan_cache:
         Shared compiled-program store; a budgeted one is built when not
-        given.  Submitted attacks and edge models are rebound to it on
+        given.  The models of submitted jobs are adopted into it on
         first submit, so all requests draw from (and fill) one cache.
     max_batch_rows / predict_batch:
         Scheduler coalescing bounds (see
@@ -124,17 +125,25 @@ class ServeSession:
 
     # -- submission ------------------------------------------------------ #
     def _adopt(self, obj: Any) -> None:
-        """Point ``obj`` (attack or edge model) at the shared cache.
+        """Point ``obj``'s models at the shared cache: an attack's
+        :meth:`~repro.attacks.base.Attack._models`, else ``obj`` itself
+        (a float or edge model).
 
+        A model's compiled programs live in its ``plan_cache`` (see
+        :func:`~repro.nn.graph.compile_forward_cached`), so after
+        adoption every attack and predict on the model, in any job,
+        replays that model's one program per trailing shape and dtype.
         Idempotent by identity check — no bookkeeping of seen objects
         (a raw ``id()`` registry would mistake a recycled address for
-        an already-adopted object).  Programs compiled into a private
-        cache before adoption are dropped with it — they recompile into
-        the shared store on first use, after which every compatible
-        request hits.
+        an already-adopted object).  Programs compiled into a model's
+        own store before adoption are dropped with it — they recompile
+        into the shared store on first use, after which every
+        compatible request hits.
         """
-        if getattr(obj, "plan_cache", None) is not self.plan_cache:
-            obj.plan_cache = self.plan_cache
+        models = obj._models() if isinstance(obj, Attack) else (obj,)
+        for model in models:
+            if getattr(model, "plan_cache", None) is not self.plan_cache:
+                model.plan_cache = self.plan_cache
 
     def _admit(self, job: Job) -> JobFuture:
         """Run admission control, then enqueue or reject/shed.

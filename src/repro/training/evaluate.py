@@ -31,11 +31,12 @@ def predict_logits(model: Module, x: np.ndarray, batch_size: int = 128,
     When no ``executor`` is given and the workload is large enough to
     amortize compilation (distillation teacher queries, big evaluation
     sets), a compiled forward replay is built best-effort and used for
-    every batch; the eager tape remains the fallback.  Auto-compiled
-    replays are memoized in the process-wide
-    :func:`repro.nn.graph.default_plan_cache` (refreshed on every hit,
-    so mutated parameters are re-folded), which turns repeated large
-    evaluations of the same frozen model into pure replays.
+    every batch; the eager tape remains the fallback.  The replay is
+    the model's own program (:func:`repro.nn.graph.
+    compile_forward_cached`, shared with any attack on the model and
+    gone with the model), refreshed once per call so mutated parameters
+    are re-folded, which turns repeated large evaluations of the same
+    frozen model into pure replays.
     """
     was_training = getattr(model, "training", False)
     model.eval()
@@ -44,6 +45,8 @@ def predict_logits(model: Module, x: np.ndarray, batch_size: int = 128,
                 and len(x) >= _AUTO_COMPILE_MIN_BATCHES * batch_size:
             from ..nn.graph import compile_forward_cached
             executor = compile_forward_cached(model, x[:batch_size])
+            if executor is not None:
+                executor.refresh()
         outs = []
         # an empty batch still runs one forward, for its (0, K) shape
         for start in range(0, max(len(x), 1), batch_size):

@@ -138,8 +138,8 @@ class TestPoisonedLifetimes:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_diva_pair_on_lanes(self, dtype):
         orig, qat, x = _frozen_qat(dtype)
-        ref = PairedExecutor.compile((orig, qat), x)
-        pe = PairedExecutor.compile((orig, qat), x)
+        ref = PairedExecutor([compile_forward(m, x) for m in (orig, qat)])
+        pe = PairedExecutor([compile_forward(m, x) for m in (orig, qat)])
         for prog in pe.programs:
             _poison(prog)
 
@@ -316,7 +316,7 @@ class TestPlanCacheGrowth:
         from repro.serve import PlanCache, plan_nbytes
         model, x = _model("resnet")
         other, _ = _model("resnet")
-        a = PairedExecutor.compile((model, other), x[:8])
+        a = PairedExecutor([compile_forward(m, x[:8]) for m in (model, other)])
         b = compile_forward(model, x[:8])
         budget = (plan_nbytes(a) + plan_nbytes(b) + plan_nbytes(model)
                   + plan_nbytes((model, other)) + (1 << 20))

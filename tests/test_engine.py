@@ -38,6 +38,11 @@ EPS = 32.0 / 255.0
 ALPHA = 4.0 / 255.0
 
 
+def _paired(models, example):
+    """A paired executor over freshly compiled programs of ``models``."""
+    return PairedExecutor([compile_forward(m, example) for m in models])
+
+
 class TestPairedExecutor:
     def test_paired_matches_separate_bitwise(self, pair_setup):
         """One fused paired step must reproduce the two separate
@@ -46,7 +51,7 @@ class TestPairedExecutor:
         orig, quant, atk = pair_setup
         x, y = atk.x[:6], atk.y[:6]
         c = 1.0
-        pe = PairedExecutor.compile((orig, quant), x)
+        pe = _paired((orig, quant), x)
         assert pe is not None
         atk_obj = DIVA(orig, quant, c=c)
         (zo, za), g = pe.value_and_input_grad(
@@ -72,7 +77,7 @@ class TestPairedExecutor:
         each holds its own pool, and a conv's transients are views of
         that program's arena."""
         orig, quant, atk = pair_setup
-        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        pe = _paired((orig, quant), atk.x[:4])
         pools = {id(prog._pool) for prog in pe.programs}
         assert len(pools) == len(pe.programs) == 2
         pe.replay(atk.x[:4])
@@ -92,7 +97,8 @@ class TestPairedExecutor:
             def __call__(self, x):
                 return "nope"
 
-        assert PairedExecutor.compile((Opaque(),), np.zeros((2, 1, 4, 4))) is None
+        with pytest.warns(RuntimeWarning, match="Opaque"):
+            assert PGD(Opaque())._executor(np.zeros((2, 1, 4, 4))) is None
 
     @pytest.mark.parametrize("cls", [DIVA, TargetedDIVA])
     def test_paired_generate_matches_eager(self, pair_setup, cls):
@@ -131,7 +137,7 @@ class TestLanes:
         attack = (TargetedDIVA(orig, quant, target_class=1)
                   if kind == "targeted" else DIVA(orig, quant))
         x4 = atk.x[:4].astype(dtype)
-        pe = PairedExecutor.compile((orig, quant), x4)
+        pe = _paired((orig, quant), x4)
         exo, exa = compile_forward(orig, x4), compile_forward(quant, x4)
         for n in (1, 3, 64):                 # 64 regrows every arena
             x, y = _tile_rows(atk, n)
@@ -151,7 +157,11 @@ class TestLanes:
         assert pe.lane_steps == 3
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_generate_runs_on_two_lanes(self, pair_setup, dtype):
+    def test_generate_runs_on_two_lanes(self, pair_setup, dtype,
+                                        monkeypatch):
+        """Every pass of a compiled DIVA runs its two per-model programs
+        on two lanes."""
+        from repro.attacks import engine
         from repro.nn import set_default_dtype
         set_default_dtype(dtype)
         orig, quant, atk = pair_setup
@@ -159,8 +169,16 @@ class TestLanes:
         x = x.astype(dtype)
         kw = dict(eps=EPS, alpha=ALPHA, steps=5)
         attack = DIVA(orig, quant, **kw)
+        widths = []
+        real = engine._on_lanes
+
+        def spy(calls):
+            widths.append(len(calls))
+            return real(calls)
+
+        monkeypatch.setattr(engine, "_on_lanes", spy)
         got = attack.generate(x, y)
-        assert attack._executor(x).lane_steps > 0
+        assert widths and set(widths) == {2}
         if dtype == "float64":
             eager = DIVA(orig, quant, **kw)
             eager.use_compiled = False
@@ -174,7 +192,7 @@ class TestLanes:
             raise AssertionError("a single program must not use the lane")
 
         monkeypatch.setattr(engine, "_lane", no_lane)
-        pe = PairedExecutor.compile((quant,), atk.x[:4])
+        pe = _paired((quant,), atk.x[:4])
         ex = compile_forward(quant, atk.x[:4])
         seed = np.ones((6, 6))
         (z,), g = pe.value_and_input_grad(atk.x[:6], lambda zs: [seed])
@@ -194,7 +212,7 @@ class TestLanes:
         orig, quant, atk = pair_setup
         attack = DIVA(orig, quant)
         x, y = atk.x[:6], atk.y[:6]
-        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        pe = _paired((orig, quant), atk.x[:4])
         ref = self._step(pe, attack, x, y)
         head, lane = pe.programs
         finished = []
@@ -225,7 +243,7 @@ class TestLanes:
         orig, quant, atk = pair_setup
         attack = DIVA(orig, quant)
         x, y = atk.x[:6], atk.y[:6]
-        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        pe = _paired((orig, quant), atk.x[:4])
         ref = self._step(pe, attack, x, y)
         head, lane = pe.programs
         finished = []
@@ -258,7 +276,7 @@ class TestLanes:
         from repro.attacks import engine
         orig, quant, atk = pair_setup
         attack = DIVA(orig, quant)
-        pe = PairedExecutor.compile((orig, quant), atk.x[:4])
+        pe = _paired((orig, quant), atk.x[:4])
         ref = self._step(pe, attack, atk.x[:6], atk.y[:6])
         assert engine._lane_pool is not None
         r, w = os.pipe()
@@ -391,8 +409,9 @@ class TestGenerateSweep:
 
 
 class TestExecutorCacheKeying:
-    """Regression for the (id(model), shape) cache-key collision: entries
-    must pin the model they were compiled from."""
+    """Regression for the (id(model), shape) cache-key collision: a
+    program is keyed by the model it was compiled from, and its store
+    either dies with that model or pins it."""
 
     def _fresh(self, seed=3):
         from repro.models import build_model
@@ -405,19 +424,31 @@ class TestExecutorCacheKeying:
         return m, x, y
 
     def test_cache_entry_pins_model(self):
+        from repro.nn.graph import cached_programs
+        from repro.serve import ServeSession
         model, x, y = self._fresh()
         atk = PGD(model, steps=2, eps=0.1, alpha=0.05)
         atk.generate(x, y)
+        assert len(cached_programs(model)) == 1
         wr = weakref.ref(model)
-        # rebind the attack's model: the only strong reference to the old
-        # model is now the cache entry itself — exactly what keeps its id
-        # from being recycled for a different model
+        # rebind the attack's model: the old model's own store dies with
+        # it, so no program outlives its model to be hit by a recycled id
         atk.model, model = self._fresh(seed=4)[0], None
         gc.collect()
+        assert wr() is None
+        # in a shared session store the entry itself pins the model —
+        # exactly what keeps its id from being recycled for another model
+        session = ServeSession()
+        session.submit_attack(atk, x, y).result()
+        wr = weakref.ref(atk.model)
+        atk.model = self._fresh(seed=5)[0]
+        gc.collect()
         assert wr() is not None
-        assert any(entry[0] is wr() for entry in atk._exec_cache.values())
+        assert any(entry.owners[0] is wr()
+                   for _, entry in session.plan_cache.items())
 
     def test_rebound_model_gets_its_own_program(self):
+        from repro.nn.graph import cached_programs
         model_a, x, y = self._fresh(seed=3)
         atk = PGD(model_a, steps=3, eps=0.1, alpha=0.05)
         first = atk.generate(x, y)
@@ -427,10 +458,10 @@ class TestExecutorCacheKeying:
         ref = PGD(model_b, steps=3, eps=0.1, alpha=0.05).generate(x, y)
         np.testing.assert_allclose(rebound, ref, rtol=0, atol=1e-12)
         assert not np.array_equal(first, rebound)
-        # both entries alive, each pinning its own model
-        models = [entry[0] for entry in atk._exec_cache.values()]
-        assert any(m is model_a for m in models)
-        assert any(m is model_b for m in models)
+        # both programs alive, each in its own model's store
+        (prog_a,), (prog_b,) = (cached_programs(model_a),
+                                cached_programs(model_b))
+        assert prog_a is not prog_b
 
 
 class TestDtypePolicy:

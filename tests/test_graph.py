@@ -22,6 +22,16 @@ MODEL_CONFIGS = {
 }
 
 
+class NotATensorModel:
+    """A test double whose forward returns no Tensor: untraceable."""
+
+    def eval(self):
+        return self
+
+    def __call__(self, x):
+        return "nonsense"
+
+
 def _build(name):
     kwargs, shape = MODEL_CONFIGS[name]
     model = build_model(name, **kwargs)
@@ -322,17 +332,40 @@ class TestFallback:
             compile_forward(m, np.random.default_rng(0).random((2, 1, 4, 4)))
 
     def test_non_module_model_falls_back_in_attacks(self):
-        from repro.attacks import PairedExecutor
+        from repro.attacks import PGD
 
-        class NotATensorModel:
-            def eval(self):
-                return self
+        with pytest.warns(RuntimeWarning, match="NotATensorModel"):
+            assert PGD(NotATensorModel())._executor(
+                np.zeros((2, 1, 4, 4))) is None
 
-            def __call__(self, x):
-                return "nonsense"
+    def test_failed_build_warns_once_with_its_cause(self):
+        """A failed compile falls back to the eager tape loudly: one
+        RuntimeWarning naming the model class, the example shape and the
+        exception — and a pinned failure does not warn again."""
+        import warnings
+        from repro.nn.graph import compile_forward_cached
+        model, x = NotATensorModel(), np.zeros((2, 1, 4, 4))
+        with pytest.warns(RuntimeWarning) as seen:
+            assert compile_forward_cached(model, x) is None
+        (w,) = seen
+        msg = str(w.message)
+        assert "NotATensorModel" in msg and "(2, 1, 4, 4)" in msg
+        assert "GraphUnsupported" in msg and "eager tape" in msg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compile_forward_cached(model, x) is None
 
-        assert PairedExecutor.compile((NotATensorModel(),),
-                                      np.zeros((2, 1, 4, 4))) is None
+    def test_failed_train_step_compile_warns(self):
+        from repro.nn import SGD, Parameter
+        from repro.nn import functional as F
+        from repro.nn.train_graph import compile_train_step_or_none
+        opt = SGD([Parameter(np.zeros(1))], lr=0.1)
+        with pytest.warns(RuntimeWarning,
+                          match="train-step compile failed for "
+                                "NotATensorModel"):
+            assert compile_train_step_or_none(
+                NotATensorModel(), F.cross_entropy, np.zeros((2, 1, 4, 4)),
+                np.zeros(2, dtype=int), opt) is None
 
 
 class SpyModel(Module):

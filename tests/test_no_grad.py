@@ -281,8 +281,8 @@ class TestPlanCacheMemorySplit:
         qat, _ = _frozen_qat("float32")
         cache = PlanCache()
         solo = cache.get("solo", (model,), lambda: compile_forward(model, x))
-        pair = cache.get("pair", (model, qat),
-                         lambda: PairedExecutor.compile((model, qat), x))
+        pair = cache.get("pair", (model, qat), lambda: PairedExecutor(
+            [compile_forward(model, x), compile_forward(qat, x)]))
         cache.get("failed", (model,), lambda: None)
         solo.replay(np.concatenate([x, x]))       # grow one program
         progs = [solo] + pair.programs

@@ -111,25 +111,6 @@ class TestPlanCache:
         sizes = [e.nbytes for _, e in cache.items()]
         assert sizes == [8 * 1024 + 1024] * 3    # plan + owner, flat
 
-    def test_refresh_is_owner_scoped(self):
-        refreshed = []
-
-        class Plan:
-            def __init__(self, tag):
-                self.tag = tag
-
-            def refresh(self):
-                refreshed.append(self.tag)
-
-        cache = PlanCache()
-        m1, m2 = object(), object()
-        cache.get("a", (m1,), lambda: Plan("a"))
-        cache.get("b", (m2,), lambda: Plan("b"))
-        cache.refresh(owners=[m1])
-        assert refreshed == ["a"]
-        cache.refresh()                  # None = everything
-        assert refreshed == ["a", "a", "b"]
-
     def test_lru_eviction_under_budget(self):
         class Plan:
             def __init__(self):
@@ -199,22 +180,28 @@ class TestEvictionRebuildsValidate:
         assert entry.plan is None
 
     def test_attack_programs_evict_and_rebuild_bit_identical(self, pair):
+        """A session budget that fits about one model pair cycles the
+        per-model programs of two input shapes; every rebuild re-runs
+        validation and the attack's bytes never move."""
         orig, quant, x, y = pair
-        atk = DIVA(orig, quant, steps=3)
-        ref = atk.generate(x[:8], y[:8])
-        paired = next(p for _, e in atk.plan_cache.items()
-                      for p in [e.plan] if p is not None)
-        atk.plan_cache = PlanCache(
-            budget_bytes=int(plan_nbytes(paired) * 1.2))
-        # distinct trailing shapes alternate through the tight cache
         small = x[:8, :, :8, :8].copy()
+        # references from the models' own stores, before any session
+        ref = DIVA(orig, quant, steps=3).generate(x[:8], y[:8])
         ref_small = DIVA(orig, quant, steps=3).generate(small, y[:8])
+        atk = DIVA(orig, quant, steps=3)
+        roomy = ServeSession()
+        roomy._adopt(atk)
+        atk.generate(x[:8], y[:8])
+        pair_bytes = roomy.plan_cache.total_bytes()
+        tight = ServeSession(budget_bytes=int(pair_bytes * 1.2))
+        tight._adopt(atk)
+        # distinct trailing shapes alternate through the tight cache
         for _ in range(2):
             np.testing.assert_array_equal(atk.generate(x[:8], y[:8]), ref)
             np.testing.assert_array_equal(atk.generate(small, y[:8]),
                                           ref_small)
-        assert atk.plan_cache.stats["evictions"] >= 2
-        assert atk.plan_cache.stats["rebuilds"] >= 1
+        assert tight.plan_cache.stats["evictions"] >= 2
+        assert tight.plan_cache.stats["rebuilds"] >= 1
 
 
 class TestScheduler:
@@ -545,18 +532,12 @@ class TestServeParity:
         b = DIVA(orig, quant, c=2.0, steps=2)
         session.submit_attack(a, x[:4], y[:4]).result()
         session.submit_attack(b, x[4:8], y[4:8]).result()
-        assert a.plan_cache is session.plan_cache
-        assert b.plan_cache is session.plan_cache
-        # the pair compiled once and the whole-loop plan recorded once,
-        # both shared across the session
+        assert orig.plan_cache is session.plan_cache
+        assert quant.plan_cache is session.plan_cache
+        # one program per model, compiled once and shared by both attacks
         keys = [k for k, _ in session.plan_cache.items()]
-        model_keys = [k for k in keys
-                      if not (isinstance(k, tuple) and k
-                              and k[0] == "attack-loop")]
-        loop_keys = [k for k in keys if k not in model_keys]
-        assert len(model_keys) == 1
-        assert len(loop_keys) <= 1
-        assert session.plan_cache.stats["entries"] == len(keys)
+        assert sorted(k[1] for k in keys) == sorted([id(orig), id(quant)])
+        assert session.plan_cache.stats["entries"] == len(keys) == 2
 
 
 def _result_bytes(results):
@@ -676,22 +657,22 @@ class TestBurstMemory:
 
 class TestCachedForwardCompile:
     def test_predict_logits_cache_refreshes_after_mutation(self):
-        """The memoized auto-compiled replay must re-fold mutated
-        parameters — a cached executor can never serve stale weights."""
+        """The model's cached program must re-fold mutated parameters
+        before ``predict_logits`` replays it — a cached executor can
+        never serve stale weights."""
         from repro.nn import Tensor
         from repro.nn.graph import compile_forward_cached
-        from repro.serve import PlanCache
         model = build_model("lenet", num_classes=4, in_channels=1,
                             image_size=12, width=4, seed=0)
         model.eval()
-        x = np.random.default_rng(0).random((4, 1, 12, 12)).astype(np.float32)
-        cache = PlanCache()
-        ex = compile_forward_cached(model, x, cache=cache)
+        x = np.random.default_rng(0).random((12, 1, 12, 12)).astype(np.float32)
+        ex = compile_forward_cached(model, x[:4])
         assert ex is not None
         np.testing.assert_array_equal(ex.replay(x), model(Tensor(x)).data)
         for p in model.parameters():
             p.data += 0.05
-        ex2 = compile_forward_cached(model, x, cache=cache)
-        assert ex2 is ex            # cache hit ...
-        np.testing.assert_allclose(ex2.replay(x), model(Tensor(x)).data,
+        # 12 one-row batches: predict_logits replays the cached program
+        got = predict_logits(model, x, batch_size=1)
+        assert compile_forward_cached(model, x[:1]) is ex    # cache hit ...
+        np.testing.assert_allclose(got, model(Tensor(x)).data,
                                    rtol=0, atol=0)   # ... with fresh folds
