@@ -21,7 +21,10 @@ benchmark runs in and prints one row per stage, in MB:
 It ends with one line per float model the workload holds: how many
 compiled float programs the model's store holds for it (one per input
 shape and dtype, shared by every attack and predict on the model) and
-their planned arena + pre-filled padding MB.
+their planned arena + pre-filled padding MB; then one line per int8
+edge model: its compiled programs and the scratch slab MB of each of
+its two lanes (the calling thread's and the lane thread's): slab +
+pads MB.
 
 Every ``quantization.calibrate`` call during setup, and every
 ``compile_forward`` and ``compile_train_step`` call during setup and the
@@ -86,6 +89,7 @@ def main(argv=None) -> int:
     numpy_rss = rss()
     from perfbench import workloads
     from repro import nn, quantization
+    from repro.edge import EdgeModel
     from repro.nn import Module, graph, train_graph
     rows.append(("repro imports", rss() - numpy_rss))
     nn.set_default_dtype(np.float32)
@@ -123,6 +127,17 @@ def main(argv=None) -> int:
         fill = sum(p.fill_bytes() for p in progs) / 2**20
         print(f"  model {name} ({type(model).__name__}): {len(progs)} "
               f"float programs, arena {arena:.1f} + fill {fill:.1f} MB")
+    for name, model in vars(w).items():
+        if not isinstance(model, EdgeModel) or id(model) in seen:
+            continue
+        seen.add(id(model))
+        progs = [p for p in model._programs.values() if p is not None]
+        lanes = ", ".join(
+            f"{p._arena.nbytes / 2**20:.2f} + "
+            f"{sum(b.nbytes for b in p._bufs.values()) / 2**20:.2f}"
+            for p in model._pools or ())
+        print(f"  model {name} (EdgeModel): {len(progs)} edge programs, "
+              f"lane scratch {lanes or 0} MB")
     return 0
 
 

@@ -8,11 +8,12 @@ time, one configuration at a time" into a single scheduled computation:
   store holds (:func:`~repro.nn.graph.compile_forward_cached`) and each
   owning its :class:`~repro.nn.graph.ScratchPool`, through one DIVA
   Eq. 5 step as a single fused unit (:func:`lane_step`).
-  Program 0 replays on the calling thread and the others on one
-  module-level lane thread, with two join points: the forwards run
-  together and the *one* combined softmax-seeded gradient is computed
-  from every logit block once they join; then the backwards run
-  together and the input gradients are summed in program order
+  Program 0 replays on the calling thread and the others on the
+  process's lane thread (:mod:`repro.nn.lanes`), with two join
+  points: the forwards run together and the *one* combined
+  softmax-seeded gradient is computed from every logit block once
+  they join; then the backwards run together and the input gradients
+  are summed in program order
   (``g0 += g1``).  Each program replays exactly the ops it would
   alone, so the lanes change wall-time, never bytes; numpy releases
   the GIL inside the conv GEMMs and col2im that dominate a step, so a
@@ -42,61 +43,16 @@ time, one configuration at a time" into a single scheduled computation:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn import lanes
+
 #: variant keys interpreted by the scheduler itself (all attacks)
 SCHEDULER_KEYS = frozenset({"eps", "alpha", "keep_best"})
-
-# The lane thread: one worker, created on first use and shared by every
-# paired step in the process.  Work on it never submits to it again, so
-# callers on several threads only queue on it, never deadlock.
-_lane_lock = threading.Lock()
-_lane_pool: Optional[ThreadPoolExecutor] = None
-
-
-def _lane() -> ThreadPoolExecutor:
-    global _lane_pool
-    with _lane_lock:
-        if _lane_pool is None:
-            _lane_pool = ThreadPoolExecutor(max_workers=1,
-                                            thread_name_prefix="repro-lane")
-        return _lane_pool
-
-
-def _reset_lane() -> None:
-    """A forked child inherits the executor but not its thread."""
-    global _lane_pool, _lane_lock
-    _lane_pool = None
-    _lane_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_lane)
-
-
-def _on_lanes(calls: Sequence[Callable[[], Any]]) -> List[Any]:
-    """Run ``calls[0]`` here and ``calls[1:]``, in order, on the lane
-    thread; return every result in call order.
-
-    Both lanes have stopped before anything propagates: an exception
-    raised here wins (after the lane finished), and one raised on the
-    lane surfaces only after ``calls[0]`` returned.  A single call
-    submits nothing.
-    """
-    if len(calls) == 1:
-        return [calls[0]()]
-    fut = _lane().submit(lambda: [call() for call in calls[1:]])
-    try:
-        first = calls[0]()
-    finally:
-        wait((fut,))
-    return [first] + fut.result()
 
 
 def lane_step(programs: Sequence, x: np.ndarray,
@@ -122,10 +78,10 @@ def lane_step(programs: Sequence, x: np.ndarray,
     with ExitStack() as held:
         for prog in sorted(programs, key=id):
             held.enter_context(prog._lock)
-        outs = tuple(_on_lanes([partial(prog._forward, xc)
+        outs = tuple(lanes._on_lanes([partial(prog._forward, xc)
                                 for prog, xc in zip(programs, xs)]))
         seeds = seeds_fn(outs)
-        grads = _on_lanes([partial(prog._backward_from_seed,
+        grads = lanes._on_lanes([partial(prog._backward_from_seed,
                                    np.asarray(seed), xc)
                            for prog, xc, seed in zip(programs, xs, seeds)])
         outs = tuple(out.copy() for out in outs)

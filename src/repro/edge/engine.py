@@ -21,6 +21,7 @@ fails.  ``predict(..., compiled=False)`` forces the eager loop.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -275,6 +276,10 @@ class EdgeModel:
     cached :class:`~repro.edge.program.EdgeProgram` plans that are
     bit-validated against the eager op loop when first built; lowering
     or validation failure warns and pins the eager loop for that shape.
+
+    The programs share the model's two lane pools, so one lock per model
+    serializes their builds and runs: threads may share a model, and
+    each compiled chunk runs as if alone.
     """
 
     def __init__(self, ops: Sequence[EdgeOp], num_classes: int,
@@ -289,7 +294,18 @@ class EdgeModel:
             from ..serve.cache import PlanCache
             plan_cache = PlanCache()
         self.plan_cache = plan_cache
-        self._pool = None
+        self._pools = None     # the lanes' ScratchPools, made on first build
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # a copy builds its own programs into its own lane pools
+        state = dict(self.__dict__)
+        state["_pools"] = state["_lock"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def eval(self) -> "EdgeModel":
         return self
@@ -313,10 +329,10 @@ class EdgeModel:
         loop for this shape (loud, once)."""
         from ..nn.graph import ScratchPool
         from .program import EdgeProgram
-        if self._pool is None:
-            self._pool = ScratchPool()
+        if self._pools is None:
+            self._pools = (ScratchPool(), ScratchPool())
         try:
-            return EdgeProgram(self, q, pool=self._pool)
+            return EdgeProgram(self, q, pools=self._pools)
         except Exception as exc:       # lowering/validation failure -> eager
             warnings.warn(
                 f"edge program lowering failed for input {q.shape} "
@@ -348,11 +364,13 @@ class EdgeModel:
         outs = []
         for start in range(0, len(x), batch_size):
             chunk = x[start:start + batch_size]
-            prog = self._program_for(chunk) if compiled else None
-            if prog is not None:
-                outs.append(prog.run(chunk))
-            else:
-                outs.append(self._eager_forward(chunk))
+            if compiled:
+                with self._lock:
+                    prog = self._program_for(chunk)
+                    if prog is not None:
+                        outs.append(prog.run(chunk))
+                        continue
+            outs.append(self._eager_forward(chunk))
         return np.concatenate(outs, axis=0)
 
     def __call__(self, x) -> "EdgeLogits":

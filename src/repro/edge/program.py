@@ -33,12 +33,22 @@ construction).
 
 **Planned buffers.**  All scratch (pad images, im2col gathers,
 accumulators, sign masks, activations) is pre-sized per row tile (see
-"Row tiles") from a :class:`~repro.nn.graph.ScratchPool` shared across
-the model's per-shape programs, with activation buffers ping-ponged so
-producers and consumers never alias.  Convolutions are tap-major: the
-window view is copied straight into an ``(N, G, Kg, P)`` scratch and
-contracted as ``(G, Fg, Kg) @ (N, G, Kg, P)``, so the accumulator is
-already NCHW and requantization writes each activation contiguously.
+"Row tiles") in one of the model's two lane
+:class:`~repro.nn.graph.ScratchPool` objects, shared by the model's
+per-shape programs.  Everything but the pads is packed into the pool's
+one byte slab (its arena): a step's running input sits at one end, its
+scratch stacks on after it, and its output goes at the other end, where
+the next step reads it.  Producers and consumers never alias, and a
+slab costs the largest step's buffers, not the sum of every step's.
+Padded images get one pool buffer per padded op, outside the slab, so
+their constant borders are written once, at plan time; the step that
+feeds a padded conv or pool writes its output straight into the pad's
+interior.
+Convolutions are tap-major: the window view is copied straight into an
+``(N, G, Kg, P)`` scratch and contracted as
+``(G, Fg, Kg) @ (N, G, Kg, P)``, so the accumulator is already NCHW and
+requantization writes each activation contiguously (or into the next
+pad's interior).
 Max pooling is a tap-wise ``np.maximum`` of the ``k*k`` strided tap
 views into the planned output (shared with the eager op), not a
 reduction over window axes.
@@ -74,25 +84,33 @@ writing each tile's logits into one freshly owned output.  ``T`` is the
 largest row count whose biggest per-step scratch (a step's planned
 buffers plus the activations it reads and writes) fits
 :data:`TILE_BYTES`, about one L2, so each step's working set stays in
-cache and the pool holds a tile's scratch however large the batch.  A
-ragged last tile gets one extra plan over the same pool keys.  Bytes
+cache and a lane holds a tile's scratch however large the batch.  A
+ragged last tile gets one extra plan in the same slab and pads.  A
+batch with at least two full tiles runs on both lanes
+(:mod:`repro.nn.lanes`): the first half of its full tiles and the
+ragged tail on the calling thread, the second half on the lane thread,
+each lane in its own pool.  Bytes
 cannot move: every step is row-independent and the GEMMs are exact
-integer arithmetic, so a row's logits do not depend on its tile.
+integer arithmetic, so a row's logits do not depend on its tile or its
+lane.
 
 Safety mirrors ``graph.py``/``train_graph.py``: a freshly planned
-program replays the whole build batch and must match the eager op loop
-(run tile by tile) **bit for bit**, else it raises and
+program replays the whole build batch through the same split and must
+match the eager op loop (run tile by tile) **bit for bit**, else it
+raises and
 :meth:`EdgeModel.predict` warns and pins the eager loop for that shape —
 a fallback run is exactly the run that was never compiled.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.graph import ScratchPool
+from ..nn import lanes
+from ..nn.graph import _ARENA_ALIGN, ScratchPool
 from ..serve import faults
 from .engine import (Dequantize, EdgeModel, QConv2d, QFlatten, QLinear,
                      QMaxPool2d, QReLU, QuantizeInput, _max_pool_taps,
@@ -201,7 +219,7 @@ class _QuantizeStep(_Step):
         self.qmin, self.qmax = op.qp.qmin, op.qp.qmax
         fdtype = dtype if np.issubdtype(dtype, np.floating) else np.float64
         self.cast = None if np.issubdtype(dtype, np.floating) else np.float64
-        self.fbuf = scratch(("edge-qf",), shape[1:], fdtype)
+        self.fbuf = scratch(shape[1:], fdtype)
         self.out = out
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -305,11 +323,16 @@ class _ConvStep(_Step, _MatmulMixin):
     ``k*k`` (for ``stride == k``) accumulator values is ever
     requantized — exact by the monotonicity argument in the module
     docstring ("Pool before requantize").
+
+    A padded conv reads ``pad``, its padded input image; with
+    ``copy_in`` the step copies its input into the interior, otherwise
+    the previous step already wrote it there.
     """
 
     def __init__(self, op: QConv2d, shape, scratch,
                  fused_relu: Optional[QReLU], out: np.ndarray,
-                 maxpool: Optional[QMaxPool2d] = None):
+                 maxpool: Optional[QMaxPool2d] = None,
+                 pad: Optional[np.ndarray] = None, copy_in: bool = False):
         N, C, H, W = shape
         F_out, _, kh, kw = op.q_weight.shape
         G = op.groups
@@ -327,24 +350,15 @@ class _ConvStep(_Step, _MatmulMixin):
         self.wf = np.ascontiguousarray(
             op.q_weight.reshape(G, Fg, Kg).astype(self.gemm_dtype))
         (self.z_out, self.lo, self.hi, self.m0, self.rounding,
-         self.total) = self._plan_requant(op, fused_relu, (G, Fg, 1))
+         self.total) = self._plan_requant(op, fused_relu, (G, Fg, 1, 1))
+        self.pad, self.copy_in = pad, copy_in
         if p:
-            z_in = int(op.in_qp.zero_point)
-            # padding width keys the buffer too: same padded shape with a
-            # different border width must not share plan-time border fills
-            pad = scratch(("edge-pad", z_in, p), (C, H + 2 * p, W + 2 * p),
-                          np.int32)
-            # the border is the folded zero-point, constant across runs
-            _fill_border(pad, p, z_in)
-            self.pad = pad
             self.pad_interior = pad[:, :, p:-p, p:-p]
             self.src, _, _ = _window_view(pad, kh, kw, st, st)
-        else:
-            self.pad = None
         # (N, C, kh, kw, OH, OW) is (N, G, Kg, P) in memory order
-        self.cols = scratch(("edge-cols",), (G, Kg, P), self.gemm_dtype)
+        self.cols = scratch((G, Kg, P), self.gemm_dtype)
         self.cols_view = self.cols.reshape(N, C, kh, kw, oh, ow)
-        self.accf = scratch(("edge-accf",), (G, Fg, P), self.gemm_dtype)
+        self.accf = scratch((G, Fg, P), self.gemm_dtype)
         self.pool_k = None
         self.accq = self.accf           # the accumulator that requantizes
         if maxpool is not None:
@@ -353,26 +367,31 @@ class _ConvStep(_Step, _MatmulMixin):
             poh, pow_ = _pooled_hw(maxpool, oh, ow)
             P = poh * pow_
             self.accf_nchw = self.accf.reshape(N, F_out, oh, ow)
-            self.accq = scratch(("edge-accp",), (G, Fg, P), self.gemm_dtype)
+            self.accq = scratch((G, Fg, P), self.gemm_dtype)
             self.accq_nchw = self.accq.reshape(N, F_out, poh, pow_)
-        self.acci = scratch(("edge-acci",), (G, Fg, P), np.int64)
-        self.neg = scratch(("edge-neg",), (G, Fg, P), np.bool_)
+            oh, ow = poh, pow_
+        # requantization runs on (N, G, Fg, OH, OW) views, so it can
+        # write an output that is the interior of the next step's pad
+        self.acc5 = self.accq.reshape(N, G, Fg, oh, ow)
+        self.acci = scratch((G, Fg, oh, ow), np.int64)
+        self.neg = scratch((G, Fg, oh, ow), np.bool_)
         self.out = out
-        self.out_view = out.reshape(N, G, Fg, P)
+        self.out_view = out.reshape(N, G, Fg, oh, ow)
 
     def run(self, q: np.ndarray) -> np.ndarray:
-        if self.pad is not None:
-            np.copyto(self.pad_interior, q)
-            src = self.src
-        else:
+        if self.pad is None:
             src, _, _ = _window_view(q, self.kh, self.kw, self.st, self.st)
+        else:
+            if self.copy_in:
+                np.copyto(self.pad_interior, q)
+            src = self.src
         np.copyto(self.cols_view, src)          # gather + int->float cast
         np.matmul(self.wf, self.cols, out=self.accf)
         if self.pool_k is not None:
             _max_pool_taps(self.accf_nchw, self.pool_k, self.pool_st,
                            self.accq_nchw)
         self.accq += self.biasf
-        self._requant_clamp_store(self.accq, self.out_view)
+        self._requant_clamp_store(self.acc5, self.out_view)
         return self.out
 
 
@@ -394,10 +413,10 @@ class _LinearStep(_Step, _MatmulMixin):
         (self.z_out, self.lo, self.hi, self.m0, self.rounding,
          self.total) = self._plan_requant(op, fused_relu)
         F_out = op.q_weight.shape[0]
-        self.xf = scratch(("edge-cols",), (K,), self.gemm_dtype)
-        self.accf = scratch(("edge-accf",), (F_out,), self.gemm_dtype)
-        self.acci = scratch(("edge-acci",), (F_out,), np.int64)
-        self.neg = scratch(("edge-neg",), (F_out,), np.bool_)
+        self.xf = scratch((K,), self.gemm_dtype)
+        self.accf = scratch((F_out,), self.gemm_dtype)
+        self.acci = scratch((F_out,), np.int64)
+        self.neg = scratch((F_out,), np.bool_)
         self.out = out
 
     def run(self, q: np.ndarray) -> np.ndarray:
@@ -424,27 +443,23 @@ class _ReLUStep(_Step):
 
 
 class _PoolStep(_Step):
-    """Integer max pooling as a tap-wise maximum into the planned output."""
+    """Integer max pooling as a tap-wise maximum into the planned output;
+    a padded pool reads ``pad`` as :class:`_ConvStep` does."""
 
-    def __init__(self, op: QMaxPool2d, shape, scratch, out: np.ndarray):
-        N, C, H, W = shape
+    def __init__(self, op: QMaxPool2d, out: np.ndarray,
+                 pad: Optional[np.ndarray] = None, copy_in: bool = False):
         self.k = op.kernel
         self.st = _pool_stride(op)
-        p = op.padding
-        if p:
-            fill = int(np.iinfo(np.int32).min)
-            pad = scratch(("edge-pad", fill, p), (C, H + 2 * p, W + 2 * p),
-                          np.int32)
-            _fill_border(pad, p, fill)
-            self.pad = pad
+        self.pad, self.copy_in = pad, copy_in
+        if pad is not None:
+            p = op.padding
             self.pad_interior = pad[:, :, p:-p, p:-p]
-        else:
-            self.pad = None
         self.out = out
 
     def run(self, q: np.ndarray) -> np.ndarray:
         if self.pad is not None:
-            np.copyto(self.pad_interior, q)
+            if self.copy_in:
+                np.copyto(self.pad_interior, q)
             q = self.pad
         return _max_pool_taps(q, self.k, self.st, self.out)
 
@@ -469,42 +484,132 @@ class _DequantStep(_Step):
         return self.out
 
 
-def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
-          ) -> Tuple[List[_Step], int, int]:
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
+
+
+class _Plan(NamedTuple):
+    """One lowering of an op list for a row tile.
+
+    ``peak`` is the largest per-step scratch in bytes: a step's planned
+    buffers plus the activations it reads and writes.  ``sizes`` lists,
+    per step, the bytes of every slab buffer the step touches (its
+    running input first, when that lives in the slab).  ``row_shape``
+    and ``dtype`` describe one row of the program's output.
+    """
+
+    steps: List[_Step]
+    fused_relus: int
+    peak: int
+    sizes: List[List[int]]
+    row_shape: Tuple[int, ...]
+    dtype: np.dtype
+
+
+def _plan(ops, rows: int, example: np.ndarray,
+          pool: Optional[ScratchPool] = None, nbytes: int = 0) -> _Plan:
     """Lower ``ops`` into steps for a ``rows``-row tile of ``example``.
 
-    Returns ``(steps, fused_relus, peak)``.  ``peak`` is the largest
-    per-step scratch in bytes: a step's planned buffers plus the
-    activations it reads and writes.  Every buffer is ``rows`` rows, so
-    a one-row plan prices each step per row.
+    With a ``pool`` (one lane's) every buffer but the pads is a view of
+    its ``nbytes`` slab (at least :func:`_slab_bytes`); without one each
+    buffer is its own array, which is how a one-row plan prices the
+    steps.  The running value sits at one end of the slab; a step stacks
+    its scratch on after it and writes its output at the other end,
+    where the next step reads it.  So a step needs only the sum of the
+    buffers it touches, and no step's scratch or output overlaps its
+    input.  Padded images sit outside the slab, one pool buffer per
+    padded op, so their borders are written once; a step whose output
+    feeds a padded conv or pool writes straight into the pad's
+    interior.
     """
+    slab = None if pool is None else pool.arena(nbytes)[:nbytes]
     shape: Tuple[int, ...] = (rows,) + example.shape[1:]
+    dtype = example.dtype
     steps: List[_Step] = []
+    sizes: List[List[int]] = []
     fused_relus = 0
-    parity = 0
-    owns_current = False   # does the running value live in our buffers?
+    at = None       # slab end of the running value: 0 low, 1 high, or
+                    # None while it is outside the slab
+    owned = False   # is the running value in our buffers (slab or pad)?
+    ready = None    # the pad whose interior holds the running value
     live = rows * example[:1].nbytes    # bytes of the running value
-    used = peak = 0
+    peak = 0
 
-    def scratch(key, per_row, dtype) -> np.ndarray:
+    def place(per_row, kind, end: int) -> np.ndarray:
+        """A buffer of ``rows`` x ``per_row`` ``kind`` at slab ``end``."""
         nonlocal used
-        buf = pool.acquire(key, rows, tuple(per_row), dtype, None)[:rows]
+        full = (rows,) + tuple(per_row)
+        nbytes = int(np.prod(full)) * np.dtype(kind).itemsize
+        used += nbytes
+        sizes[-1].append(nbytes)
+        if slab is None:
+            return np.empty(full, dtype=kind)
+        taken[end] += _aligned(nbytes)
+        if taken[0] + taken[1] > len(slab):
+            raise EdgeLoweringError("a step overflows its lane's slab")
+        off = (taken[0] - _aligned(nbytes) if end == 0
+               else len(slab) - taken[1])
+        return slab[off:off + nbytes].view(kind).reshape(full)
+
+    def scratch(per_row, kind) -> np.ndarray:
+        return place(per_row, kind, 0 if at is None else at)
+
+    def pad_for(padded, per_row) -> np.ndarray:
+        """``padded``'s (a conv or pool) padded input image: a pool
+        buffer of its own, its constant border written here.  One per
+        op, so a step never writes the pad it reads."""
+        nonlocal used
+        p = padded.padding
+        fill = (int(padded.in_qp.zero_point) if isinstance(padded, QConv2d)
+                else int(np.iinfo(np.int32).min))
+        C, H, W = per_row
+        per_row = (C, H + 2 * p, W + 2 * p)
+        if pool is None:
+            buf = np.empty((rows,) + per_row, dtype=np.int32)
+        else:
+            buf = pool.acquire(("edge-pad", id(padded)), rows, per_row,
+                               np.int32, None)[:rows]
+        _fill_border(buf, p, fill)
         used += buf.nbytes
         return buf
 
-    def act(new_shape, dtype=np.int32) -> np.ndarray:
-        nonlocal parity, owns_current, live
-        buf = scratch(("edge-act", parity), new_shape[1:], dtype)
-        parity ^= 1
-        owns_current = True
-        live = buf.nbytes
+    def act(new_shape, kind=np.int32) -> np.ndarray:
+        nonlocal out_end, live, dtype, owned, ready
+        owned = True
+        nxt = ops[i + 1] if i + 1 < len(ops) else None
+        if (len(new_shape) == 4 and kind == np.int32
+                and isinstance(nxt, (QConv2d, QMaxPool2d)) and nxt.padding):
+            # the consumer reads a padded image: write its interior
+            ready = pad_for(nxt, new_shape[1:])
+            out_end, live, dtype = None, ready.nbytes, ready.dtype
+            p = nxt.padding
+            return ready[:, :, p:-p, p:-p]
+        out_end = 1 if at in (None, 0) else 0
+        buf = place(new_shape[1:], kind, out_end)
+        live, dtype = buf.nbytes, buf.dtype
         return buf
+
+    def padded_input(padded, per_row) -> Tuple[Optional[np.ndarray], bool]:
+        """``(pad, copy_in)`` of a conv or pool: no pad when unpadded,
+        the pad the previous step wrote, or one to copy the input into."""
+        if not padded.padding:
+            return None, False
+        if in_pad is not None:
+            return in_pad, False
+        return pad_for(padded, per_row), True
 
     ops = list(ops)
     i = 0
     while i < len(ops):
         op = ops[i]
         used = live
+        taken = [0, 0]
+        sizes.append([])
+        if at is not None:
+            taken[at] = _aligned(live)
+            sizes[-1].append(live)
+        out_end = at
+        in_pad, ready = ready, None
         if isinstance(op, QuantizeInput):
             out = act(shape)
             steps.append(_QuantizeStep(op, shape, example.dtype, scratch, out))
@@ -524,6 +629,7 @@ def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
                 ow = (W + 2 * op.padding - kw) // op.stride + 1
                 if oh < 1 or ow < 1 or C % op.groups:
                     raise EdgeLoweringError("conv geometry is invalid")
+                pad, copy_in = padded_input(op, shape[1:])
                 # an unpadded max pool after the conv (and its relu)
                 # runs on the conv's accumulator instead
                 j = _hoistable_pool(op, ops, i + 1, (oh, ow))
@@ -533,7 +639,7 @@ def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
                 shape = (N, op.q_weight.shape[0], oh, ow)
                 out = act(shape)
                 steps.append(_ConvStep(op, (N, C, H, W), scratch, fused, out,
-                                       maxpool))
+                                       maxpool, pad, copy_in))
             else:
                 if len(shape) != 2:
                     raise EdgeLoweringError("linear input must be 2-D")
@@ -542,7 +648,7 @@ def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
                 out = act(shape)
                 steps.append(_LinearStep(op, in_shape, scratch, fused, out))
         elif isinstance(op, QReLU):
-            if not owns_current:
+            if not owned:
                 # the LUT step reclaims its input buffer in place,
                 # which must never be the caller's array
                 raise EdgeLoweringError("relu on the raw program input")
@@ -555,9 +661,10 @@ def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
             oh, ow = _pooled_hw(op, H, W)
             if oh < 1 or ow < 1:
                 raise EdgeLoweringError("maxpool geometry is invalid")
+            pad, copy_in = padded_input(op, shape[1:])
             shape = (N, C, oh, ow)
             out = act(shape)
-            steps.append(_PoolStep(op, (N, C, H, W), scratch, out))
+            steps.append(_PoolStep(op, out, pad, copy_in))
         elif isinstance(op, QFlatten):
             shape = (shape[0], int(np.prod(shape[1:])))
             steps.append(_FlattenStep())
@@ -565,70 +672,116 @@ def _plan(ops, rows: int, example: np.ndarray, pool: ScratchPool
             steps.append(_DequantStep(op, act(shape, np.float64)))
         else:
             raise EdgeLoweringError(f"cannot lower op {type(op).__name__}")
+        at = out_end
         peak = max(peak, used)
         i += 1
-    return steps, fused_relus, peak
+    return _Plan(steps, fused_relus, peak, sizes, shape[1:], np.dtype(dtype))
+
+
+def _slab_bytes(sizes: List[List[int]], rows: int) -> int:
+    """Bytes of a lane slab that holds every step of a ``rows``-row
+    plan, from a one-row plan's :attr:`_Plan.sizes`."""
+    return max((sum(_aligned(rows * b) for b in step) for step in sizes),
+               default=0)
 
 
 def _tile_rows(ops, example: np.ndarray) -> int:
     """Rows of the largest tile whose biggest per-step scratch fits
     :data:`TILE_BYTES` (at least one)."""
-    # a one-row plan on a throwaway pool prices the scratch per row
-    row_peak = _plan(ops, 1, example, ScratchPool())[2]
-    return max(1, TILE_BYTES // row_peak)
+    return max(1, TILE_BYTES // _plan(ops, 1, example).peak)
 
 
 class EdgeProgram:
     """A planned, fused integer pipeline for one (batch shape, dtype),
-    run one row tile at a time.
+    run one row tile at a time on up to two lanes.
 
-    Build with the :class:`EdgeModel` whose ops to lower and an example
-    batch; construction validates the program bit-for-bit against the
-    model's eager op loop on the whole batch and raises
+    Build with the :class:`EdgeModel` whose ops to lower, an example
+    batch and the model's two lane pools (fresh
+    :class:`~repro.nn.graph.ScratchPool` objects when not given);
+    construction validates the program bit-for-bit against the model's
+    eager op loop on the whole batch and raises
     :class:`EdgeLoweringError` on any mismatch or unloweable op.
     ``tile_rows`` is the row tile ``T`` the steps are planned for
     (:data:`TILE_BYTES`); ``tail_steps`` is the plan for the ragged
-    last tile, over the same pooled buffers (``steps`` itself when
-    ``T`` divides the batch).
+    last tile (``steps`` itself when ``T`` divides the batch).  Both
+    run on the calling thread in lane 0's pool.  ``lane_steps`` is the
+    full-tile plan in lane 1's pool, built when the batch has at least
+    two full tiles (None otherwise).
     """
 
     def __init__(self, model: EdgeModel, example: np.ndarray,
-                 pool: Optional[ScratchPool] = None, validate: bool = True):
+                 pools: Optional[Sequence[ScratchPool]] = None,
+                 validate: bool = True):
         # chaos-harness injection point: an error fault here is a failed
         # plan build, caught by EdgeModel's loud eager-fallback path
         faults.fire("edge.plan.build")
         x = np.asarray(example)
         if x.ndim < 2 or len(x) == 0:
             raise EdgeLoweringError("example batch must be non-empty")
-        pool = pool if pool is not None else ScratchPool()
+        if pools is None:
+            pools = (ScratchPool(), ScratchPool())
         n = len(x)
-        self.tile_rows = min(n, _tile_rows(model.ops, x))
-        self.steps, self.fused_relus, _ = _plan(model.ops, self.tile_rows,
-                                                x, pool)
+        row = _plan(model.ops, 1, x)
+        t = max(1, TILE_BYTES // row.peak)
+        self.tile_rows = min(n, t)
+        # sized for a full tile, so every later program of this input
+        # shape plans into the same slab
+        nbytes = _slab_bytes(row.sizes, t)
+
+        def plan(rows: int, lane: int) -> _Plan:
+            return _plan(model.ops, rows, x, pools[lane], nbytes)
+
+        head = plan(self.tile_rows, 0)
+        self.steps, self.fused_relus = head.steps, head.fused_relus
+        self.row_shape, self.dtype = head.row_shape, head.dtype
         ragged = n % self.tile_rows
-        self.tail_steps = (_plan(model.ops, ragged, x, pool)[0] if ragged
-                           else self.steps)
+        self.tail_steps = plan(ragged, 0).steps if ragged else self.steps
+        self.lane_steps = (plan(self.tile_rows, 1).steps
+                           if n >= 2 * self.tile_rows else None)
         if validate:
             self._validate(model, x)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the pipeline tile by tile; returns freshly-owned
-        logits for the whole batch."""
+        logits for the whole batch.
+
+        With two or more full tiles, the first half of the full tiles
+        and the ragged tail run here and the second half on the lane
+        thread (:mod:`repro.nn.lanes`), each lane in its own pool.  The
+        caller must hold the model's lock: the lane pools are shared by
+        the model's programs.
+        """
         # kernel-dispatch injection point (error faults model a kernel
         # failing at dispatch time; the serving ladder degrades to eager)
         faults.fire("edge.dispatch")
         x = np.asarray(x)
         n, t = len(x), self.tile_rows
-        out = None
-        for lo in range(0, n, t):
-            q = x[lo:lo + t]
-            rows = len(q)
-            for step in self.steps if rows == t else self.tail_steps:
-                q = step.run(q)
-            if out is None:
-                out = np.empty((n,) + q.shape[1:], dtype=q.dtype)
-            out[lo:lo + rows] = q
+        out = np.empty((n,) + self.row_shape, dtype=self.dtype)
+        if self.lane_steps is None:
+            self._walk(x, out, 0, n, self.steps)
+            return out
+        end = n - n % t
+        mid = end // t // 2 * t
+
+        def here() -> None:
+            self._walk(x, out, 0, mid, self.steps)
+            self._walk(x, out, end, n, self.steps)
+
+        lanes._on_lanes([here, partial(self._walk, x, out, mid, end,
+                                       self.lane_steps)])
         return out
+
+    def _walk(self, x: np.ndarray, out: np.ndarray, lo: int, hi: int,
+              steps: List[_Step]) -> None:
+        """Rows ``[lo, hi)`` of ``x``, tile by tile through ``steps`` (a
+        ragged last tile through :attr:`tail_steps`), into ``out``."""
+        t = self.tile_rows
+        for start in range(lo, hi, t):
+            q = x[start:min(start + t, hi)]
+            rows = len(q)
+            for step in steps if rows == t else self.tail_steps:
+                q = step.run(q)
+            out[start:start + rows] = q
 
     # -- validation ----------------------------------------------------- #
     def _validate(self, model: EdgeModel, example: np.ndarray) -> None:

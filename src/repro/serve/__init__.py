@@ -45,8 +45,10 @@ that layer:
   bit-identical outcomes.
 
 Dispatch is sequential: one :class:`Scheduler` loop per session.  The
-only second thread is the paired attack step's lane
-(:func:`repro.attacks.engine.lane_step`), which runs inside a dispatch.
+only second thread is the process's lane thread (:mod:`repro.nn.lanes`),
+which runs inside a dispatch: the paired attack step's second program
+(:func:`repro.attacks.engine.lane_step`) and the second half of an int8
+edge program's row tiles (:meth:`repro.edge.program.EdgeProgram.run`).
 """
 
 from .cache import PlanCache, plan_nbytes

@@ -1082,6 +1082,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     finally:
         client.close()
         server.shutdown(drain=True)
+        session.close()
     check_replay(workload, reference, srv)
     out = {
         "jobs": len(workload.jobs),

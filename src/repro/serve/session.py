@@ -36,6 +36,7 @@ dropped, never silently wrong.
 from __future__ import annotations
 
 import gc
+import weakref
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -122,6 +123,8 @@ class ServeSession:
             policy=admission_policy,
             tenant_quota_rows=tenant_quota_rows)
         self.default_deadline_s = default_deadline_s
+        #: the models adopted into ``plan_cache``, handed back by close()
+        self._adopted: "weakref.WeakSet" = weakref.WeakSet()
 
     # -- submission ------------------------------------------------------ #
     def _adopt(self, obj: Any) -> None:
@@ -143,6 +146,10 @@ class ServeSession:
         models = obj._models() if isinstance(obj, Attack) else (obj,)
         for model in models:
             if getattr(model, "plan_cache", None) is not self.plan_cache:
+                try:
+                    self._adopted.add(model)
+                except TypeError:   # not weak-referenceable: not handed back
+                    pass
                 model.plan_cache = self.plan_cache
 
     def _admit(self, job: Job) -> JobFuture:
@@ -265,12 +272,32 @@ class ServeSession:
         gc.collect()
         return rounds
 
+    def close(self) -> None:
+        """Hand every adopted model that still points at this session's
+        cache back to a store of its own (a fresh private
+        :class:`PlanCache` for an edge model, anything with ``predict``;
+        the per-model store of
+        :func:`~repro.nn.graph.compile_forward_cached` for a float
+        model), so a finished session's programs die with it instead of
+        living on through the models it served.  Idempotent; pending
+        jobs stay queued."""
+        for model in list(self._adopted):
+            if getattr(model, "plan_cache", None) is self.plan_cache:
+                if hasattr(model, "predict"):
+                    model.plan_cache = PlanCache()
+                else:
+                    del model.plan_cache
+        self._adopted.clear()
+
     def __enter__(self) -> "ServeSession":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.drain()
+        try:
+            if exc_type is None:
+                self.drain()
+        finally:
+            self.close()
 
     # -- introspection --------------------------------------------------- #
     @property

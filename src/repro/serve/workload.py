@@ -399,29 +399,38 @@ def replay_serve(workload: Workload, capacity: int = 64,
     failed/rejected ones) and ``errors[i]`` the :class:`ServeError` a
     refused or failed job raised.  Graceful degradation is thereby
     distinguishable from silent corruption post-hoc — a replay record
-    says *how* every job ended, not just what it returned.
+    says *how* every job ended, not just what it returned.  A session
+    made here is closed before returning
+    (:meth:`~repro.serve.session.ServeSession.close`); a passed-in one
+    stays open for its owner.
     """
-    session = session if session is not None else ServeSession(
-        capacity=capacity, float_coalesce=float_coalesce)
+    own = session is None
+    if own:
+        session = ServeSession(capacity=capacity,
+                               float_coalesce=float_coalesce)
     futures = []
-    t0 = time.perf_counter()
-    for job in workload.jobs:
-        if job.kind in ("predict", "predict_float"):
-            futures.append(session.submit_predict(
-                job.model, job.x, tenant=job.tenant))
-        else:
-            futures.append(session.submit_attack(
-                job.make_attack(), job.x, job.y, tenant=job.tenant,
-                deadline_s=job.deadline_s))
     results: List[Optional[np.ndarray]] = []
     errors: List[Optional[BaseException]] = []
-    for f in futures:
-        try:
-            results.append(f.result())
-            errors.append(None)
-        except ServeError as exc:
-            results.append(None)
-            errors.append(exc)
+    t0 = time.perf_counter()
+    try:
+        for job in workload.jobs:
+            if job.kind in ("predict", "predict_float"):
+                futures.append(session.submit_predict(
+                    job.model, job.x, tenant=job.tenant))
+            else:
+                futures.append(session.submit_attack(
+                    job.make_attack(), job.x, job.y, tenant=job.tenant,
+                    deadline_s=job.deadline_s))
+        for f in futures:
+            try:
+                results.append(f.result())
+                errors.append(None)
+            except ServeError as exc:
+                results.append(None)
+                errors.append(exc)
+    finally:
+        if own:
+            session.close()
     elapsed = time.perf_counter() - t0
     outcomes = [f.outcome for f in futures]
     counts: Dict[str, int] = {}
@@ -539,8 +548,11 @@ def chaos_replay(workload: Workload, capacity: int = 64,
         max_pending_jobs=max_pending_jobs,
         admission_policy=admission_policy,
         float_coalesce=float_coalesce)
-    with faults_mod.inject(injector):
-        srv = replay_serve(workload, session=session)
+    try:
+        with faults_mod.inject(injector):
+            srv = replay_serve(workload, session=session)
+    finally:
+        session.close()
     check_replay(workload, reference, srv)
     return {
         "jobs": len(workload.jobs),

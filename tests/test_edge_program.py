@@ -558,17 +558,19 @@ class TestRowTiles:
                                                       compiled=False))
 
     def test_scratch_does_not_scale_with_the_batch(self, vggface_edge):
-        """Once a batch spans a tile, the pooled scratch is the tile's:
-        a 1024-row plan leaves exactly the 64-row plan's pool."""
+        """Once a batch spans two tiles, the lanes' scratch is the tile's:
+        a 1024-row plan leaves exactly the 128-row plan's slabs and
+        pads."""
         edge, _ = vggface_edge
         rng = np.random.default_rng(5)
         x = rng.random((1024, 3, 16, 16)).astype(np.float32)
         assert _tile_rows(edge.ops, x[:1]) < 64
         pools = []
-        for n in (64, 1024):
+        for n in (128, 1024):
             em = EdgeModel(edge.ops, 12)
             _strict_predict(em, x[:n], batch_size=n)
-            pools.append(sum(b.nbytes for b in em._pool._bufs.values()))
+            pools.append(sum(p._arena.nbytes + sum(
+                b.nbytes for b in p._bufs.values()) for p in em._pools))
         assert pools[0] == pools[1]
 
     def test_validation_checks_every_tile(self, vggface_edge, monkeypatch):

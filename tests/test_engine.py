@@ -161,8 +161,7 @@ class TestLanes:
                                         monkeypatch):
         """Every pass of a compiled DIVA runs its two per-model programs
         on two lanes."""
-        from repro.attacks import engine
-        from repro.nn import set_default_dtype
+        from repro.nn import lanes, set_default_dtype
         set_default_dtype(dtype)
         orig, quant, atk = pair_setup
         x, y = _tile_rows(atk, 64)
@@ -170,13 +169,13 @@ class TestLanes:
         kw = dict(eps=EPS, alpha=ALPHA, steps=5)
         attack = DIVA(orig, quant, **kw)
         widths = []
-        real = engine._on_lanes
+        real = lanes._on_lanes
 
         def spy(calls):
             widths.append(len(calls))
             return real(calls)
 
-        monkeypatch.setattr(engine, "_on_lanes", spy)
+        monkeypatch.setattr(lanes, "_on_lanes", spy)
         got = attack.generate(x, y)
         assert widths and set(widths) == {2}
         if dtype == "float64":
@@ -186,12 +185,12 @@ class TestLanes:
 
     def test_single_program_submits_nothing(self, pair_setup, monkeypatch):
         orig, quant, atk = pair_setup
-        from repro.attacks import engine
+        from repro.nn import lanes
 
         def no_lane():
             raise AssertionError("a single program must not use the lane")
 
-        monkeypatch.setattr(engine, "_lane", no_lane)
+        monkeypatch.setattr(lanes, "_lane", no_lane)
         pe = _paired((quant,), atk.x[:4])
         ex = compile_forward(quant, atk.x[:4])
         seed = np.ones((6, 6))
@@ -273,18 +272,18 @@ class TestLanes:
         import os
         import select
         import signal
-        from repro.attacks import engine
+        from repro.nn import lanes
         orig, quant, atk = pair_setup
         attack = DIVA(orig, quant)
         pe = _paired((orig, quant), atk.x[:4])
         ref = self._step(pe, attack, atk.x[:6], atk.y[:6])
-        assert engine._lane_pool is not None
+        assert lanes._lane_pool is not None
         r, w = os.pipe()
         pid = os.fork()
         if pid == 0:                             # child
             ok = False
             try:
-                fresh = engine._lane_pool is None
+                fresh = lanes._lane_pool is None
                 got = self._step(pe, attack, atk.x[:6], atk.y[:6])
                 ok = fresh and all(np.array_equal(a, b)
                                    for a, b in zip(got, ref))

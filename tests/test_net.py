@@ -217,6 +217,13 @@ def test_loopback_bit_parity_clean(wl, ref):
     assert out["retried"] == 0 and out["deduped"] == 0
 
 
+def test_loopback_parity_hands_models_back(wl, ref):
+    """The gate's session is closed: no model keeps its cache."""
+    verify_net_parity(wl, rate=20.0, reference=ref)
+    assert getattr(wl.adapted, "plan_cache", None) is None
+    assert len(wl.edge.plan_cache) == 0
+
+
 def test_loopback_chaos_bit_parity_and_determinism(wl, ref):
     runs = [verify_net_parity(wl, fault_specs=default_net_chaos_specs(),
                               seed=FAULT_SEED, rate=20.0, reference=ref)
