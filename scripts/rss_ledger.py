@@ -91,6 +91,7 @@ def main(argv=None) -> int:
     from repro import nn, quantization
     from repro.edge import EdgeModel
     from repro.nn import Module, graph, train_graph
+    from repro.serve.cache import model_programs
     rows.append(("repro imports", rss() - numpy_rss))
     nn.set_default_dtype(np.float32)
 
@@ -118,11 +119,16 @@ def main(argv=None) -> int:
     for name, mb in rows:
         print(f"  {name:<18} {mb:7.1f} MB")
     seen = set()
+
+    def programs(model, kind):
+        return [p for p in model_programs(model, kind).values()
+                if p is not None]
+
     for name, model in vars(w).items():
         if not isinstance(model, Module) or id(model) in seen:
             continue
         seen.add(id(model))
-        progs = graph.cached_programs(model)
+        progs = programs(model, "nn-forward")
         arena = sum(p.arena_bytes()[0] for p in progs) / 2**20
         fill = sum(p.fill_bytes() for p in progs) / 2**20
         print(f"  model {name} ({type(model).__name__}): {len(progs)} "
@@ -131,7 +137,7 @@ def main(argv=None) -> int:
         if not isinstance(model, EdgeModel) or id(model) in seen:
             continue
         seen.add(id(model))
-        progs = [p for p in model._programs.values() if p is not None]
+        progs = programs(model, "edge")
         lanes = ", ".join(
             f"{p._arena.nbytes / 2**20:.2f} + "
             f"{sum(b.nbytes for b in p._bufs.values()) / 2**20:.2f}"

@@ -273,27 +273,23 @@ class EdgeModel:
     Behaves like a model for evaluation purposes (``__call__`` on float
     pixel arrays returning float logits) but executes entirely on the
     integer path in between.  Batches route through per-(shape, dtype)
-    cached :class:`~repro.edge.program.EdgeProgram` plans that are
+    :class:`~repro.edge.program.EdgeProgram` plans that are
     bit-validated against the eager op loop when first built; lowering
     or validation failure warns and pins the eager loop for that shape.
+    The plans live where a float model's programs do
+    (:func:`repro.serve.cache.model_program`): in the session cache the
+    model was adopted into, else in a store of its own that pins nothing
+    and dies with the model.
 
     The programs share the model's two lane pools, so one lock per model
     serializes their builds and runs: threads may share a model, and
     each compiled chunk runs as if alone.
     """
 
-    def __init__(self, ops: Sequence[EdgeOp], num_classes: int,
-                 plan_cache=None):
+    def __init__(self, ops: Sequence[EdgeOp], num_classes: int):
         self.ops = list(ops)
         self.num_classes = num_classes
         self.training = False
-        #: compiled per-shape program store; private by default, rebound
-        #: to a shared budgeted :class:`repro.serve.PlanCache` when the
-        #: model is served through a ``ServeSession``
-        if plan_cache is None:
-            from ..serve.cache import PlanCache
-            plan_cache = PlanCache()
-        self.plan_cache = plan_cache
         self._pools = None     # the lanes' ScratchPools, made on first build
         self._lock = threading.Lock()
 
@@ -312,11 +308,11 @@ class EdgeModel:
 
     @property
     def _programs(self) -> Dict[tuple, object]:
-        """Introspection view of this model's cached plans, keyed by
-        ``(shape, dtype.str)`` — the shape the historic per-model dict
-        had (kept for tests and debugging)."""
-        return {key[2:]: entry.plan
-                for key, entry in self.plan_cache.items(scope=self)}
+        """Introspection view of this model's plans in its store, keyed
+        by ``(shape, dtype.str)``; a shape pinned to the eager loop maps
+        to None."""
+        from ..serve.cache import model_programs
+        return model_programs(self, "edge")
 
     def _eager_forward(self, q: np.ndarray) -> np.ndarray:
         """The reference per-op loop (also the compiled path's oracle)."""
@@ -337,7 +333,7 @@ class EdgeModel:
             warnings.warn(
                 f"edge program lowering failed for input {q.shape} "
                 f"{q.dtype}: {exc}; running the eager integer op loop",
-                RuntimeWarning, stacklevel=5)
+                RuntimeWarning, stacklevel=6)
             return None
 
     def _program_for(self, q: np.ndarray):
@@ -346,14 +342,15 @@ class EdgeModel:
         Each new (shape, dtype) pays one compile + eager-validation
         pass, which only amortizes on repeated shapes — callers scoring
         many distinct batch sizes should bucket them (as ``predict``
-        batching does) or pass ``compiled=False``.  Under a budgeted
+        batching does) or pass ``compiled=False``.  The program comes
+        from the model's store (:func:`repro.serve.cache.model_program`),
+        keyed by the full batch shape and dtype; under a budgeted session
         cache, cold shapes age out LRU and rebuild (re-validating) on
         their next use.
         """
-        key = ("edge", id(self), q.shape, q.dtype.str)
-        return self.plan_cache.get(key, (self,),
-                                   lambda: self._build_program(q),
-                                   scope=self)
+        from ..serve.cache import model_program
+        return model_program(self, ("edge", q.shape, q.dtype.str),
+                             lambda: self._build_program(q))
 
     def predict(self, x: np.ndarray, batch_size: int = 256,
                 compiled: bool = True) -> np.ndarray:

@@ -75,7 +75,6 @@ def _serve_listen(args, spec) -> int:
     from ..serve.net import ServeServer
 
     session = ServeSession(capacity=args.capacity,
-                           float_coalesce=args.float_coalesce != "off",
                            default_deadline_s=(args.deadline_ms / 1e3
                                                if args.deadline_ms else None))
     server = ServeServer(session, spec=spec, port=args.listen,
@@ -202,18 +201,15 @@ def _run_serve(args) -> int:
         return _serve_connect(args, spec)
     if args.net:
         return _serve_net_loopback(args, spec)
-    float_coalesce = args.float_coalesce != "off"
     print(f"=== serve: workload {spec['name']} "
-          f"({len(spec['jobs'])} jobs, float coalescing "
-          f"{'on' if float_coalesce else 'off'}) ===")
+          f"({len(spec['jobs'])} jobs) ===")
     t0 = time.time()
     if args.faults:
         from ..serve import chaos_replay
         out = chaos_replay(build_workload(spec), capacity=args.capacity,
                            seed=args.fault_seed,
                            deadline_s=(args.deadline_ms / 1e3
-                                       if args.deadline_ms else None),
-                           float_coalesce=float_coalesce)
+                                       if args.deadline_ms else None))
         print(f"  chaos OK: every surviving job bit-identical, every "
               f"refusal structured (fault seed {args.fault_seed})")
         breakdown = ", ".join(f"{k}={v}" for k, v in
@@ -231,8 +227,7 @@ def _run_serve(args) -> int:
               f"{out['admission']['rejected']} rejected / "
               f"{out['admission']['shed']} shed")
     else:
-        out = verify_parity(build_workload(spec), capacity=args.capacity,
-                            float_coalesce=float_coalesce)
+        out = verify_parity(build_workload(spec), capacity=args.capacity)
         print(f"  parity OK: every job bit-identical to its solo run")
         print(f"  sequential {out['sequential_s'] * 1e3:8.1f} ms  "
               f"({out['rows']} rows, {out['jobs']} jobs)")
@@ -305,12 +300,6 @@ def main(argv=None) -> int:
                         help="serve: write-ahead journal for --listen/"
                              "--net (crash recovery + idempotent "
                              "re-reporting)")
-    parser.add_argument("--float-coalesce", choices=("on", "off"),
-                        default="on",
-                        help="serve: coalesce float-predict jobs (and mix "
-                             "them into attack dispatch rounds); 'off' "
-                             "serves every float job solo (the parity gate "
-                             "runs either way)")
     args = parser.parse_args(argv)
 
     set_default_dtype("float32")

@@ -62,7 +62,6 @@ from __future__ import annotations
 import ctypes
 import threading
 import warnings
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -173,36 +172,6 @@ def compile_forward_or_none(module, example):
         return None
 
 
-#: program stores of models no session adopted, one per model; a store
-#: never references its model, so it dies with it
-_own_stores: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_own_stores_lock = threading.Lock()
-
-
-def _program_store(module, create: bool = True):
-    """``(store, owners)`` for ``module``'s compiled programs.
-
-    The store is the session :class:`~repro.serve.PlanCache` the model
-    was adopted into (``module.plan_cache``; its entries pin the model,
-    so ``owners`` is ``(module,)``), else the model's own store, which
-    pins nothing.  Adoption drops the own store.
-    """
-    from ..serve.cache import PlanCache
-    shared = getattr(module, "plan_cache", None)
-    own = None
-    try:
-        with _own_stores_lock:
-            if shared is not None:
-                _own_stores.pop(module, None)
-            else:
-                own = _own_stores.get(module)
-                if own is None and create:
-                    own = _own_stores[module] = PlanCache()
-    except TypeError:           # not weak-referenceable: nothing to keep
-        own = PlanCache() if create else None
-    return (shared, (module,)) if shared is not None else (own, ())
-
-
 def compile_forward_cached(module, example, occurrence: int = 0,
                            build: Optional[Callable[[], object]] = None):
     """``module``'s compiled forward for ``example``'s trailing shape and
@@ -210,32 +179,28 @@ def compile_forward_cached(module, example, occurrence: int = 0,
 
     The one lookup attacks, the scheduler's float predicts and
     :func:`repro.training.evaluate.predict_logits` share: one program
-    per (model, trailing shape, dtype) per store.  ``occurrence`` keys
-    extra programs of one model — an attack naming the same model twice
-    replays a separate program per occurrence, so two lanes never replay
-    one arena.  ``build`` replaces the default best-effort compile on a
-    miss; failures (None) are pinned.  A hit is *not* refreshed: callers
-    re-fold constants after mutating parameters (:func:`cached_programs`,
-    :meth:`CompiledForward.refresh`).
+    per (model, trailing shape, dtype) per store
+    (:func:`repro.serve.cache.model_program` picks the store).
+    ``occurrence`` keys extra programs of one model — an attack naming
+    the same model twice replays a separate program per occurrence, so
+    two lanes never replay one arena.  ``build`` replaces the default
+    best-effort compile on a miss; failures (None) are pinned.  A hit is
+    *not* refreshed: callers re-fold constants after mutating parameters
+    (:func:`cached_programs`, :meth:`CompiledForward.refresh`).
     """
+    from ..serve.cache import model_program
     example = np.asarray(example)
-    store, owners = _program_store(module)
-    key = ("nn-forward", id(module), example.shape[1:], example.dtype.str,
-           occurrence)
-    return store.get(key, owners, build or (
+    key = ("nn-forward", example.shape[1:], example.dtype.str, occurrence)
+    return model_program(module, key, build or (
         lambda: compile_forward_or_none(module, example)))
 
 
 def cached_programs(module) -> List["CompiledForward"]:
     """Every compiled forward ``module``'s store holds for it (all
     shapes, dtypes and occurrences; pinned failures excluded)."""
-    store, _ = _program_store(module, create=False)
-    if store is None:
-        return []
-    head = ("nn-forward", id(module))
-    return [e.plan for key, e in store.items()
-            if isinstance(key, tuple) and key[:2] == head
-            and e.plan is not None]
+    from ..serve.cache import model_programs
+    return [p for p in model_programs(module, "nn-forward").values()
+            if p is not None]
 
 
 class _Op:

@@ -1,15 +1,17 @@
 """Budgeted LRU cache over compiled plans — the serving layer's shared
-program store.
+program store — and the one rule for where a model's programs live.
 
 Before this module, every compiled-executor leg grew its own ad-hoc
 per-(model, shape, dtype) cache: a per-attack dict of compiled pairs,
 ``EdgeModel._programs`` (a never-evicting dict of
 :class:`~repro.edge.program.EdgeProgram` plans), and
 :func:`repro.training.evaluate.predict_logits` recompiling a fresh
-replay on every large evaluation.  Today each float model's programs
-live in one store per model (:func:`repro.nn.graph.
-compile_forward_cached`): the session cache it was adopted into, else a
-private ``PlanCache`` that dies with the model.  A multi-tenant server cannot
+replay on every large evaluation.  Today every model's programs — float
+forwards (:func:`repro.nn.graph.compile_forward_cached`) and int8 edge
+programs (``EdgeModel._program_for``) alike — go through
+:func:`model_program`: they live in the session cache the model was
+adopted into (``model.plan_cache``), else in a store of the model's own
+that pins nothing and dies with it.  A multi-tenant server cannot
 afford N independent unbounded caches: compiled plans pin preallocated
 activation and scratch buffers, so their footprint is real memory, and
 the set of (model, shape) pairs in flight is open-ended once many users
@@ -73,7 +75,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -124,7 +126,7 @@ def plan_nbytes(plan: Any) -> int:
             return
         seen_objs.add(oid)
         if isinstance(obj, PlanCache):
-            # owners may hold the very cache charging them (EdgeModel's
+            # an adopted model holds the very cache charging it (its
             # plan_cache): walking into it would charge every resident
             # plan to every new entry, compounding quadratically
             return
@@ -155,46 +157,26 @@ def plan_nbytes(plan: Any) -> int:
     return sum(bases.values())
 
 
-def _alloc_rows(plan: Any) -> Optional[int]:
-    """The rows a plan's buffers are sized for, if it grows with the
-    batch (compiled float programs); None for fixed-size plans."""
-    return getattr(plan, "alloc_rows", None)
-
-
-def _float_programs(plan: Any) -> List[Any]:
-    """The compiled float programs a plan holds: itself, or a paired
-    executor's programs; none for edge plans and pinned failures."""
-    progs = getattr(plan, "programs", None)
-    return [p for p in (progs if progs is not None else [plan])
-            if hasattr(p, "arena_bytes")]
-
-
 class _Entry:
     """One cached plan.  ``owners`` are strong references on purpose
-    (they make the ids in the key stable for the entry's lifetime);
-    ``scope`` is a *weak* reference — a scope tag holding its own cache
-    entries strongly would form uncollectable-by-refcount cycles
-    (edge model -> cache -> entry -> edge model), and a long-lived serving
-    process churning sessions would accumulate dead programs until the
-    generational GC got around to them."""
+    (they make the ids in the key stable for the entry's lifetime).
+    ``rows`` is the batch the plan's buffers are sized for when it grows
+    with the batch (a compiled float program's ``alloc_rows``), None for
+    fixed-size plans."""
 
     __slots__ = ("owners", "plan", "nbytes", "owner_nbytes", "rows",
-                 "_scope", "failed_at")
+                 "failed_at")
 
     def __init__(self, owners: Tuple, plan: Any, owner_nbytes: int,
-                 scope: Any, failed_at: Optional[float] = None):
+                 failed_at: Optional[float] = None):
         self.owners = owners
         self.plan = plan
         self.owner_nbytes = owner_nbytes
-        self.rows = _alloc_rows(plan)
+        self.rows = getattr(plan, "alloc_rows", None)
         self.nbytes = plan_nbytes(plan) + owner_nbytes
-        self._scope = None if scope is None else weakref.ref(scope)
         # when the plan is a pinned failure (None), the clock reading at
         # pin time — drives the cool-down re-probe
         self.failed_at = failed_at
-
-    def scope_is(self, scope: Any) -> bool:
-        return self._scope is not None and self._scope() is scope
 
 
 class PlanCache:
@@ -243,26 +225,27 @@ class PlanCache:
 
     def __deepcopy__(self, memo) -> "PlanCache":
         """A store is a shared resource, not model state: a deep-copied
-        model (``Module.copy_structure``, ``prepare_qat``) keeps its
-        original's store, whose lock could not be copied anyway."""
+        adopted model (``Module.copy_structure``, ``prepare_qat``) keeps
+        its original's session cache, whose lock could not be copied
+        anyway."""
         return self
 
     # -- core ----------------------------------------------------------- #
     def get(self, key, owners: Tuple, build: Callable[[], Any],
-            scope: Any = None) -> Any:
+            _unused: Any = None) -> Any:
         """The one lookup path: cached plan, or build-insert-and-return.
 
         ``owners`` are identity-checked against the entry (a recycled
         ``id()`` in ``key`` therefore cannot alias a dead model's plan);
         ``build`` runs on miss and may return None to pin an eager
-        fallback for this key.  ``scope`` tags the entry for scoped
-        iteration (e.g. one edge model inside a shared session cache).
+        fallback for this key.  ``_unused`` is ignored: the benchmark's
+        traced ``get`` wrapper (``perfbench/layers.py``) still passes a
+        fifth argument.
         """
         with self._lock:
-            return self._get(key, owners, build, scope)
+            return self._get(key, owners, build)
 
-    def _get(self, key, owners: Tuple, build: Callable[[], Any],
-             scope: Any) -> Any:
+    def _get(self, key, owners: Tuple, build: Callable[[], Any]) -> Any:
         entry = self._entries.get(key)
         if entry is not None:
             if (len(entry.owners) == len(owners)
@@ -297,7 +280,7 @@ class PlanCache:
         owner_nbytes = sum(plan_nbytes(o) for o in owners)
         failed_at = self.clock.now() if plan is None else None
         self._entries[key] = _Entry(tuple(owners), plan, owner_nbytes,
-                                    scope, failed_at=failed_at)
+                                    failed_at=failed_at)
         self._entries.move_to_end(key)
         self._evict(keep=key)
         return plan
@@ -307,7 +290,7 @@ class PlanCache:
         charged; only those are walked.  True if any grew."""
         grew = False
         for entry in self._entries.values():
-            rows = _alloc_rows(entry.plan)
+            rows = getattr(entry.plan, "alloc_rows", None)
             if rows != entry.rows:
                 entry.rows = rows
                 entry.nbytes = plan_nbytes(entry.plan) + entry.owner_nbytes
@@ -349,7 +332,8 @@ class PlanCache:
         charge; ``arena_bytes`` and ``fill_bytes`` split the resident
         float programs' buffers into the planned arena and the
         pre-filled padding buffers outside it."""
-        progs = [p for _, e in self.items() for p in _float_programs(e.plan)]
+        progs = [e.plan for _, e in self.items()
+                 if hasattr(e.plan, "arena_bytes")]
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "rebuilds": self.rebuilds,
                 "reprobes": self.reprobes,
@@ -358,14 +342,62 @@ class PlanCache:
                 "arena_bytes": sum(p.arena_bytes()[0] for p in progs),
                 "fill_bytes": sum(p.fill_bytes() for p in progs)}
 
-    def items(self, scope: Any = None) -> Iterator[Tuple[Any, _Entry]]:
-        """(key, entry) pairs, optionally restricted to one scope tag."""
+    def items(self) -> Iterator[Tuple[Any, _Entry]]:
+        """(key, entry) pairs, least recently used first."""
         with self._lock:
             snapshot = list(self._entries.items())
-        for key, entry in snapshot:
-            if scope is None or entry.scope_is(scope):
-                yield key, entry
+        return iter(snapshot)
 
     def clear(self) -> None:
         self._entries.clear()
         self._evicted_keys.clear()
+
+
+#: program stores of models no session adopted, one per model; a store
+#: never references its model, so it dies with it
+_own_stores: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_own_stores_lock = threading.Lock()
+
+
+def _program_store(model, create: bool = True):
+    """``(store, owners)`` for ``model``'s compiled programs.
+
+    The store is the session :class:`PlanCache` the model was adopted
+    into (``model.plan_cache``; its entries pin the model, so ``owners``
+    is ``(model,)``), else the model's own store, which pins nothing.
+    Adoption drops the own store.
+    """
+    shared = getattr(model, "plan_cache", None)
+    own = None
+    try:
+        with _own_stores_lock:
+            if shared is not None:
+                _own_stores.pop(model, None)
+            else:
+                own = _own_stores.get(model)
+                if own is None and create:
+                    own = _own_stores[model] = PlanCache()
+    except TypeError:           # not weak-referenceable: nothing to keep
+        own = PlanCache() if create else None
+    return (shared, (model,)) if shared is not None else (own, ())
+
+
+def model_program(model, key: Tuple, build: Callable[[], Any]) -> Any:
+    """``model``'s compiled program under ``key`` — ``(kind, *rest)``,
+    stored as ``(kind, id(model), *rest)`` — from the model's store;
+    ``build`` runs on a miss and may return None to pin the eager
+    fallback.  The one lookup of float and edge programs alike."""
+    store, owners = _program_store(model)
+    return store.get((key[0], id(model)) + key[1:], owners, build)
+
+
+def model_programs(model, kind: str) -> Dict[Tuple, Any]:
+    """Every ``kind`` program ``model``'s store holds for it, keyed by
+    the key's ``rest`` (see :func:`model_program`); pinned failures map
+    to None."""
+    store, _ = _program_store(model, create=False)
+    if store is None:
+        return {}
+    head = (kind, id(model))
+    return {key[2:]: entry.plan for key, entry in store.items()
+            if isinstance(key, tuple) and key[:2] == head}

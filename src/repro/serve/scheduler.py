@@ -25,8 +25,8 @@ gradient batches through machinery that is just as happy with 64).
   ride along with attack groups targeting the same models (mixed
   traffic shares the dispatch round).
   Everything else (NES and momentum attacks with full-batch
-  RNG/velocity state, attacks with no signature, float predicts with
-  coalescing disabled) runs solo — with the reason recorded on its
+  RNG/velocity state, attacks with no signature, float predicts of
+  non-float inputs) runs solo — with the reason recorded on its
   :class:`DispatchRecord`, never silently serialized.
 - **arrival-order dispatch (no starvation)** — the dispatch loop always
   takes the *oldest pending job* as the head of the next batch and then
@@ -192,7 +192,7 @@ class DispatchRecord:
         self.coalesced = len(self.seqs) > 1
 
 
-def _group_key(job: Job, float_coalesce: bool = True):
+def _group_key(job: Job):
     """Compatibility key; a unique key (by ``seq``) means "runs solo".
 
     Solo keys always set ``job.solo_reason`` — a job that cannot
@@ -207,9 +207,6 @@ def _group_key(job: Job, float_coalesce: bool = True):
     if job.kind == "predict_float":
         if job.x.dtype.kind != "f":
             job.solo_reason = "non-float input on float-predict path"
-            return ("solo", job.seq)
-        if not float_coalesce:
-            job.solo_reason = "float-coalesce-disabled"
             return ("solo", job.seq)
         return ("predict_float", id(job.model), job.x.shape[1:],
                 job.x.dtype.str)
@@ -253,6 +250,11 @@ def _float_forward(model: Any, xs: np.ndarray, batch_size: int,
 class Scheduler:
     """Arrival-order batching of compatible jobs onto shared programs.
 
+    Float-predict jobs coalesce per (model, shape, dtype), and mixed
+    traffic rides along: a float-predict job whose model belongs to an
+    attack group head's plan owners joins that head's dispatch round
+    (sharing the session plan cache and round latency).
+
     Parameters
     ----------
     capacity:
@@ -272,28 +274,18 @@ class Scheduler:
     breaker:
         The per-key quarantine.  Shared with the owning session so its
         stats surface on ``ServeSession.stats()``.
-    float_coalesce:
-        When True (default), float-predict jobs coalesce per (model,
-        shape, dtype), and mixed traffic rides along: a float-predict
-        job whose model belongs to an attack group head's plan owners
-        joins that head's dispatch round (sharing the session plan cache
-        and round latency).  When False every float-predict job runs
-        solo — attributed on its :class:`DispatchRecord`, never silently
-        serialized.
     """
 
     def __init__(self, capacity: int = 64, max_batch_rows: int = 512,
                  predict_batch: int = 256,
                  clock: Optional[Clock] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 float_coalesce: bool = True):
+                 breaker: Optional[CircuitBreaker] = None):
         if capacity < 1 or max_batch_rows < 1 or predict_batch < 1:
             raise ValueError("capacity, max_batch_rows and predict_batch "
                              "must be >= 1")
         self.capacity = int(capacity)
         self.max_batch_rows = int(max_batch_rows)
         self.predict_batch = int(predict_batch)
-        self.float_coalesce = bool(float_coalesce)
         self.clock = clock if clock is not None else Clock()
         self.breaker = (breaker if breaker is not None
                         else CircuitBreaker(clock=self.clock))
@@ -360,7 +352,7 @@ class Scheduler:
         """
         faults.fire("queue.tick")
         head = self.pending.popleft()
-        key = _group_key(head, self.float_coalesce)
+        key = _group_key(head)
         group = [head]
         rows = head.rows
         if key[0] != "solo":
@@ -368,13 +360,12 @@ class Scheduler:
             # "riders" against the attack's own models: mixed
             # traffic shares the dispatch round (and the session
             # plan cache) instead of waiting behind it
-            owners: Tuple[Any, ...] = ()
-            if key[0] == "attack" and self.float_coalesce:
-                owners = tuple(head.attack._models())
+            owners: Tuple[Any, ...] = (
+                tuple(head.attack._models()) if key[0] == "attack" else ())
             kept: List[Job] = []
             for job in self.pending:
                 fits = rows + job.rows <= self.max_batch_rows
-                if fits and _group_key(job, self.float_coalesce) == key:
+                if fits and _group_key(job) == key:
                     group.append(job)
                     rows += job.rows
                 elif (fits and owners and job.kind == "predict_float"

@@ -83,11 +83,6 @@ class ServeSession:
         Shared time source for deadlines and every cool-down; pass a
         :class:`~repro.serve.resilience.ManualClock` for deterministic
         chaos tests.
-    float_coalesce:
-        Whether float-model inference jobs may coalesce (and ride along
-        with attack groups); off, they dispatch solo with the reason on
-        their :class:`~repro.serve.scheduler.DispatchRecord` (see
-        :class:`~repro.serve.scheduler.Scheduler`).
     """
 
     def __init__(self, capacity: int = 64,
@@ -101,8 +96,7 @@ class ServeSession:
                  default_deadline_s: Optional[float] = None,
                  quarantine_cooldown_s: float = 5.0,
                  failure_cooldown_s: Optional[float] = None,
-                 clock: Optional[Clock] = None,
-                 float_coalesce: bool = True):
+                 clock: Optional[Clock] = None):
         self.clock = clock if clock is not None else Clock()
         self.plan_cache = (
             plan_cache if plan_cache is not None
@@ -115,8 +109,7 @@ class ServeSession:
                                    max_batch_rows=max_batch_rows,
                                    predict_batch=predict_batch,
                                    clock=self.clock,
-                                   breaker=self.breaker,
-                                   float_coalesce=float_coalesce)
+                                   breaker=self.breaker)
         self.admission = AdmissionController(
             max_pending_jobs=max_pending_jobs,
             max_pending_rows=max_pending_rows,
@@ -133,7 +126,7 @@ class ServeSession:
         (a float or edge model).
 
         A model's compiled programs live in its ``plan_cache`` (see
-        :func:`~repro.nn.graph.compile_forward_cached`), so after
+        :func:`~repro.serve.cache.model_program`), so after
         adoption every attack and predict on the model, in any job,
         replays that model's one program per trailing shape and dtype.
         Idempotent by identity check — no bookkeeping of seen objects
@@ -274,19 +267,15 @@ class ServeSession:
 
     def close(self) -> None:
         """Hand every adopted model that still points at this session's
-        cache back to a store of its own (a fresh private
-        :class:`PlanCache` for an edge model, anything with ``predict``;
-        the per-model store of
-        :func:`~repro.nn.graph.compile_forward_cached` for a float
-        model), so a finished session's programs die with it instead of
+        cache back to a store of its own: the model drops ``plan_cache``,
+        so its next program builds into the per-model store of
+        :func:`~repro.serve.cache.model_program`, float and edge models
+        alike.  A finished session's programs die with it instead of
         living on through the models it served.  Idempotent; pending
         jobs stay queued."""
         for model in list(self._adopted):
             if getattr(model, "plan_cache", None) is self.plan_cache:
-                if hasattr(model, "predict"):
-                    model.plan_cache = PlanCache()
-                else:
-                    del model.plan_cache
+                del model.plan_cache
         self._adopted.clear()
 
     def __enter__(self) -> "ServeSession":

@@ -388,8 +388,7 @@ def replay_sequential(workload: Workload) -> Dict[str, Any]:
 
 
 def replay_serve(workload: Workload, capacity: int = 64,
-                 session: Optional[ServeSession] = None,
-                 float_coalesce: bool = True) -> Dict[str, Any]:
+                 session: Optional[ServeSession] = None) -> Dict[str, Any]:
     """All jobs through one session: submit in arrival order, drain.
 
     Per-job terminal states are recorded alongside the results:
@@ -406,8 +405,7 @@ def replay_serve(workload: Workload, capacity: int = 64,
     """
     own = session is None
     if own:
-        session = ServeSession(capacity=capacity,
-                               float_coalesce=float_coalesce)
+        session = ServeSession(capacity=capacity)
     futures = []
     results: List[Optional[np.ndarray]] = []
     errors: List[Optional[BaseException]] = []
@@ -482,8 +480,7 @@ def check_replay(workload: Workload, reference: List[np.ndarray],
                 f"{job} ended {outcome!r} without a structured ServeError")
 
 
-def verify_parity(workload: Workload, capacity: int = 64,
-                  float_coalesce: bool = True) -> Dict[str, Any]:
+def verify_parity(workload: Workload, capacity: int = 64) -> Dict[str, Any]:
     """Replay both ways, assert bit-identical per-job results.
 
     The serving layer's whole contract in one call: coalescing and
@@ -495,8 +492,7 @@ def verify_parity(workload: Workload, capacity: int = 64,
     seconds`` serve over sequential).
     """
     seq = replay_sequential(workload)
-    srv = replay_serve(workload, capacity=capacity,
-                       float_coalesce=float_coalesce)
+    srv = replay_serve(workload, capacity=capacity)
     not_ok = sum(o != "ok" for o in srv["outcomes"])
     if not_ok:
         raise AssertionError(
@@ -520,8 +516,7 @@ def chaos_replay(workload: Workload, capacity: int = 64,
                  fault_specs=None, seed: int = 0,
                  deadline_s: Optional[float] = None,
                  max_pending_jobs: Optional[int] = None,
-                 admission_policy: str = "reject",
-                 float_coalesce: bool = True) -> Dict[str, Any]:
+                 admission_policy: str = "reject") -> Dict[str, Any]:
     """Serve the workload under seeded fault injection and check every
     job against its solo fault-free run with :func:`check_replay` — the
     resilience invariants the chaos suite (and ``repro-exp serve
@@ -546,8 +541,7 @@ def chaos_replay(workload: Workload, capacity: int = 64,
         default_deadline_s=deadline_s,
         quarantine_cooldown_s=0.5, failure_cooldown_s=0.5,
         max_pending_jobs=max_pending_jobs,
-        admission_policy=admission_policy,
-        float_coalesce=float_coalesce)
+        admission_policy=admission_policy)
     try:
         with faults_mod.inject(injector):
             srv = replay_serve(workload, session=session)

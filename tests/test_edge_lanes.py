@@ -4,9 +4,12 @@ one lock per edge model; the lane runner's re-entrancy; and sessions
 that hand their models back when they close."""
 
 import copy
+import gc
+import pickle
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.models import build_model
 from repro.nn import lanes
 from repro.nn.graph import cached_programs
 from repro.quantization import calibrate, prepare_qat
-from repro.serve import (FaultInjector, FaultSpec, PlanCache, ServeSession,
+from repro.serve import (FaultInjector, FaultSpec, ServeSession,
                          build_workload, chaos_replay, inject,
                          mixed_workload_spec, replay_serve)
 
@@ -232,6 +235,56 @@ class TestModelLock:
         assert _strict(load_edge_model(path), x).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("fixture", ["vgg32", "lenet16"])
+class TestOwnStore:
+    """An edge model's programs live in a store of its own that pins
+    nothing: the model frees by refcount, copies keep their programs to
+    themselves, and the model pickles."""
+
+    def _fresh(self, request, fixture):
+        base = request.getfixturevalue(fixture)
+        edge = EdgeModel(base.ops, base.num_classes)
+        return edge, _rows(edge, 32, "float32")
+
+    def test_freed_by_refcount_after_predict(self, request, fixture):
+        edge, x = self._fresh(request, fixture)
+        _strict(edge, x)
+        assert len(edge._programs) == 1
+        ref = weakref.ref(edge)
+        gc.disable()
+        try:
+            del edge
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_deepcopy_builds_into_its_own_store(self, request, fixture):
+        edge, x = self._fresh(request, fixture)
+        _strict(edge, x)
+        clone = copy.deepcopy(edge)
+        assert _strict(clone, x[:16]).tobytes() == \
+            edge._eager_forward(x[:16]).tobytes()
+        assert len(clone._programs) == len(edge._programs) == 1
+        ref = weakref.ref(clone)
+        gc.disable()
+        try:
+            del clone
+            assert ref() is None
+        finally:
+            gc.enable()
+        from repro.serve.cache import _program_store
+        store, _ = _program_store(edge, create=False)
+        assert len(store) == 1        # the original's one program only
+
+    def test_pickles_after_predict(self, request, fixture):
+        edge, x = self._fresh(request, fixture)
+        ref = _strict(edge, x)
+        loaded = pickle.loads(pickle.dumps(edge))
+        assert loaded._programs == {}
+        assert _strict(loaded, x).tobytes() == ref.tobytes()
+        assert len(loaded._programs) == 1
+
+
 class TestLaneRunner:
     def test_call_from_the_lane_runs_inline(self):
         """A runner call made on the lane thread runs its calls there,
@@ -263,33 +316,33 @@ class TestSessionRelease:
     def test_replay_serve_hands_models_back(self):
         w = build_workload(_spec())
         replay_serve(w)
-        for model in (w.original, w.adapted):
+        for model in (w.original, w.adapted, w.edge):
             assert getattr(model, "plan_cache", None) is None
+        for model in (w.original, w.adapted):
             assert cached_programs(model) == []
-        assert isinstance(w.edge.plan_cache, PlanCache)
-        assert len(w.edge.plan_cache) == 0
+        assert w.edge._programs == {}
         # the released edge model still serves, from its own store
         x = next(j.x for j in w.jobs if j.kind == "predict")
         assert _strict(w.edge, x).tobytes() == \
             w.edge._eager_forward(x).tobytes()
-        assert len(w.edge.plan_cache) == 1
+        assert len(w.edge._programs) == 1
 
     def test_chaos_replay_hands_models_back(self):
         w = build_workload(_spec())
         chaos_replay(w)
         assert getattr(w.adapted, "plan_cache", None) is None
-        assert len(w.edge.plan_cache) == 0
+        assert getattr(w.edge, "plan_cache", None) is None
+        assert w.edge._programs == {}
 
     def test_session_exit_closes(self, vgg32):
         edge = EdgeModel(vgg32.ops, 50)
-        own = edge.plan_cache
         x = _rows(edge, 8, "float32")
         with ServeSession(capacity=8) as session:
             fut = session.submit_predict(edge, x)
             assert edge.plan_cache is session.plan_cache
         assert fut.outcome == "ok"
-        assert edge.plan_cache is not session.plan_cache
-        assert edge.plan_cache is not own and len(edge.plan_cache) == 0
+        assert getattr(edge, "plan_cache", None) is None
+        assert edge._programs == {}
         session.close()                        # idempotent
         assert _strict(edge, x).tobytes() == fut.result().tobytes()
 
@@ -301,4 +354,4 @@ class TestSessionRelease:
         first.close()
         assert edge.plan_cache is second.plan_cache
         second.close()
-        assert edge.plan_cache is not second.plan_cache
+        assert getattr(edge, "plan_cache", None) is None

@@ -221,7 +221,7 @@ def test_loopback_parity_hands_models_back(wl, ref):
     """The gate's session is closed: no model keeps its cache."""
     verify_net_parity(wl, rate=20.0, reference=ref)
     assert getattr(wl.adapted, "plan_cache", None) is None
-    assert len(wl.edge.plan_cache) == 0
+    assert getattr(wl.edge, "plan_cache", None) is None
 
 
 def test_loopback_chaos_bit_parity_and_determinism(wl, ref):

@@ -276,16 +276,14 @@ class TestEmptyInputs:
 
 class TestPlanCacheMemorySplit:
     def test_split_sums_resident_programs(self):
-        from repro.attacks import PairedExecutor
         model, x = _model("resnet", "float32")
         qat, _ = _frozen_qat("float32")
         cache = PlanCache()
         solo = cache.get("solo", (model,), lambda: compile_forward(model, x))
-        pair = cache.get("pair", (model, qat), lambda: PairedExecutor(
-            [compile_forward(model, x), compile_forward(qat, x)]))
+        twin = cache.get("twin", (qat,), lambda: compile_forward(qat, x))
         cache.get("failed", (model,), lambda: None)
         solo.replay(np.concatenate([x, x]))       # grow one program
-        progs = [solo] + pair.programs
+        progs = [solo, twin]
         stats = cache.stats
         assert stats["entries"] == 3
         assert stats["arena_bytes"] == sum(p.arena_bytes()[0] for p in progs)

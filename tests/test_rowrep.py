@@ -187,27 +187,25 @@ class TestServeFloatCoalescing:
         on = ServeSession(capacity=32)
         got_on = [f.result() for f in
                   [on.submit_predict(float_model, x) for x in batches]]
-        off = ServeSession(capacity=32, float_coalesce=False)
-        got_off = [f.result() for f in
-                   [off.submit_predict(float_model, x) for x in batches]]
-        for r, a, b in zip(ref, got_on, got_off):
+        for r, a in zip(ref, got_on):
             assert np.array_equal(r, a)
-            assert np.array_equal(r, b)
         [rec] = on.dispatch_log
         assert rec.key[0] == "predict_float" and rec.coalesced
 
     def test_uncoalesced_float_jobs_are_attributed(self, float_model, rng):
         set_default_dtype("float32")
-        x = rng.random((5, 3, 12, 12)).astype(np.float32)
-        session = ServeSession(capacity=32, float_coalesce=False)
+        x = (rng.random((5, 3, 12, 12)) * 255).astype(np.uint8)
+        session = ServeSession(capacity=32)
         futures = [session.submit_predict(float_model, x) for _ in range(2)]
-        [f.result() for f in futures]
+        ref = predict_logits(float_model, x)
+        for f in futures:
+            assert np.array_equal(f.result(), ref)
         recs = session.dispatch_log
         assert len(recs) == 2
         for rec in recs:
             # solo is explicit, never silent: key says solo, record says why
             assert rec.key[0] == "solo" and not rec.coalesced
-            assert rec.reason == "float-coalesce-disabled"
+            assert rec.reason == "non-float input on float-predict path"
 
     def test_mixed_attack_and_float_share_a_round(self, rng):
         set_default_dtype("float32")
@@ -247,18 +245,13 @@ def test_workload_parity_covers_float_jobs(rng):
     wl = build_workload(spec)
     rep = verify_parity(wl, capacity=32)
     assert rep["outcome_counts"] == {"ok": len(wl.jobs)}
-    # the gate must hold with coalescing off too (solo path parity)
-    rep_off = verify_parity(wl, capacity=32, float_coalesce=False)
-    assert rep_off["outcome_counts"] == {"ok": len(wl.jobs)}
-    assert rep_off["dispatches"] > rep["dispatches"]
 
 
 def test_serve_results_do_not_depend_on_coalescing(rng):
-    # same workload served twice, coalescing on/off: identical bytes
+    # the coalesced replay and the solo sequential run: identical bytes
     set_default_dtype("float32")
     wl = build_workload(mixed_workload_spec(scale=1))
     a = replay_serve(wl, capacity=32)
-    b = replay_serve(wl, capacity=32, float_coalesce=False)
     seq = replay_sequential(wl)
-    for ra, rb, rs in zip(a["results"], b["results"], seq["results"]):
-        assert np.array_equal(ra, rb) and np.array_equal(ra, rs)
+    for ra, rs in zip(a["results"], seq["results"]):
+        assert np.array_equal(ra, rs)

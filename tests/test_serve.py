@@ -89,10 +89,10 @@ class TestPlanCache:
         assert plan_nbytes(P()) == 8 * 128 * 8
 
     def test_owner_held_cache_never_compounds_entry_charges(self):
-        """An owner that holds the cache itself (EdgeModel.plan_cache)
-        must not have previously resident plans walked into every new
-        entry's byte charge — that would compound quadratically and
-        thrash eviction."""
+        """An owner that holds the cache itself (an adopted model's
+        plan_cache) must not have previously resident plans walked into
+        every new entry's byte charge — that would compound
+        quadratically and thrash eviction."""
         cache = PlanCache()
 
         class Model:
@@ -136,6 +136,7 @@ class TestEvictionRebuildsValidate:
         edge, x = edge_model
         ref16 = edge.predict(x[:16], compiled=False)
         ref8 = edge.predict(x[16:24], compiled=False)
+        edge.plan_cache = PlanCache()
         edge._program_for(x[:16])
         assert edge.plan_cache.stats["entries"] == 1
         # budget fits one entry (program + pinned owner): alternating
