@@ -27,8 +27,11 @@ its two lanes (the calling thread's and the lane thread's): slab +
 pads MB.
 
 Every ``quantization.calibrate`` call during setup, and every
-``compile_forward`` and ``compile_train_step`` call during setup and the
-rounds, also prints the high-water mark before and after it.
+``compile_forward``, ``compile_train_step`` and int8 edge program build
+(``EdgeModel._build_program``: lowering, one compiled run and the eager
+reference it is checked against) during setup and the rounds, also
+prints the high-water mark before and after it; an edge build also
+prints the peak of the allocations it made, its temporaries.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import argparse
 import gc
 import os
 import sys
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,16 +61,26 @@ def hwm() -> float:
     return _status_mb("VmHWM")
 
 
-def watch(owner, name: str) -> None:
-    """Wrap ``owner.name`` so each call prints VmHWM before and after."""
+def watch(owner, name: str, allocs: bool = False) -> None:
+    """Wrap ``owner.name`` so each call prints VmHWM before and after;
+    with ``allocs``, also the peak of the numpy and Python allocations
+    made during the call (``tracemalloc``), which shows its temporaries
+    even when they stay under an earlier high-water mark."""
     fn = getattr(owner, name)
 
     def watched(*a, **kw):
         before = hwm()
+        if allocs:
+            tracemalloc.start()
         try:
             return fn(*a, **kw)
         finally:
-            print(f"{name}: VmHWM {before:.1f} -> {hwm():.1f} MB")
+            line = f"{name}: VmHWM {before:.1f} -> {hwm():.1f} MB"
+            if allocs:
+                peak = tracemalloc.get_traced_memory()[1] / 2**20
+                tracemalloc.stop()
+                line += f", allocation peak {peak:.1f} MB"
+            print(line)
 
     setattr(owner, name, watched)
 
@@ -100,6 +114,7 @@ def main(argv=None) -> int:
     # every compile entry point reaches these module globals
     watch(graph, "compile_forward")
     watch(train_graph, "compile_train_step")
+    watch(EdgeModel, "_build_program", allocs=True)
     w = workloads.WORKLOADS[args.workload](args.seed)
     gc.collect()
     start = rss()

@@ -4,9 +4,15 @@ The paper's face-recognition case study (§6) converts the QAT model with
 TFLite and runs int8 inference on an ARM edge device; attacks are built
 with QAT gradients but *evaluated* on the deployed integer artifact.
 This engine reproduces that split: it executes feed-forward networks
-using int8 weights/activations, int64 accumulation and TFLite-style
-fixed-point requantization (multiplier + right shift), with no float
-arithmetic anywhere on the data path.
+using int8 weights/activations, exact integer accumulation and
+TFLite-style fixed-point requantization (multiplier + right shift).
+Between the pixel quantizer and the logit dequantizer every value is an
+integer.  The conv and linear GEMMs carry their integer operands in
+float64, which is exact: each layer refuses at construction any weights
+whose accumulator could overflow the int64 requantization, which keeps
+every product and partial sum below ``2**33``, far inside float64's
+``2**53`` (see :class:`QConv2d`).  Bias add, requantization and clamps
+run in int64.
 
 Numerical relationship to the fake-quant (QAT) path: identical up to the
 31-bit quantization of the requantization multiplier, i.e. results on the
@@ -97,88 +103,111 @@ class QuantizeInput(EdgeOp):
         return np.clip(q, self.qp.qmin, self.qp.qmax).astype(np.int32)
 
 
-class QConv2d(EdgeOp):
-    """Integer convolution: int8 weights, int64 accumulate, requantize.
+class _QMatmul(EdgeOp):
+    """Shared state of the integer conv and linear layers: int8 weights
+    (kept as int64, plus one float64 copy for the GEMM), int64 bias,
+    per-tensor or per-channel requantization multipliers.
+
+    Construction refuses a layer whose requantization could overflow
+    int64.  An input on the ``in_qp`` grid has ``|q - z_in| <= qabs``, so
+    every accumulator, bias included, is at most the per-filter
+    ``Σ|w|·qabs + |bias|``; that bound times ``m0`` plus the rounding
+    constant must stay inside int64, or ``acc * m0`` would silently
+    wrap.  Because ``m0 >= 2**30``, the same check keeps every
+    accumulator below ``2**33``.
+    """
+
+    def __init__(self, q_weight: np.ndarray, bias_q: np.ndarray,
+                 in_qp: QuantParams, w_qp: QuantParams, out_qp: QuantParams,
+                 ndim: int):
+        self.q_weight = q_weight.astype(np.int64)
+        self.bias_q = bias_q.astype(np.int64)
+        self.in_qp = in_qp
+        self.w_qp = w_qp
+        self.out_qp = out_qp
+        w_scales = np.atleast_1d(np.asarray(w_qp.scale, dtype=np.float64))
+        real_mult = (float(in_qp.scale) * w_scales) / float(out_qp.scale)
+        pairs = [quantize_multiplier(m) for m in real_mult]
+        self.m0 = np.array([p[0] for p in pairs], dtype=np.int64)
+        self.shift = np.array([p[1] for p in pairs], dtype=np.int64)
+        self.per_channel = w_qp.axis is not None
+        self._m0_b, self._round_b, self._total_b = _prep_requant(
+            self.m0, self.shift, ndim, 1 if self.per_channel else None)
+        z = int(in_qp.zero_point)
+        qabs = max(int(in_qp.qmax) - z, z - int(in_qp.qmin))
+        w = self.q_weight.reshape(len(self.q_weight), -1)
+        bound = np.abs(w).sum(axis=1) * qabs + np.abs(self.bias_q)
+        headroom = ((np.iinfo(np.int64).max - self._round_b.ravel())
+                    // self._m0_b.ravel())
+        if np.any(bound > headroom):
+            raise ValueError(
+                f"{type(self).__name__}: accumulator bound {bound.max()} "
+                "times the requantization multiplier overflows int64")
+
+    def _requantize(self, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Integer accumulator (int64, overwritten) plus bias -> int32
+        output grid."""
+        acc += bias
+        out = _requantize_prepped(acc, self._m0_b, self._round_b, self._total_b)
+        out += int(self.out_qp.zero_point)
+        return np.clip(out, self.out_qp.qmin, self.out_qp.qmax).astype(np.int32)
+
+
+class QConv2d(_QMatmul):
+    """Integer convolution: int8 weights, exact integer accumulate,
+    requantize.
 
     The input zero-point is subtracted before the convolution (weights
     are symmetric, so no weight zero-point), making zero padding exact.
+    The GEMM is tap-major, as in the compiled program: the window view
+    of the centered input is copied once into an ``(N, G, Kg, P)``
+    float64 buffer (``Kg = Cg·kh·kw`` taps, ``P = OH·OW`` positions, no
+    transpose) and contracted as ``(G, Fg, Kg) @ (N, G, Kg, P)``, so
+    the accumulator lands in NCHW order.  float64 carries it exactly:
+    every product and partial sum is an integer below ``2**33`` (see
+    :class:`_QMatmul`), well inside float64's ``2**53``, so BLAS
+    returns the int64 accumulator bit for bit in any summation order.
     """
 
     def __init__(self, q_weight: np.ndarray, bias_q: np.ndarray,
                  in_qp: QuantParams, w_qp: QuantParams, out_qp: QuantParams,
                  stride: int = 1, padding: int = 0, groups: int = 1):
-        self.q_weight = q_weight.astype(np.int64)
-        self.bias_q = bias_q.astype(np.int64)
-        self.in_qp = in_qp
-        self.w_qp = w_qp
-        self.out_qp = out_qp
+        super().__init__(q_weight, bias_q, in_qp, w_qp, out_qp, 4)
         self.stride = stride
         self.padding = padding
         self.groups = groups
-        w_scales = np.atleast_1d(np.asarray(w_qp.scale, dtype=np.float64))
-        real_mult = (float(in_qp.scale) * w_scales) / float(out_qp.scale)
-        pairs = [quantize_multiplier(m) for m in real_mult]
-        self.m0 = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.shift = np.array([p[1] for p in pairs], dtype=np.int64)
-        self.per_channel = w_qp.axis is not None
-        self._m0_b, self._round_b, self._total_b = _prep_requant(
-            self.m0, self.shift, 4, 1 if self.per_channel else None)
+        F_out = len(self.q_weight)
+        self._wf = self.q_weight.reshape(groups, F_out // groups, -1).astype(
+            np.float64)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         from ..nn.functional import _im2col
         centered = q.astype(np.int64) - int(self.in_qp.zero_point)
-        kh, kw = self.q_weight.shape[2], self.q_weight.shape[3]
-        cols, (oh, ow) = _im2col(centered, kh, kw, self.stride, self.stride,
+        F_out, _, kh, kw = self.q_weight.shape
+        view, (oh, ow) = _im2col(centered, kh, kw, self.stride, self.stride,
                                  self.padding, self.padding)
-        N, C = q.shape[0], q.shape[1]
-        F_out = self.q_weight.shape[0]
-        if self.groups == 1:
-            cols2 = np.ascontiguousarray(
-                cols.transpose(0, 4, 5, 1, 2, 3)).reshape(N, oh, ow, C * kh * kw)
-            wmat = self.q_weight.reshape(F_out, -1).T
-            acc = cols2 @ wmat                      # int64 matmul
-            acc = acc.transpose(0, 3, 1, 2)
-        else:
-            G = self.groups
-            Cg = C // G
-            Fg = F_out // G
-            colsg = cols.reshape(N, G, Cg, kh, kw, oh, ow)
-            cols2 = np.ascontiguousarray(
-                colsg.transpose(0, 1, 5, 6, 2, 3, 4)).reshape(N, G, oh, ow, -1)
-            wmat = self.q_weight.reshape(G, Fg, -1)
-            acc = np.einsum("ngxyk,gfk->ngfxy", cols2, wmat)
-            acc = acc.reshape(N, F_out, oh, ow)
-        acc = acc + self.bias_q.reshape(1, F_out, 1, 1)
-        out = _requantize_prepped(acc, self._m0_b, self._round_b, self._total_b)
-        out = out + int(self.out_qp.zero_point)
-        return np.clip(out, self.out_qp.qmin, self.out_qp.qmax).astype(np.int32)
+        N = len(q)
+        # one gather + exact cast; (N, C, kh, kw, OH, OW) is
+        # (N, G, Kg, P) in memory order
+        cols = np.ascontiguousarray(view, dtype=np.float64)
+        accf = self._wf @ cols.reshape(N, self.groups, -1, oh * ow)
+        del centered, view, cols    # free the gather before requantizing
+        return self._requantize(accf.astype(np.int64).reshape(N, F_out, oh, ow),
+                                self.bias_q.reshape(1, F_out, 1, 1))
 
 
-class QLinear(EdgeOp):
+class QLinear(_QMatmul):
     """Integer fully-connected layer (same scheme as QConv2d)."""
 
     def __init__(self, q_weight: np.ndarray, bias_q: np.ndarray,
                  in_qp: QuantParams, w_qp: QuantParams, out_qp: QuantParams):
-        self.q_weight = q_weight.astype(np.int64)
-        self.bias_q = bias_q.astype(np.int64)
-        self.in_qp = in_qp
-        self.w_qp = w_qp
-        self.out_qp = out_qp
-        w_scales = np.atleast_1d(np.asarray(w_qp.scale, dtype=np.float64))
-        real_mult = (float(in_qp.scale) * w_scales) / float(out_qp.scale)
-        pairs = [quantize_multiplier(m) for m in real_mult]
-        self.m0 = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.shift = np.array([p[1] for p in pairs], dtype=np.int64)
-        self.per_channel = w_qp.axis is not None
-        self._m0_b, self._round_b, self._total_b = _prep_requant(
-            self.m0, self.shift, 2, 1 if self.per_channel else None)
+        super().__init__(q_weight, bias_q, in_qp, w_qp, out_qp, 2)
+        self._wf = self.q_weight.T.astype(np.float64)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         centered = q.astype(np.int64) - int(self.in_qp.zero_point)
-        acc = centered @ self.q_weight.T + self.bias_q
-        out = _requantize_prepped(acc, self._m0_b, self._round_b, self._total_b)
-        out = out + int(self.out_qp.zero_point)
-        return np.clip(out, self.out_qp.qmin, self.out_qp.qmax).astype(np.int32)
+        acc = centered.astype(np.float64) @ self._wf
+        return self._requantize(acc.astype(np.int64), self.bias_q)
 
 
 class QReLU(EdgeOp):
@@ -321,36 +350,49 @@ class EdgeModel:
         return np.asarray(q)
 
     def _build_program(self, q: np.ndarray):
-        """One compile + eager-validation attempt; None pins the eager
-        loop for this shape (loud, once)."""
+        """One compile + eager-validation attempt: ``(program, its
+        validated logits for q)``, or ``(None, None)``, which pins the
+        eager loop for this shape (loud, once)."""
         from ..nn.graph import ScratchPool
         from .program import EdgeProgram
         if self._pools is None:
             self._pools = (ScratchPool(), ScratchPool())
         try:
-            return EdgeProgram(self, q, pools=self._pools)
+            prog = EdgeProgram(self, q, pools=self._pools)
+            return prog, prog.validate(self, q)
         except Exception as exc:       # lowering/validation failure -> eager
             warnings.warn(
                 f"edge program lowering failed for input {q.shape} "
                 f"{q.dtype}: {exc}; running the eager integer op loop",
                 RuntimeWarning, stacklevel=6)
-            return None
+            return None, None
 
     def _program_for(self, q: np.ndarray):
-        """Cached per-shape program, or None when this shape fell back.
+        """``(program, logits)`` for ``q``'s shape: the cached program
+        (None when this shape fell back), and, when this call built it,
+        the program's validated logits for ``q`` (else None).
 
-        Each new (shape, dtype) pays one compile + eager-validation
-        pass, which only amortizes on repeated shapes — callers scoring
-        many distinct batch sizes should bucket them (as ``predict``
-        batching does) or pass ``compiled=False``.  The program comes
-        from the model's store (:func:`repro.serve.cache.model_program`),
-        keyed by the full batch shape and dtype; under a budgeted session
-        cache, cold shapes age out LRU and rebuild (re-validating) on
-        their next use.
+        A new (shape, dtype) costs one compile, one compiled run of the
+        batch and one eager run to check it against; that compiled run
+        answers ``q`` itself, so the first predict of a shape runs the
+        program once, not twice.  The cost amortizes only on repeated
+        shapes — callers scoring many distinct batch sizes should bucket
+        them (as ``predict`` batching does) or pass ``compiled=False``.
+        The program comes from the model's store
+        (:func:`repro.serve.cache.model_program`), keyed by the full
+        batch shape and dtype; under a budgeted session cache, cold
+        shapes age out LRU and rebuild (re-validating) on their next
+        use.
         """
         from ..serve.cache import model_program
-        return model_program(self, ("edge", q.shape, q.dtype.str),
-                             lambda: self._build_program(q))
+        first = None
+
+        def build():
+            nonlocal first
+            prog, first = self._build_program(q)
+            return prog
+        prog = model_program(self, ("edge", q.shape, q.dtype.str), build)
+        return prog, first
 
     def predict(self, x: np.ndarray, batch_size: int = 256,
                 compiled: bool = True) -> np.ndarray:
@@ -363,9 +405,9 @@ class EdgeModel:
             chunk = x[start:start + batch_size]
             if compiled:
                 with self._lock:
-                    prog = self._program_for(chunk)
+                    prog, out = self._program_for(chunk)
                     if prog is not None:
-                        outs.append(prog.run(chunk))
+                        outs.append(prog.run(chunk) if out is None else out)
                         continue
             outs.append(self._eager_forward(chunk))
         return np.concatenate(outs, axis=0)

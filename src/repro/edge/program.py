@@ -99,7 +99,8 @@ program replays the whole build batch through the same split and must
 match the eager op loop (run tile by tile) **bit for bit**, else it
 raises and
 :meth:`EdgeModel.predict` warns and pins the eager loop for that shape —
-a fallback run is exactly the run that was never compiled.
+a fallback run is exactly the run that was never compiled.  The
+checked output answers the predict that built the program.
 """
 
 from __future__ import annotations
@@ -698,9 +699,12 @@ class EdgeProgram:
     Build with the :class:`EdgeModel` whose ops to lower, an example
     batch and the model's two lane pools (fresh
     :class:`~repro.nn.graph.ScratchPool` objects when not given);
-    construction validates the program bit-for-bit against the model's
-    eager op loop on the whole batch and raises
-    :class:`EdgeLoweringError` on any mismatch or unloweable op.
+    construction raises :class:`EdgeLoweringError` on an unlowerable
+    op.  :meth:`validate` then checks the program bit-for-bit against
+    the model's eager op loop on the build batch, raising
+    :class:`EdgeLoweringError` on any mismatch, and returns the checked
+    logits; :meth:`EdgeModel._build_program` validates every program
+    before it serves.
     ``tile_rows`` is the row tile ``T`` the steps are planned for
     (:data:`TILE_BYTES`); ``tail_steps`` is the plan for the ragged
     last tile (``steps`` itself when ``T`` divides the batch).  Both
@@ -710,8 +714,7 @@ class EdgeProgram:
     """
 
     def __init__(self, model: EdgeModel, example: np.ndarray,
-                 pools: Optional[Sequence[ScratchPool]] = None,
-                 validate: bool = True):
+                 pools: Optional[Sequence[ScratchPool]] = None):
         # chaos-harness injection point: an error fault here is a failed
         # plan build, caught by EdgeModel's loud eager-fallback path
         faults.fire("edge.plan.build")
@@ -738,8 +741,6 @@ class EdgeProgram:
         self.tail_steps = plan(ragged, 0).steps if ragged else self.steps
         self.lane_steps = (plan(self.tile_rows, 1).steps
                            if n >= 2 * self.tile_rows else None)
-        if validate:
-            self._validate(model, x)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the pipeline tile by tile; returns freshly-owned
@@ -784,12 +785,13 @@ class EdgeProgram:
             out[start:start + rows] = q
 
     # -- validation ----------------------------------------------------- #
-    def _validate(self, model: EdgeModel, example: np.ndarray) -> None:
-        """Every row of the build batch must match the eager op loop.
+    def validate(self, model: EdgeModel, example: np.ndarray) -> np.ndarray:
+        """Every row of the build batch must match the eager op loop;
+        returns the checked logits, which answer ``example`` itself.
 
         The eager loop replays the batch one row tile at a time: its ops
         are row-independent integer arithmetic, so this is the
-        whole-batch check without the eager loop's whole-batch int64
+        whole-batch check without the eager loop's whole-batch
         temporaries.
         """
         faults.fire("edge.plan.validate")
@@ -806,3 +808,4 @@ class EdgeProgram:
                     or not np.array_equal(tile, ref)):
                 raise EdgeLoweringError(
                     "compiled edge program does not match the eager op loop")
+        return got

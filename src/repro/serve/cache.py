@@ -223,12 +223,14 @@ class PlanCache:
         self.rebuilds = 0
         self.reprobes = 0
 
-    def __deepcopy__(self, memo) -> "PlanCache":
-        """A store is a shared resource, not model state: a deep-copied
-        adopted model (``Module.copy_structure``, ``prepare_qat``) keeps
-        its original's session cache, whose lock could not be copied
-        anyway."""
-        return self
+    def __deepcopy__(self, memo) -> None:
+        """A store is a shared resource, not model state, and a deep
+        copy of an adopted model (``Module.copy_structure``,
+        ``prepare_qat``) is not adopted: its ``plan_cache`` is None, so
+        it builds into a store of its own (:func:`_program_store`) and
+        never keeps the session cache, or the models that cache pins,
+        alive after the session closes."""
+        return None
 
     # -- core ----------------------------------------------------------- #
     def get(self, key, owners: Tuple, build: Callable[[], Any],

@@ -83,7 +83,7 @@ class TestSplitBytes:
                                                    request, monkeypatch):
         """Every batch size around the tile boundaries returns the eager
         loop's bytes; those with two full tiles ran on both lanes, in the
-        build's validation run and in the predict."""
+        build's validation run, which answers the first predict."""
         edge = EdgeModel(request.getfixturevalue(name).ops,
                          request.getfixturevalue(name).num_classes)
         widths = _widths(monkeypatch)
@@ -97,7 +97,7 @@ class TestSplitBytes:
             prog = edge._programs[(x.shape, x.dtype.str)]
             split = n >= 2 * prog.tile_rows
             assert (prog.lane_steps is not None) == split
-            assert widths == ([2, 2] if split else [])
+            assert widths == ([2] if split else [])
 
     def test_paper_model_splits_256_rows(self, vgg32):
         x = _rows(vgg32, 256, "float32")
@@ -345,6 +345,30 @@ class TestSessionRelease:
         assert edge._programs == {}
         session.close()                        # idempotent
         assert _strict(edge, x).tobytes() == fut.result().tobytes()
+
+    @pytest.mark.parametrize("kind", ["edge", "float"])
+    def test_copy_of_an_adopted_model_builds_its_own(self, lenet16, kind):
+        """A deep copy of an adopted model is not adopted: it builds into
+        a store of its own, so once the session closes nothing keeps the
+        session cache, or the model that cache pins, alive."""
+        if kind == "edge":
+            model = EdgeModel(lenet16.ops, 10)
+        else:
+            model = build_model("lenet", num_classes=10, in_channels=1,
+                                image_size=16, seed=0)
+            model.eval()
+        x = _rows(lenet16, 8, "float32")
+        session = ServeSession()
+        ref = session.submit_predict(model, x).result()
+        clone = copy.deepcopy(model)
+        assert getattr(clone, "plan_cache", None) is None
+        session.close()
+        got = ServeSession().submit_predict(clone, x).result()
+        assert got.tobytes() == ref.tobytes()
+        alive = weakref.ref(model)
+        del model, session
+        gc.collect()
+        assert alive() is None
 
     def test_close_leaves_models_another_session_adopted(self, vgg32):
         edge = EdgeModel(vgg32.ops, 50)

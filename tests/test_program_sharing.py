@@ -224,15 +224,16 @@ class TestLifetime:
         gc.collect()
         assert wr() is None
 
-    def test_copy_of_an_adopted_model_shares_its_store(self, pair):
-        """Deep-copying an adopted model (``prepare_qat`` does) keeps the
-        session store instead of copying it, and the copy computes what
-        its original does."""
+    def test_copy_of_an_adopted_model_builds_its_own_store(self, pair):
+        """Deep-copying an adopted model (``prepare_qat`` does) neither
+        copies the session store nor shares it: the copy is not adopted
+        and builds into a store of its own, and it computes what its
+        original does."""
         orig, quant, x, y = pair
         session = ServeSession()
         session.submit_predict(orig, x[:4]).result()
         clone = orig.copy_structure()
-        assert clone.plan_cache is session.plan_cache
+        assert clone.plan_cache is None
         assert _bytes(session.submit_predict(clone, x[:4]).result()) == \
             _bytes(predict_logits(orig, x[:4]))
         prepare_qat(orig, weight_bits=8)
