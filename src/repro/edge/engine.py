@@ -28,7 +28,6 @@ fails.  ``predict(..., compiled=False)`` forces the eager loop.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -351,21 +350,20 @@ class EdgeModel:
 
     def _build_program(self, q: np.ndarray):
         """One compile + eager-validation attempt: ``(program, its
-        validated logits for q)``, or ``(None, None)``, which pins the
-        eager loop for this shape (loud, once)."""
-        from ..nn.graph import ScratchPool
+        validated logits for q)``, or None after
+        :func:`~repro.nn.graph.fallback_to_eager`'s warning, which pins
+        the eager loop for this shape (loud, once)."""
+        from ..nn.graph import ScratchPool, fallback_to_eager
         from .program import EdgeProgram
         if self._pools is None:
             self._pools = (ScratchPool(), ScratchPool())
-        try:
+
+        def build():
             prog = EdgeProgram(self, q, pools=self._pools)
             return prog, prog.validate(self, q)
-        except Exception as exc:       # lowering/validation failure -> eager
-            warnings.warn(
-                f"edge program lowering failed for input {q.shape} "
-                f"{q.dtype}: {exc}; running the eager integer op loop",
-                RuntimeWarning, stacklevel=6)
-            return None, None
+        return fallback_to_eager(
+            build, f"edge program lowering failed for input {q.shape} "
+            f"{q.dtype}", "the eager integer op loop", stacklevel=6)
 
     def _program_for(self, q: np.ndarray):
         """``(program, logits)`` for ``q``'s shape: the cached program
@@ -389,7 +387,7 @@ class EdgeModel:
 
         def build():
             nonlocal first
-            prog, first = self._build_program(q)
+            prog, first = self._build_program(q) or (None, None)
             return prog
         prog = model_program(self, ("edge", q.shape, q.dtype.str), build)
         return prog, first

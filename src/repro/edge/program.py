@@ -71,8 +71,10 @@ GEMM whose every product and partial sum is an integer bounded by the
 per-filter ``Σ|w|·max|q| + |bias|``, checked at plan time.  Below 2**24
 float32 holds all of them exactly, so the layer runs sgemm; below 2**53
 it runs dgemm; either way BLAS returns the exact integer accumulator
-whatever its summation order.  Bounds past the int64 requantization
-headroom (2**31) refuse to lower.  The requantization
+whatever its summation order; bounds past 2**53 refuse to lower.  The
+int64 requantization cannot overflow: the eager layer refused at
+construction any weights whose accumulator times ``m0`` could, and the
+program's accumulator is the eager one.  The
 multiply-round-shift then runs in place on one int64 buffer with
 broadcast-shaped ``m0``/``shift``/rounding constants built at plan time,
 and the final clamp writes straight into the next int32 activation
@@ -121,8 +123,6 @@ from .engine import (Dequantize, EdgeModel, QConv2d, QFlatten, QLinear,
 _F32_EXACT = np.int64(1) << 24
 #: float64 GEMM exactness limit: integer sums must stay below 2**53
 _F64_EXACT = np.int64(1) << 53
-#: requantize headroom: |acc| * m0 (< 2**31) must stay inside int64
-_REQUANT_SAFE = np.int64(1) << 31
 #: per-step scratch budget of one row tile, about one L2
 TILE_BYTES = 1 << 21
 
@@ -273,16 +273,21 @@ class _MatmulMixin:
 
         Every partial sum of ``W @ q + bias`` is an integer bounded by
         the per-filter ``Σ|w|·max|q| + |bias|``; float32 represents all
-        of them exactly below 2**24, float64 below 2**53.  Bounds past
-        the requantization headroom refuse to lower.
+        of them exactly below 2**24, float64 below 2**53, and bounds
+        past that refuse to lower.  The int64 requantization needs no
+        check of its own: the finished accumulator ``W @ q + eff_bias``
+        equals the eager layer's ``W @ (q - z_in) + bias`` (a hoisted
+        pool keeps a subset of those values), and ``_QMatmul``
+        construction already refused any layer whose bound on that
+        value times ``m0``, plus the rounding constant, leaves int64.
         """
         w = op.q_weight.reshape(op.q_weight.shape[0], -1)
         qabs = max(abs(int(op.in_qp.qmin)), abs(int(op.in_qp.qmax)))
         bound = (np.abs(w).sum(axis=1) * qabs + np.abs(eff_bias)).max()
-        if bound >= min(_F64_EXACT, _REQUANT_SAFE):
+        if bound >= _F64_EXACT:
             raise EdgeLoweringError(
-                f"accumulator bound {bound} exceeds the exact-GEMM / "
-                "requantization headroom")
+                f"accumulator bound {bound} exceeds the exact-GEMM "
+                "headroom")
         return np.float32 if bound < _F32_EXACT else np.float64
 
     def _requant_clamp_store(self, accf: np.ndarray,

@@ -456,29 +456,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     raise ValueError(f"unknown reduction: {reduction}")
 
 
-def nll_loss(logp: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood given log-probabilities."""
-    nll = -logp.gather_rows(np.asarray(labels))
-    if reduction == "mean":
-        return nll.mean()
-    if reduction == "sum":
-        return nll.sum()
-    return nll
-
-
-def mse_loss(pred: Tensor, target: Union[Tensor, np.ndarray],
-             reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    d = pred - target
-    sq = d * d
-    if reduction == "mean":
-        return sq.mean()
-    if reduction == "sum":
-        return sq.sum()
-    return sq
-
-
 def kl_div(logp: Tensor, q: Union[Tensor, np.ndarray],
            reduction: str = "batchmean") -> Tensor:
     """KL(q || p) given log-probabilities ``logp`` and target probs ``q``.

@@ -10,7 +10,10 @@ module does it once:
 time under a tracer (hooks in :mod:`repro.nn.tensor` /
 :mod:`repro.nn.functional` report each primitive op in execution order —
 already a topological order), then lowers the recorded tape into a flat
-replayable program:
+replayable program.  Both float compilers (this one and
+:mod:`repro.nn.train_graph`) trace through one entry, :func:`_trace`,
+whose input-path check walks the tape in ``Tensor.backward``'s order
+(:func:`repro.nn.tensor._tape_order`).  The program:
 
 - **constant folding** — every subgraph that does not depend on the input
   (pruning masks, weight fake-quantization, ``weight.reshape(...).T``
@@ -42,7 +45,9 @@ Safety: tracing is best-effort by construction, so compilation
 tape on a perturbed input (logits and input gradient) before it is
 returned, and any mismatch or untraceable op raises
 :class:`GraphUnsupported`.  Callers (see :mod:`repro.attacks.base`)
-treat that as "fall back to the eager tape", never as an error.
+treat that as "fall back to the eager tape", never as an error:
+:func:`fallback_to_eager`, the one warn-and-return-None fallback of
+every compiled leg, float and int8.
 
 Constants are snapshots: if parameters are mutated after compilation
 (e.g. by an optimizer step), call :meth:`CompiledForward.refresh` to
@@ -72,8 +77,8 @@ from .functional import (_col2im, _col2im_flat, _col2im_xpad,
                          _conv_dcols_grouped, _conv_depthwise_fwd,
                          _conv_dw_dense, _conv_dw_depthwise,
                          _conv_dw_grouped, _conv_grouped_fwd, _im2col)
-from .module import Module
-from .tensor import Tensor, _unbroadcast, get_default_dtype
+from .module import Module, Parameter
+from .tensor import Tensor, _tape_order, _unbroadcast, get_default_dtype
 
 
 class GraphUnsupported(RuntimeError):
@@ -152,24 +157,35 @@ class ScratchPool:
         return self._arena
 
 
-def compile_forward_or_none(module, example):
-    """Best-effort :func:`compile_forward`: None instead of raising.
-
-    Any failure (unsupported op, non-Module test double, train-mode
-    batch statistics, parity-validation mismatch) means "use the eager
-    tape" — never an error, but never silent either: each failed build
-    warns with the model class, the example shape and the cause (the
-    program store pins the failure, so a model warns once per shape).
-    The single fallback policy shared by attacks and evaluation.
+def fallback_to_eager(build: Callable[[], object], failed: str,
+                      eager: str = "the eager tape", stacklevel: int = 2):
+    """``build()``, or None after one ``RuntimeWarning`` reading
+    ``{failed}: {exc!r}; running {eager}``: the fallback of all three
+    compiled legs (:func:`compile_forward_or_none`,
+    :func:`repro.nn.train_graph.compile_train_step_or_none`,
+    ``EdgeModel._build_program``).  Any failure (unsupported op,
+    non-Module test double, a geometry the edge planner refuses, a
+    validation mismatch) means "run the reference path": never an
+    error, never silent.  ``stacklevel`` counts from the caller.
     """
     try:
-        return compile_forward(module, example)
+        return build()
     except Exception as exc:
-        warnings.warn(
-            f"forward compile failed for {type(module).__name__} on input "
-            f"{np.shape(example)}: {exc!r}; running the eager tape",
-            RuntimeWarning, stacklevel=2)
+        warnings.warn(f"{failed}: {exc!r}; running {eager}",
+                      RuntimeWarning, stacklevel=stacklevel + 1)
         return None
+
+
+def compile_forward_or_none(module, example):
+    """Best-effort :func:`compile_forward`: None instead of raising,
+    after :func:`fallback_to_eager`'s warning (the program store pins
+    the failure, so a model warns once per shape).  The fallback shared
+    by attacks and evaluation.
+    """
+    return fallback_to_eager(
+        lambda: compile_forward(module, example),
+        f"forward compile failed for {type(module).__name__} on input "
+        f"{np.shape(example)}")
 
 
 def compile_forward_cached(module, example, occurrence: int = 0,
@@ -220,11 +236,11 @@ class _Op:
 class _Tracer:
     """Records emitted ops; installed as ``tensor._GRAPH_TRACER``."""
 
-    #: whether :meth:`emit_effect` records (training compiler) or refuses
-    #: (forward executor: a side effect cannot be replayed batch-variably)
-    allow_effects = False
-
-    def __init__(self, input_tensor: Tensor):
+    def __init__(self, input_tensor: Tensor, allow_effects: bool = False):
+        #: whether :meth:`emit_effect` records (training compiler) or
+        #: refuses (forward executor: a side effect cannot be replayed
+        #: batch-variably)
+        self.allow_effects = allow_effects
         self.ops: List[_Op] = []
         self.ids: Dict[int, int] = {}
         self.keep: List[Tensor] = []   # keepalive: id() reuse would corrupt ids
@@ -282,21 +298,7 @@ def _check_input_path(roots, out: Tensor, tracer: _Tracer) -> None:
     this walk turns that into a loud :class:`GraphUnsupported` instead.
     """
     dep: Dict[int, bool] = {id(t): True for t in roots}
-    order: List[Tensor] = []
-    stack: List[Tuple[Tensor, bool]] = [(out, False)]
-    seen = set()
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    for node in order:          # parents come before children
+    for node in _tape_order(out):      # parents come before children
         if id(node) in dep:
             continue
         dep[id(node)] = any(dep.get(id(p), False) for p in node._parents)
@@ -307,19 +309,20 @@ def _check_input_path(roots, out: Tensor, tracer: _Tracer) -> None:
 
 
 # --------------------------------------------------------------------- #
-# compile entry point
+# compile entry points
 # --------------------------------------------------------------------- #
-# the trace reads ``_parents`` and the validation runs an eager
-# backward, so both need the tape even when called inside ``no_grad``
-@_tensor.enable_grad()
-def compile_forward(module: Callable[[Tensor], Tensor],
-                    example: np.ndarray,
-                    validate: bool = True) -> "CompiledForward":
-    """Trace ``module``'s forward on ``example`` and compile it.
+def _trace(module, example: np.ndarray, train: bool = False
+           ) -> Tuple[np.ndarray, _Tracer, int]:
+    """Run ``module`` once on ``example`` under a tracer: the one trace
+    entry of both float compilers.  Returns ``(x, tracer, out_id)``,
+    ``x`` being ``example`` in the session dtype.
 
-    Raises :class:`GraphUnsupported` when the forward uses an op the
-    executor does not implement, produces something other than a traced
-    Tensor, or fails the compile-time parity validation.
+    ``train`` traces for the training compiler: side effects are
+    recorded, not refused; the input takes no gradient, as in the
+    training loops (so the compiled backward skips e.g. the stem conv's
+    input gradient, as the eager tape does); and the parameters join
+    the input as roots of the input-path check.  A caller that must
+    restore module state does so around this call.
     """
     x = np.asarray(example)
     if x.dtype != get_default_dtype():
@@ -328,8 +331,8 @@ def compile_forward(module: Callable[[Tensor], Tensor],
         raise GraphUnsupported("example batch must be non-empty")
     if _tensor._GRAPH_TRACER is not None:
         raise GraphUnsupported("nested tracing is not supported")
-    xt = Tensor(x, requires_grad=True)
-    tracer = _Tracer(xt)
+    xt = Tensor(x, requires_grad=not train)
+    tracer = _Tracer(xt, allow_effects=train)
     _tensor._GRAPH_TRACER = tracer
     try:
         out = module(xt)
@@ -340,13 +343,30 @@ def compile_forward(module: Callable[[Tensor], Tensor],
     out_id = tracer.ids.get(id(out))
     if out_id is None or out_id in tracer.leaves:
         raise GraphUnsupported("forward output was not produced by traced ops")
-    _check_input_path((xt,), out, tracer)
+    roots = [xt]
+    if train:
+        roots += [t for t in tracer.leaves.values() if isinstance(t, Parameter)]
+    _check_input_path(roots, out, tracer)
+    return x, tracer, out_id
+
+
+# the trace reads ``_parents`` and the validation runs an eager
+# backward, so both need the tape even when called inside ``no_grad``
+@_tensor.enable_grad()
+def compile_forward(module: Callable[[Tensor], Tensor],
+                    example: np.ndarray) -> "CompiledForward":
+    """Trace ``module``'s forward on ``example`` and compile it.
+
+    Raises :class:`GraphUnsupported` when the forward uses an op the
+    executor does not implement, produces something other than a traced
+    Tensor, or fails the compile-time parity validation.
+    """
+    x, tracer, out_id = _trace(module, example)
     prog = CompiledForward(tracer, out_id, x)
     # the program holds no reference into the trace: free its tape before
     # the validating eager step, so a compile peaks at about one step
-    del tracer, out, xt
-    if validate:
-        prog._validate(module, x)
+    del tracer
+    prog._validate(module, x)
     return prog
 
 
@@ -660,6 +680,31 @@ class _Program:
         self.replays += 1
         return env[self._out_id]
 
+    def _backward(self, seed: np.ndarray, n: int
+                  ) -> Tuple[List[Optional[np.ndarray]], List[bool]]:
+        """Replay the backward of the most recent ``n``-row forward from
+        ``seed``, the output's gradient: the one backward walk of both
+        float programs.  Returns ``(genv, gowned)``, each node's
+        gradient (None if none flowed or it was consumed) and whether
+        the program owns it."""
+        genv: List[Optional[np.ndarray]] = [None] * len(self._env)
+        gowned: List[bool] = [False] * len(self._env)
+        genv[self._out_id] = seed
+        for run, out_nid in self._bwd_prog:
+            go = genv[out_nid]
+            if go is None:
+                continue
+            run(go, genv, gowned, n)
+            genv[out_nid] = None
+        return genv, gowned
+
+    def _validation_input(self, example: np.ndarray) -> np.ndarray:
+        """The perturbed copy of the build example a compile validates
+        on, so the check does not replay the traced values."""
+        rng = np.random.default_rng(0)
+        return (example + rng.normal(0.0, 1e-2, size=example.shape)
+                ).astype(self._dtype)
+
 
 class CompiledForward(_Program):
     """A flat, replayable program lowered from one traced forward."""
@@ -707,21 +752,12 @@ class CompiledForward(_Program):
         returned gradient is freshly owned.
         """
         out = self._env[self._out_id]
-        n = len(x)
         if g.dtype != self._dtype:
             g = g.astype(self._dtype)
         if g.shape != out.shape:
             raise ValueError(f"seed gradient shape {g.shape} != output "
                              f"shape {out.shape}")
-        genv: List[Optional[np.ndarray]] = [None] * len(self._env)
-        gowned: List[bool] = [False] * len(self._env)
-        genv[self._out_id] = g
-        for run, out_nid in self._bwd_prog:
-            go = genv[out_nid]
-            if go is None:
-                continue
-            run(go, genv, gowned, n)
-            genv[out_nid] = None
+        genv, gowned = self._backward(g, len(x))
         gx = genv[self._input_id]
         if gx is None:
             gx = np.zeros_like(x)
@@ -735,9 +771,7 @@ class CompiledForward(_Program):
 
     # -- validation ----------------------------------------------------- #
     def _validate(self, module, example: np.ndarray) -> None:
-        rng = np.random.default_rng(0)
-        xv = (example + rng.normal(0.0, 1e-2, size=example.shape)
-              ).astype(self._dtype)
+        xv = self._validation_input(example)
         ref, gref = _eager_value_and_input_grad(module, xv)
         release_freed_heap()
         got, gx = self.value_and_input_grad(xv, np.ones_like(ref))

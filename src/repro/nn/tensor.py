@@ -90,6 +90,33 @@ def enable_grad():
     return _grad_mode(True)
 
 
+def _tape_order(root: "Tensor") -> list:
+    """Every tape node ``root`` reaches through parents that require
+    grad (only those have parents), each after all of its parents.
+
+    The one tape order: :meth:`Tensor.backward` runs the closures in its
+    reverse, the compiled training step replays its backward in it (so
+    gradients accumulate in the eager floating-point order), and the
+    compilers' input-path check walks it.
+    """
+    topo: list = []
+    visited: set = set()
+    stack: list = [(root, False)]
+    while stack:  # iterative DFS; deep graphs must not hit recursion limits
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited and p.requires_grad:
+                stack.append((p, False))
+    return topo
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 
@@ -234,24 +261,8 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ValueError(f"grad shape {grad.shape} != tensor shape {self.data.shape}")
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:  # iterative DFS; deep graphs must not hit recursion limits
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
-                    stack.append((p, False))
-
         self._accumulate(grad)
-        for node in reversed(topo):
+        for node in reversed(_tape_order(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 

@@ -7,19 +7,21 @@ different loop with the same shape: forward, loss, backward through the
 batches.  This module compiles that loop:
 
 ``compile_train_step(module, loss_fn, example, target, optimizer)``
-traces the module's train-mode forward once (reusing the tracer hooks
-and kernel factories of :mod:`repro.nn.graph`) and lowers it into a
-:class:`CompiledTrainStep` whose :meth:`~CompiledTrainStep.step` is a
-single replay per batch:
+traces the module's train-mode forward once, through the trace entry
+the forward compiler uses (:func:`repro.nn.graph._trace`, with side
+effects recorded and parameters as roots), and lowers it with that
+module's kernel factories into a :class:`CompiledTrainStep` whose
+:meth:`~CompiledTrainStep.step` is a single replay per batch:
 
 - **parameter roots** — the program's variable set is the input *plus*
   every :class:`~repro.nn.module.Parameter`, so weight fake-quantization
   and pruning masks replay against the current weights instead of being
   folded, and the backward pass accumulates parameter gradients;
-- **eager-tape backward order** — the backward program runs in exactly
-  the topological order :meth:`Tensor.backward` would use on the traced
-  tape, so gradient accumulation happens in the same floating-point
-  order and compiled parameters stay **bit-identical** to eager ones;
+- **eager-tape backward order** — the backward program runs in the one
+  tape order, :func:`repro.nn.tensor._tape_order`, which
+  :meth:`Tensor.backward` itself runs the traced tape in, so gradient
+  accumulation happens in the same floating-point order and compiled
+  parameters stay **bit-identical** to eager ones;
 - **eager loss head** — the loss itself runs on the eager tape over the
   (small) logits each step.  This keeps the compiler loss-agnostic
   (cross-entropy, distillation KD, anything returning a scalar Tensor)
@@ -42,7 +44,8 @@ state and requiring bit-identical logits, loss and every parameter
 gradient; any mismatch — or any op/side effect the tracer cannot
 capture — raises :class:`GraphUnsupported`, and
 :func:`compile_train_step_or_none` turns that into the loud eager
-fallback of :func:`train_step_fn`, the step the training loops share.
+fallback of :func:`train_step_fn`, the step the training loops share,
+through :func:`repro.nn.graph.fallback_to_eager`.
 Tracing and validation leave the module untouched (buffers, observers
 and module RNGs are snapshotted and restored in place), so a fallback
 run is bitwise the run that never attempted to compile.
@@ -55,23 +58,16 @@ tape, which is exactly the code path the program was validated against.
 from __future__ import annotations
 
 import copy
-import warnings
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import tensor as _tensor
-from .graph import (GraphUnsupported, _Program, _Tracer, _check_input_path,
-                    release_freed_heap)
+from .graph import (GraphUnsupported, _Program, _trace, _Tracer,
+                    fallback_to_eager, release_freed_heap)
 from .module import Module, Parameter
 from .optim import Optimizer
-from .tensor import Tensor, get_default_dtype
-
-
-class _TrainTracer(_Tracer):
-    """Tracer that records train-time side effects instead of refusing."""
-
-    allow_effects = True
+from .tensor import Tensor, _tape_order
 
 
 class _ModuleStateSnapshot:
@@ -110,22 +106,15 @@ class _ModuleStateSnapshot:
 
 def compile_train_step_or_none(module, loss_fn, example, target,
                                optimizer: Optimizer):
-    """Best-effort :func:`compile_train_step`: None instead of raising.
-
-    Any failure (unsupported op, non-Module model, un-replayable side
-    effect, bit-parity validation mismatch) means "use the eager tape" —
-    never an error, but never silent either: each failed build warns
-    with the model class, the example shape and the cause.  The
-    fallback policy of :func:`train_step_fn`.
+    """Best-effort :func:`compile_train_step`: None instead of raising,
+    after :func:`~repro.nn.graph.fallback_to_eager`'s warning.  The
+    fallback of :func:`train_step_fn`.
     """
-    try:
-        return compile_train_step(module, loss_fn, example, target, optimizer)
-    except Exception as exc:
-        warnings.warn(
-            f"train-step compile failed for {type(module).__name__} on "
-            f"input {np.shape(example)}: {exc!r}; running the eager tape",
-            RuntimeWarning, stacklevel=2)
-        return None
+    return fallback_to_eager(
+        lambda: compile_train_step(module, loss_fn, example, target,
+                                   optimizer),
+        f"train-step compile failed for {type(module).__name__} on input "
+        f"{np.shape(example)}")
 
 
 def train_step_fn(module, loss_fn: Callable[[Tensor, object], Tensor],
@@ -165,8 +154,7 @@ def train_step_fn(module, loss_fn: Callable[[Tensor, object], Tensor],
 def compile_train_step(module: Module,
                        loss_fn: Callable[[Tensor, object], Tensor],
                        example: np.ndarray, target,
-                       optimizer: Optimizer,
-                       validate: bool = True) -> "CompiledTrainStep":
+                       optimizer: Optimizer) -> "CompiledTrainStep":
     """Trace one train-mode forward of ``module`` and compile the full
     training step (forward + loss + parameter gradients + optimizer).
 
@@ -178,39 +166,16 @@ def compile_train_step(module: Module,
     """
     if not isinstance(module, Module):
         raise GraphUnsupported("only Module models can be train-compiled")
-    x = np.asarray(example)
-    if x.dtype != get_default_dtype():
-        x = x.astype(get_default_dtype())
-    if x.ndim < 1 or len(x) < 1:
-        raise GraphUnsupported("example batch must be non-empty")
-    if _tensor._GRAPH_TRACER is not None:
-        raise GraphUnsupported("nested tracing is not supported")
     snap = _ModuleStateSnapshot(module)
-    # requires_grad=False mirrors the training loops: the input takes no
-    # gradient, so e.g. the stem conv's input-gradient work is skipped in
-    # the compiled backward exactly as the eager tape skips it.
-    xt = Tensor(x)
-    tracer = _TrainTracer(xt)
-    _tensor._GRAPH_TRACER = tracer
     try:
-        out = module(xt)
+        x, tracer, out_id = _trace(module, example, train=True)
     finally:
-        _tensor._GRAPH_TRACER = None
         snap.restore()
-    if not isinstance(out, Tensor):
-        raise GraphUnsupported("forward did not return a Tensor")
-    out_id = tracer.ids.get(id(out))
-    if out_id is None or out_id in tracer.leaves:
-        raise GraphUnsupported("forward output was not produced by traced ops")
-    roots = [xt] + [t for t in tracer.leaves.values()
-                    if isinstance(t, Parameter)]
-    _check_input_path(roots, out, tracer)
     prog = CompiledTrainStep(tracer, out_id, x, module, loss_fn, optimizer)
     # the program holds no reference into the trace: free its tape before
     # the validating eager step, so a compile peaks at about one step
-    del tracer, out, xt, roots
-    if validate:
-        prog._validate(x, target)
+    del tracer
+    prog._validate(x, target)
     return prog
 
 
@@ -256,29 +221,14 @@ class CompiledTrainStep(_Program):
             fwd.append(op)
         fwd.extend(effect[1:] for effect in effects[k:])
 
-        # Backward schedule in the exact topological order
-        # ``Tensor.backward`` derives from the traced tape, so gradient
-        # contributions accumulate in the same floating-point order as
-        # the eager step (bit-parity is checked, not hoped for).  The
-        # kernel factories bind against the gradient set.
-        out_t = tracer.keep[out_id]
-        topo: List[Tensor] = []
-        visited: set = set()
-        stack: List[Tuple[Tensor, bool]] = [(out_t, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for par in node._parents:
-                if id(par) not in visited and par.requires_grad:
-                    stack.append((par, False))
+        # Backward schedule in the tape order ``Tensor.backward`` runs
+        # on the traced tape, so gradient contributions accumulate in the
+        # same floating-point order as the eager step (bit-parity is
+        # checked, not hoped for).  The kernel factories bind against
+        # the gradient set.
         op_by_tensor = {id(tracer.keep[op.out]): op for op in self._var_ops}
-        self._build(fwd, [op_by_tensor[id(t)] for t in reversed(topo)
+        self._build(fwd, [op_by_tensor[id(t)] for t in
+                          reversed(_tape_order(tracer.keep[out_id]))
                           if id(t) in op_by_tensor], grad)
 
         tr_ids = tracer.ids
@@ -319,16 +269,7 @@ class CompiledTrainStep(_Program):
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise GraphUnsupported("loss_fn must return a scalar Tensor")
         loss.backward()
-        genv: List[Optional[np.ndarray]] = [None] * len(env)
-        gowned: List[bool] = [False] * len(env)
-        genv[self._out_id] = logits.grad
-        n = self._n0
-        for run, out_nid in self._bwd_prog:
-            go = genv[out_nid]
-            if go is None:
-                continue
-            run(go, genv, gowned, n)
-            genv[out_nid] = None
+        genv, _ = self._backward(logits.grad, self._n0)
         return float(loss.data), out, genv
 
     def step(self, x: np.ndarray, target) -> float:
@@ -367,9 +308,7 @@ class CompiledTrainStep(_Program):
         state: logits, loss and every parameter gradient must match
         bit-for-bit, else the program is rejected."""
         module = self._module
-        rng = np.random.default_rng(0)
-        xv = (example + rng.normal(0.0, 1e-2, size=example.shape)
-              ).astype(self._dtype)
+        xv = self._validation_input(example)
         snap = _ModuleStateSnapshot(module)
         try:
             ref_logits, ref_loss, ref_grads = self._eager_step(xv, target)

@@ -223,14 +223,16 @@ class PlanCache:
         self.rebuilds = 0
         self.reprobes = 0
 
-    def __deepcopy__(self, memo) -> None:
-        """A store is a shared resource, not model state, and a deep
-        copy of an adopted model (``Module.copy_structure``,
-        ``prepare_qat``) is not adopted: its ``plan_cache`` is None, so
-        it builds into a store of its own (:func:`_program_store`) and
-        never keeps the session cache, or the models that cache pins,
-        alive after the session closes."""
-        return None
+    def __reduce__(self):
+        """Copies and pickles of a store are None.  A store is a shared
+        resource, not model state (it holds locks and compiled
+        programs), and a deep copy or an unpickled copy of an adopted
+        model (``Module.copy_structure``, ``prepare_qat``, a model sent
+        to another process) is not adopted: its ``plan_cache`` is None,
+        so it builds into a store of its own (:func:`_program_store`)
+        and never keeps the session cache, or the models that cache
+        pins, alive after the session closes."""
+        return type(None), ()
 
     # -- core ----------------------------------------------------------- #
     def get(self, key, owners: Tuple, build: Callable[[], Any],

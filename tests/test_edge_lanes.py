@@ -370,6 +370,27 @@ class TestSessionRelease:
         gc.collect()
         assert alive() is None
 
+    @pytest.mark.parametrize("kind", ["edge", "float"])
+    def test_adopted_model_pickles_without_its_store(self, lenet16, kind):
+        """An adopted model pickles while its session is open: the store
+        (locks, compiled programs) pickles to None, and the unpickled
+        copy builds its own programs and predicts the same bytes."""
+        if kind == "edge":
+            model = EdgeModel(lenet16.ops, 10)
+        else:
+            model = build_model("lenet", num_classes=10, in_channels=1,
+                                image_size=16, seed=0)
+            model.eval()
+        x = _rows(lenet16, 8, "float32")
+        session = ServeSession()
+        ref = session.submit_predict(model, x).result()
+        clone = pickle.loads(pickle.dumps(model))
+        assert model.plan_cache is session.plan_cache
+        assert clone.plan_cache is None
+        session.close()
+        got = ServeSession().submit_predict(clone, x).result()
+        assert got.tobytes() == ref.tobytes()
+
     def test_close_leaves_models_another_session_adopted(self, vgg32):
         edge = EdgeModel(vgg32.ops, 50)
         first, second = ServeSession(), ServeSession()

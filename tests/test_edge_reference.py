@@ -211,6 +211,24 @@ class TestRequantHeadroom:
                 with pytest.raises(ValueError, match="overflows int64"):
                     QLinear(*args)
 
+    def test_program_lowers_every_layer_the_reference_admits(self):
+        """The program has no headroom rule of its own: the widest
+        QLinear construction admits, its bound well past 2**31, lowers
+        with no warning and returns the eager bytes, extremes included."""
+        op, k = _headroom_linear(0)
+        assert 2 ** 31 < 127 * 255 * k
+        edge = EdgeModel([QuantizeInput(op.in_qp), op,
+                          Dequantize(op.out_qp)], 1)
+        x = np.zeros((4, k))            # q = -128 = z_in: accumulator 0
+        x[1, 0] = x[2, -1] = 0.75       # one input at q = -127: 127 * 0.75
+        x[3] = 1000.0                   # every input at qmax: the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = edge.predict(x)
+        assert list(edge._programs.values()) != [None]
+        assert got.tobytes() == edge.predict(x, compiled=False).tobytes()
+        assert got.ravel().tolist() == [0.0, 95.0, 95.0, 127.0]
+
     def test_wide_conv_refuses(self):
         in_qp = QuantParams(np.float64(0.75), np.int64(0), 0, 255)
         w_qp = QuantParams(np.full(2, 1.0), np.zeros(2), -127, 127, axis=0)

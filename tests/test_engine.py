@@ -500,7 +500,7 @@ class TestDtypePolicy:
     def test_run_dtype_delta_records_deltas(self, tmp_path, monkeypatch):
         from repro.experiments import ArtifactStore, ExperimentConfig
         from repro.experiments import exp_fig6
-        monkeypatch.chdir(tmp_path)      # save_results writes under cwd
+        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "results"))
         cfg = dataclasses.replace(
             ExperimentConfig.smoke(), train_epochs=1, qat_epochs=1,
             num_classes=4, train_per_class=8, val_per_class=6,

@@ -152,11 +152,6 @@ class TestLosses:
         onehot = np.eye(5)[y]
         assert np.allclose(zt.grad, (p - onehot) / 3, atol=1e-10)
 
-    def test_mse(self, rng):
-        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        assert np.isclose(float(F.mse_loss(Tensor(a), b).data),
-                          ((a - b) ** 2).mean())
-
     def test_kl_div_zero_for_identical(self, rng):
         z = rng.normal(size=(4, 5))
         p = F.softmax(Tensor(z)).data
@@ -167,13 +162,6 @@ class TestLosses:
         logp = F.log_softmax(Tensor(rng.normal(size=(4, 5))))
         q = F.softmax(Tensor(rng.normal(size=(4, 5)))).data
         assert float(F.kl_div(logp, q).data) > 0
-
-    def test_nll_loss(self, rng):
-        z = rng.normal(size=(3, 4))
-        y = np.array([0, 1, 2])
-        logp = F.log_softmax(Tensor(z))
-        assert np.isclose(float(F.nll_loss(logp, y).data),
-                          float(F.cross_entropy(Tensor(z), y).data))
 
 
 class TestDropout:
