@@ -11,6 +11,5 @@ setup(
     install_requires=["numpy", "scipy"],
     extras_require={
         "test": ["pytest", "hypothesis"],
-        "bench": ["pytest", "pytest-benchmark"],
     },
 )

@@ -1,7 +1,8 @@
 """``repro.data`` — datasets and attack-set selection.
 
-Synthetic substitutes for the paper's ImageNet / MNIST / PubFig (see
-DESIGN.md) plus batching, transforms and the §5.1 validation protocol.
+Synthetic substitutes for the paper's ImageNet / MNIST / PubFig (the
+scale rationale is in the :mod:`repro.experiments.config` docstring) plus
+batching, transforms and the §5.1 validation protocol.
 """
 
 from .datasets import ArrayDataset, iterate_batches, stratified_sample

@@ -1,5 +1,5 @@
 """``repro.experiments`` — the harness regenerating every table and
-figure of the paper (see DESIGN.md §4 for the experiment index)."""
+figure of the paper (``cli._registry`` is the experiment index)."""
 
 from .artifacts import ArtifactStore, default_store
 from .config import ARCHITECTURES, ExperimentConfig

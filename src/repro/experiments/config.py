@@ -4,7 +4,7 @@ One frozen dataclass drives every experiment so the whole grid (Table 1
 through Fig 10) is reproducible from a single seed, and the artifact
 cache can key on the exact configuration.
 
-Scale calibration vs the paper (full rationale in DESIGN.md §2):
+Scale calibration vs the paper, with its rationale:
 
 - dataset: 20 procedural classes at 16x16 (ImageNet: 1000 @ 224x224),
   difficulty tuned so original-model accuracy and fp32-vs-int8
@@ -21,14 +21,16 @@ Scale calibration vs the paper (full rationale in DESIGN.md §2):
   setting.  Steps stay at the paper's t=20;
 - top-k metric: k=2 of 20 classes (10% of label space) alongside the
   paper's k=5 of 1000 (0.5%); both are reported.
-- dtype policy: experiments default to float64 (the substrate's native
-  precision — keeps results directly comparable to earlier runs);
-  benchmarks run float32, the deployment dtype.  ``dtype`` is part of
-  the config, flows through :class:`~repro.experiments.pipeline.
-  Pipeline` into training and the attack sets, and keys the artifact
-  cache, so mixed-precision artifacts never collide.  Measured fig6
-  success-rate deltas between the two dtypes are recorded by
-  ``exp_fig6.run_dtype_delta``.
+- dtype policy: the config defaults to float64 (the substrate's native
+  precision — keeps results directly comparable to earlier runs), and
+  ``repro-exp`` runs every experiment at ``cfg.dtype``: the CLI sets
+  float32 at start-up, but :class:`~repro.experiments.pipeline.Pipeline`
+  pins the process dtype to ``cfg.dtype`` on construction and around
+  every artifact build and attack set.  ``dtype`` is part of the config,
+  flows through the pipeline into training and the attack sets, and
+  keys the artifact cache, so mixed-precision artifacts never collide.
+  Measured fig6 success-rate deltas between the two dtypes are recorded
+  by ``exp_fig6.run_dtype_delta``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class ExperimentConfig:
 
     #: numpy dtype every pipeline artifact (training, attacks, eval)
     #: runs in: "float64" (default, reference precision) or "float32"
-    #: (deployment/benchmark precision)
+    #: (deployment precision)
     dtype: str = "float64"
 
     seed: int = 0

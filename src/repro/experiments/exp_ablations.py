@@ -1,4 +1,5 @@
-"""Ablations of the reproduction's design choices (DESIGN.md §5).
+"""Ablations of the reproduction's design choices (the scale rationale is
+in the :mod:`repro.experiments.config` docstring).
 
 The paper-scale configuration makes three scale-compensating choices:
 4-bit weights (vs the paper's int8 on 50-layer models), eps = 32/255

@@ -4,27 +4,32 @@ Reads the JSON payloads that experiment modules drop into ``results/``
 and renders a single markdown report.  ``repro-exp report`` (or calling
 :func:`write_report`) regenerates EXPERIMENTS.md from whatever results
 exist, so the document always reflects the latest measured numbers.
+
+Every section's verdict comes from a list of checked claims
+``(claim text, holds)`` computed from its payload: the section reads
+REPRODUCED (or its qualifier) only when every claim holds, and PARTIAL,
+naming each claim that fails, otherwise.  Scale explanations are printed
+as notes and never decide a verdict.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-def _results_dir() -> str:
-    """Resolved at call time so REPRO_RESULTS can be set per run/test."""
-    return os.environ.get(
-        "REPRO_RESULTS",
-        os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))), "results"))
+import numpy as np
+
+from . import tables
 
 ARCH_LABELS = {"resnet": "ResNet", "mobilenet": "MobileNet",
                "densenet": "DenseNet"}
 
+Claim = Tuple[str, bool]
+
 
 def _load(name: str) -> Optional[Dict]:
-    path = os.path.join(_results_dir(), f"{name}.json")
+    path = os.path.join(tables._results_dir(), f"{name}.json")
     if not os.path.exists(path):
         return None
     with open(path) as f:
@@ -36,11 +41,21 @@ def _pct(v: float) -> str:
 
 
 def _section(lines: List[str], title: str, paper: str, body: List[str],
-             verdict: str) -> None:
+             claims: Sequence[Claim], qualifier: str = "REPRODUCED",
+             note: Optional[str] = None) -> None:
+    """Append one section.  Its verdict is ``qualifier`` only when every
+    claim holds, and PARTIAL naming each claim that fails otherwise."""
+    failed = [text for text, holds in claims if not holds]
+    verdict = "PARTIAL — fails: " + "; ".join(failed) if failed else qualifier
     lines.append(f"## {title}\n")
     lines.append(f"**Paper:** {paper}\n")
     lines.extend(body)
     lines.append(f"\n**Shape verdict:** {verdict}\n")
+    lines.extend(f"- [{'x' if holds else ' '}] {text}"
+                 for text, holds in claims)
+    if note:
+        lines.append(f"\n**Note:** {note}")
+    lines.append("")
 
 
 def render_report() -> str:
@@ -49,13 +64,17 @@ def render_report() -> str:
     L.append("# EXPERIMENTS — paper vs measured\n")
     L.append(
         "Auto-generated by `repro-exp report` from `results/*.json` "
-        "(regenerate any entry with `repro-exp <name>`; see DESIGN.md §4 "
-        "for the experiment-to-module map).\n\n"
+        "(regenerate any entry with `repro-exp <name>`; "
+        "`repro.experiments.cli._registry` maps each name to its "
+        "module).\n\n"
         "Scale context: 20 procedural classes at 16x16 vs ImageNet's 1000 "
         "at 224x224; int4 weights vs int8; eps 32/255 vs 8/255 — the "
-        "substitution rationale is DESIGN.md §2. Absolute numbers are not "
-        "comparable to the paper's; the *shape* of each result (orderings, "
-        "ratios, trade-off directions) is what each verdict checks. The "
+        "substitution rationale is the `repro.experiments.config` "
+        "docstring. Absolute numbers are not comparable to the paper's; "
+        "the *shape* of each result (orderings, ratios, trade-off "
+        "directions) is what each verdict checks. A "
+        "verdict reads REPRODUCED only when every claim checked under it "
+        "holds, and PARTIAL naming the failed claims otherwise. The "
         "paper's top-5 metric is reported here as top-k with k=2 of 20 "
         "classes (10% of the label space, vs the paper's k=5 of 1000 = "
         "0.5%): no k can match both the class count and the label-space "
@@ -74,18 +93,21 @@ def render_report() -> str:
                 f"| {d['orig_correct_quant_incorrect']} "
                 f"| {d['orig_incorrect_quant_correct']} "
                 f"| {_pct(d['deviation_instability'])} |")
-        gaps = [(d["original_accuracy"] - d["quantized_accuracy"],
-                 d["deviation_instability"])
-                for d in r["architectures"].values()]
-        ok = all(i >= g for g, i in gaps)
+        archs = r["architectures"].values()
         _section(
             L, "Table 1 — accuracy and instability",
             "acc 72.1/70.1, 69.1/67.4, 73.5/71.0 (%); instability "
             "8.1 / 6.3 / 7.9 (%) — deviations dwarf the accuracy gap; "
             "quantized keeps >=96% of original accuracy.",
             body,
-            ("REPRODUCED — instability exceeds the top-line accuracy gap "
-             "on every architecture." if ok else "PARTIAL — see table."))
+            [("instability exceeds the top-line accuracy gap on every "
+              "architecture",
+              all(d["deviation_instability"]
+                  >= d["original_accuracy"] - d["quantized_accuracy"]
+                  for d in archs)),
+             ("the quantized model keeps >= 90% of the original's accuracy "
+              "on every architecture",
+              all(d["accuracy_ratio"] >= 0.9 for d in archs))])
 
     # ---------------------------------------------------------------- #
     r = _load("fig1")
@@ -99,16 +121,16 @@ def render_report() -> str:
                         f"| {_pct(q['both_incorrect'])} "
                         f"| {_pct(q['orig_incorrect_quant_correct'])} |")
         p, d = r["quadrants"]["PGD"], r["quadrants"]["DIVA"]
-        ok = (d["orig_correct_quant_incorrect"] >
-              p["orig_correct_quant_incorrect"] and
-              d["both_incorrect"] < p["both_incorrect"])
         _section(
             L, "Figure 1 — outcome quadrants (ResNet, quantized)",
             "PGD's adversarial images mostly flip *both* models (caught by "
             "validation); DIVA's flip only the quantized model.",
             body,
-            ("REPRODUCED — DIVA concentrates mass in the evasive quadrant; "
-             "PGD's mass sits in 'both incorrect'." if ok else "PARTIAL."))
+            [("DIVA puts more mass than PGD in the evasive quadrant",
+              d["orig_correct_quant_incorrect"]
+              > p["orig_correct_quant_incorrect"]),
+             ("DIVA puts less mass than PGD in 'both incorrect'",
+              d["both_incorrect"] < p["both_incorrect"])])
 
     # ---------------------------------------------------------------- #
     r = _load("fig2")
@@ -117,14 +139,15 @@ def render_report() -> str:
                 f"{_pct(r['random_plane_disagreement'])}",
                 f"- plane through DIVA direction: "
                 f"{_pct(r['diva_plane_disagreement'])}"]
-        ok = r["diva_plane_disagreement"] >= r["random_plane_disagreement"]
         _section(
             L, "Figure 2 — boundary divergence (conceptual, quantified here)",
             "conceptual sketch: adapted boundaries deviate slightly from "
             "the original's; DIVA steers into the slivers.",
             body,
-            ("REPRODUCED — DIVA's direction intersects more disagreement "
-             "area than random directions." if ok else "PARTIAL."))
+            [("planes through DIVA's direction intersect at least as much "
+              "disagreement area as random planes",
+              r["diva_plane_disagreement"]
+              >= r["random_plane_disagreement"])])
 
     # ---------------------------------------------------------------- #
     r = _load("fig4")
@@ -138,14 +161,15 @@ def render_report() -> str:
             f"- natural, adapted model: {_pct(nat_q)}",
             f"- DIVA-attacked, adapted model: {_pct(adv_q)}",
             f"- DIVA-attacked, original model: {_pct(adv_o)}"]
-        ok = adv_q > nat_q and adv_q >= adv_o
         _section(
             L, "Figure 4 — PCA representation shift (digits)",
             "DIVA shifts attacked digit-0 representations into the digit-2 "
             "cluster for the adapted model, far less for the original.",
             body,
-            ("REPRODUCED — representations migrate for the adapted model "
-             "and largely stay for the original." if ok else "PARTIAL."))
+            [("DIVA moves the adapted model's representations toward the "
+              "digit-2 cluster", adv_q > nat_q),
+             ("the adapted model's representations move at least as far as "
+              "the original's", adv_q >= adv_o)])
 
     # ---------------------------------------------------------------- #
     r = _load("fig6")
@@ -167,48 +191,52 @@ def render_report() -> str:
                 f"| {_pct(d['natural_confidence_delta'])} "
                 f"| {_pct(d['pgd']['confidence_delta'])} "
                 f"| {_pct(d['diva']['confidence_delta'])} |")
-        wb_ok = all(d["diva"]["top1_success"] > d["pgd"]["top1_success"]
-                    for d in r["per_arch"].values())
-        import numpy as _np
-        sb_mean = float(_np.mean([d["semi_blackbox_diva"]["top1_success"]
-                                  for d in r["per_arch"].values()]))
-        pgd_mean = float(_np.mean([d["pgd"]["top1_success"]
-                                   for d in r["per_arch"].values()]))
+        per = r["per_arch"].values()
+        mean = {k: float(np.mean([d[k]["top1_success"] for d in per]))
+                for k in ("pgd", "semi_blackbox_diva", "blackbox_diva")}
         _section(
             L, "Figure 6a-c — quantization headline grid",
             "whitebox DIVA 92.3-97%; semi-blackbox 71.1-96.2%; blackbox "
             "30.3-77.2%; PGD 30.2-50.9% (top-1 evasive). Confidence "
             "delta: natural ~7.9%, PGD 18.6-25%, DIVA 56.6-72.4%.",
             body,
-            (("REPRODUCED (whitebox & semi-blackbox) — whitebox DIVA beats "
-              "PGD on every architecture and semi-blackbox beats PGD on "
-              f"average ({sb_mean:.0%} vs {pgd_mean:.0%}); the "
-              "confidence-delta ordering natural < PGD < DIVA holds. "
-              "NOT REPRODUCED (blackbox): the fully-surrogated attack "
-              "transfers poorly at this scale — two tiny surrogates "
-              "distilled from ~1.2k images do not align with the true "
-              "pair's divergence geometry the way the paper's "
-              "ImageNet-pretrained surrogates do."
-              if wb_ok and sb_mean > pgd_mean else
-              "PARTIAL — see table; per-arch surrogate fidelity varies "
-              "at this scale.")))
+            [("whitebox DIVA beats PGD on every architecture",
+              all(d["diva"]["top1_success"] > d["pgd"]["top1_success"]
+                  for d in per)),
+             (f"semi-blackbox DIVA beats PGD on average "
+              f"({mean['semi_blackbox_diva']:.0%} vs {mean['pgd']:.0%})",
+              mean["semi_blackbox_diva"] > mean["pgd"]),
+             (f"blackbox DIVA beats PGD on average "
+              f"({mean['blackbox_diva']:.0%} vs {mean['pgd']:.0%})",
+              mean["blackbox_diva"] > mean["pgd"]),
+             ("confidence delta: PGD's exceeds the natural one on every "
+              "architecture",
+              all(d["pgd"]["confidence_delta"] > d["natural_confidence_delta"]
+                  for d in per)),
+             ("confidence delta: DIVA's exceeds PGD's on every architecture",
+              all(d["diva"]["confidence_delta"] > d["pgd"]["confidence_delta"]
+                  for d in per))],
+            note="the (semi-)blackbox attacks are bounded by surrogate "
+                 "fidelity at this scale: two tiny surrogates distilled from "
+                 "~1.2k images align with the true pair's divergence "
+                 "geometry less than the paper's ImageNet-pretrained "
+                 "surrogates do.")
 
     # ---------------------------------------------------------------- #
     r = _load("fig6d")
     if r:
         diva, pgd = r["curves"]["diva"], r["curves"]["pgd"]
-        steps = r["steps"]
         pick = [s for s in (1, 5, 7, 11, 15, 20) if s <= len(diva)]
         body = ["| Step | PGD | DIVA |", "|---|---|---|"]
         for s in pick:
             body.append(f"| {s} | {_pct(pgd[s - 1])} | {_pct(diva[s - 1])} |")
-        ok = diva[-1] > pgd[-1]
         _section(
             L, "Figure 6d — success vs attack steps (ResNet)",
             "PGD plateaus ~40.8% by step 7; DIVA reaches 96.9% by step 11.",
             body,
-            ("REPRODUCED — DIVA keeps climbing past PGD's plateau."
-             if ok else "PARTIAL."))
+            [("DIVA ends above PGD", diva[-1] > pgd[-1]),
+             ("DIVA's final success is at least its midpoint success",
+              diva[-1] >= diva[len(diva) // 2])])
 
     # ---------------------------------------------------------------- #
     r = _load("table2")
@@ -217,26 +245,33 @@ def render_report() -> str:
                 "| DIVA c=10 | Cost (c=1) |", "|---|---|---|---|---|---|"]
         for track in ("quantized", "pruned", "pruned_quantized"):
             for a, d in r.get(track, {}).items():
-                c10 = (_pct(d["diva_c10_attack_only"])
-                       if "diva_c10_attack_only" in d else "-")
                 body.append(
                     f"| {track} | {ARCH_LABELS.get(a, a)} "
                     f"| {_pct(d['pgd_attack_only'])} "
                     f"| {_pct(d['diva_attack_only'])} "
-                    f"| {c10} "
+                    f"| {_pct(d['diva_c10_attack_only'])} "
                     f"| {d['evasion_cost'] * 100:+.1f}pp |")
+        every = [d for t in ("quantized", "pruned", "pruned_quantized")
+                 for d in r.get(t, {}).values()]
         _section(
             L, "Table 2 — evasion cost",
             "quantization: PGD 98.4-98.7% vs DIVA 95.1-97.0% (cost "
             "1.7-3.6pp), cost reducible by raising c to 10 (§5.3); "
             "pruning: both 100%; pruning+quant within 0.4pp.",
             body,
-            "REPRODUCED IN SHAPE — at c=10 DIVA matches PGD's raw attack "
-            "success within a few points on every adaptation (the §5.3 "
-            "knob); at the default c=1 the cost is larger at this scale "
-            "than the paper's 1.7-3.6pp because int4 divergence regions "
-            "are a bigger fraction of the (much smaller) input space, so "
-            "the default balance leans more evasive.")
+            [("at c=10 DIVA's attack-only success is within 12 points of "
+              "PGD's on every adaptation",
+              all(d["diva_c10_attack_only"] >= d["pgd_attack_only"] - 0.12
+                  for d in every)),
+             ("pruned: DIVA's attack-only success is at least 50% on every "
+              "architecture",
+              all(d["diva_attack_only"] >= 0.5
+                  for d in r.get("pruned", {}).values()))],
+            qualifier="REPRODUCED IN SHAPE",
+            note="at the default c=1 the cost is larger at this scale than "
+                 "the paper's 1.7-3.6pp because int4 divergence regions are "
+                 "a bigger fraction of the (much smaller) input space, so "
+                 "the default balance leans more evasive.")
 
     # ---------------------------------------------------------------- #
     r = _load("fig7")
@@ -250,17 +285,25 @@ def render_report() -> str:
                         + f" | {_pct(d['pgd_top1'])} |")
         best = {a: d["best_c"] for a, d in r["per_arch"].items()}
         body.append(f"\nBest c per architecture: {best}")
+        per = r["per_arch"].values()
         _section(
             L, "Figure 7 — the c sweep",
             "success peaks 94.4-97.7% at per-arch c in {0.1, 1, 10}; high "
             "plateau across c in [0.001, 1]; c=0 degenerates.",
             body,
-            "REPRODUCED — c=0 collapses, a broad mid-range band beats PGD, "
-            "and larger c trades evasive for attack-only success (§5.3). "
-            "At this scale the productive band sits at c in [1, 5] rather "
-            "than reaching down to 0.001: int4 divergence is larger "
-            "relative to model scale, so the attack needs real pressure "
-            "on the adapted term before anything flips.")
+            [("c=0 collapses below the best c on every architecture",
+              all(dict(zip(cs, d["diva_top1"]))[0.0] < max(d["diva_top1"])
+                  for d in per)),
+             ("the best c beats PGD on every architecture",
+              all(max(d["diva_top1"]) > d["pgd_top1"] for d in per)),
+             ("attack-only success at the largest c is at least the "
+              "smallest c's, less 5 points, on every architecture",
+              all(d["diva_attack_only"][-1] >= d["diva_attack_only"][0] - 0.05
+                  for d in per))],
+            note="at this scale the productive band sits at c in [1, 5] "
+                 "rather than reaching down to 0.001: int4 divergence is "
+                 "larger relative to model scale, so the attack needs real "
+                 "pressure on the adapted term before anything flips.")
 
     # ---------------------------------------------------------------- #
     r = _load("dssim")
@@ -272,15 +315,19 @@ def render_report() -> str:
             body.append(f"| {atk} | {d['max_dssim']:.4f} "
                         f"| {d['mean_dssim']:.4f} | {d['max_linf']:.4f} "
                         f"| {d['mean_psnr']:.1f} dB |")
+        pgd, diva = r["per_attack"]["PGD"], r["per_attack"]["DIVA"]
         _section(
             L, "§5.2 — DSSIM / imperceptibility",
             "all adversarial DSSIM < 0.0092 at eps 8/255 on 224x224.",
             body,
-            "REPRODUCED IN SHAPE — DIVA is no more perceptible than PGD at "
-            "the same budget. Absolute DSSIM is larger than the paper's "
-            "bound because eps is scaled 4x for the 196x-smaller input "
-            "(see DESIGN.md §2); at the paper's own eps=8/255 the ablation "
-            "(ablation_eps) shows DSSIM-scale perturbations again.")
+            [("both attacks stay inside the L-inf budget",
+              max(pgd["max_linf"], diva["max_linf"]) <= r["eps"] + 1e-6),
+             ("DIVA is no more perceptible than PGD (mean DSSIM)",
+              diva["mean_dssim"] <= pgd["mean_dssim"])],
+            qualifier="REPRODUCED IN SHAPE",
+            note="absolute DSSIM is not comparable with the paper's bound: "
+                 "eps is scaled 4x for the 196x-smaller input (see the "
+                 "`repro.experiments.config` docstring).")
 
     # ---------------------------------------------------------------- #
     r = _load("sec54")
@@ -288,15 +335,15 @@ def render_report() -> str:
         m = r["mean_top1"]
         body = [f"- mean top-1 evasive: PGD {_pct(m['pgd'])}, Momentum PGD "
                 f"{_pct(m['momentum_pgd'])}, CW {_pct(m['cw'])}"]
-        ok = (m["momentum_pgd"] <= m["pgd"] + 0.15 and
-              m["cw"] <= m["pgd"] + 0.15)
         _section(
             L, "§5.4 — other baselines",
             "CW 25.5%, Momentum PGD 39.4%, PGD 40.6% (mean top-1): "
             "alternatives do not beat PGD.",
             body,
-            ("REPRODUCED — neither CW nor Momentum PGD meaningfully beats "
-             "PGD as an evasive attack." if ok else "PARTIAL."))
+            [("Momentum PGD's mean top-1 is at most PGD's plus 15 points",
+              m["momentum_pgd"] <= m["pgd"] + 0.15),
+             ("CW's mean top-1 is at most PGD's plus 15 points",
+              m["cw"] <= m["pgd"] + 0.15)])
 
     # ---------------------------------------------------------------- #
     r = _load("sec55")
@@ -309,14 +356,15 @@ def render_report() -> str:
             body.append(f"| {label} | {c} | {_pct(d['top1_success'])} "
                         f"| {_pct(d['attack_only_success'])} "
                         f"| {_pct(d['robust_accuracy'])} |")
+        best = max(d["top1_success"] for name, d in r["attacks"].items()
+                   if name.startswith("diva"))
         _section(
             L, "§5.5 — robust training as a defense",
             "robust training collapses both attacks (PGD 10.5%, DIVA 12.8% "
             "at c=5; robust acc ~22%); DIVA keeps an edge, best c=1.5.",
             body,
-            "REPRODUCED — evasive success collapses versus the standard "
-            "pair for both attacks, and DIVA retains at least parity with "
-            "PGD at a suitable c.")
+            [("DIVA at its best c reaches at least PGD's top-1 evasive "
+              "success", best >= r["attacks"]["pgd"]["top1_success"])])
 
     # ---------------------------------------------------------------- #
     r = _load("fig8")
@@ -330,18 +378,19 @@ def render_report() -> str:
                     f"| {_pct(d['instability'])} "
                     f"| {_pct(d['pgd']['top1'])} "
                     f"| {_pct(d['diva']['top1'])} |")
-        ok = all(d["diva"]["top1"] >= d["pgd"]["top1"]
-                 for t in ("pruned", "pruned_quantized")
-                 for d in r[t].values())
         _section(
             L, "Figure 8 — pruning adaptation",
             "DIVA >= 97.8% top-1/top-5, always above PGD; pruning "
             "instability 17.1-33.5% lets PGD get closer than under "
             "quantization.",
             body,
-            ("REPRODUCED — DIVA >= PGD everywhere; pruning's larger "
-             "divergence narrows the gap exactly as §5.6 describes."
-             if ok else "PARTIAL."))
+            [("DIVA's top-1 is at least PGD's on every pruned and "
+              "pruned+quantized model",
+              all(d["diva"]["top1"] >= d["pgd"]["top1"]
+                  for t in ("pruned", "pruned_quantized")
+                  for d in r[t].values())),
+             ("pruning changes predictions (pruned instability above 0)",
+              sum(d["instability"] for d in r["pruned"].values()) > 0)])
 
     # ---------------------------------------------------------------- #
     r = _load("fig10")
@@ -357,14 +406,17 @@ def render_report() -> str:
             f"vs DIVA {_pct(r['diva']['confidence_delta'])}",
             "- attacks built on QAT gradients, scored on the compiled "
             "integer edge engine (the paper's TFLite split)"]
-        ok = r["diva"]["top1"] > r["pgd"]["top1"]
         _section(
             L, "Figure 10 / §6 — face recognition case study",
             "VGGFace on PubFig: fp32 99.4% vs int8 99.0%; DIVA ~98% top-1 "
             "evasive, far above PGD; smaller top-5 gap (150 classes).",
             body,
-            ("REPRODUCED — near-equal accuracies, DIVA dominant on the "
-             "deployed integer artifact." if ok else "PARTIAL."))
+            [("edge int accuracy is within 15 points of fp32 or above",
+              r["edge_accuracy"] >= r["original_accuracy"] - 0.15),
+             ("DIVA's top-1 evasive success beats PGD's on the integer "
+              "engine", r["diva"]["top1"] > r["pgd"]["top1"]),
+             ("DIVA's confidence delta beats PGD's",
+              r["diva"]["confidence_delta"] > r["pgd"]["confidence_delta"])])
 
     # ---------------------------------------------------------------- #
     r = _load("targeted")
@@ -378,30 +430,65 @@ def render_report() -> str:
             "probing 10 identities, the attack steers misclassification "
             "onto 8.3 of them on average.",
             body,
-            "REPRODUCED — a large majority of probed identities are "
-            "reachable while the original model stays correct.")
+            [("a majority of probed identities are reachable while the "
+              "original model stays correct",
+              2 * r["targets_reachable"] > r["targets_probed"])])
 
     # ---------------------------------------------------------------- #
-    for name, title, paper_claim in [
+    # the design-choice ablations and the extension are not paper claims:
+    # their claims are the expected shape each one exists to show
+    for name, title, context, claims in [
         ("ablation_bits", "Ablation — weight bit width",
-         "(design-choice ablation, DESIGN.md §5: int4 compensates for "
-         "8-layer models vs the paper's 50-layer int8)"),
+         "not a paper result — a design-choice ablation (see the "
+         "`repro.experiments.config` docstring): int4 compensates for "
+         "8-layer models vs the paper's 50-layer int8.",
+         lambda r: [
+             ("int4 weights diverge at least as much as int8 (instability)",
+              r["per_bits"]["4"]["instability"]
+              >= r["per_bits"]["8"]["instability"]),
+             ("DIVA's top-1 at int4 is at least its top-1 at int8",
+              r["per_bits"]["4"]["diva_top1"]
+              >= r["per_bits"]["8"]["diva_top1"])]),
         ("ablation_eps", "Ablation — attack budget",
-         "(design-choice ablation: eps scaled for 768-pixel inputs vs "
-         "150k-pixel ImageNet)"),
+         "not a paper result — a design-choice ablation: eps scaled for "
+         "768-pixel inputs vs 150k-pixel ImageNet.",
+         lambda r: [
+             ("PGD's attack-only success at 48/255 is at least its 8/255 "
+              "success, less 2 points",
+              r["per_eps"]["48/255"]["pgd_attack_only"]
+              >= r["per_eps"]["8/255"]["pgd_attack_only"] - 0.02),
+             ("DIVA's top-1 at 48/255 is at least its top-1 at 8/255",
+              r["per_eps"]["48/255"]["diva_top1"]
+              >= r["per_eps"]["8/255"]["diva_top1"]),
+             ("DIVA beats PGD at the configured 32/255",
+              r["per_eps"]["32/255"]["diva_top1"]
+              > r["per_eps"]["32/255"]["pgd_top1"])]),
         ("ablation_keep_best", "Ablation — best-iterate return",
-         "(implementation-choice ablation)"),
+         "not a paper result — an implementation-choice ablation.",
+         lambda r: [
+             ("keep-best DIVA's top-1 is at least the final iterate's",
+              r["variants"]["keep-best"]["diva_top1"]
+              >= r["variants"]["final-iterate"]["diva_top1"])]),
         ("ablation_per_channel", "Ablation — weight grid granularity",
-         "(per-tensor grids restore paper-regime divergence at tiny "
-         "scale)"),
+         "not a paper result — per-tensor grids restore paper-regime "
+         "divergence at tiny scale.",
+         lambda r: [
+             ("per-tensor instability is at least per-channel instability, "
+              "less 2 points",
+              r["variants"]["per-tensor"]["instability"]
+              >= r["variants"]["per-channel"]["instability"] - 0.02)]),
         ("distilled", "Extension — distillation adaptation",
-         "(the third §2.1 adaptation, not evaluated in the paper)"),
+         "not evaluated — distillation is the third §2.1 adaptation.",
+         lambda r: [
+             ("DIVA's top-1 is at least PGD's, less 5 points, on every "
+              "architecture",
+              all(d["diva_top1"] >= d["pgd_top1"] - 0.05
+                  for d in r["per_arch"].values()))]),
     ]:
         r = _load(name)
         if r and "table" in r:
-            L.append(f"## {title}\n")
-            L.append(f"**Context:** {paper_claim}\n")
-            L.append("```\n" + r["table"] + "\n```\n")
+            _section(L, title, context, ["```\n" + r["table"] + "\n```"],
+                     claims(r), qualifier="HOLDS")
 
     return "\n".join(L) + "\n"
 
@@ -409,7 +496,8 @@ def render_report() -> str:
 def write_report(path: Optional[str] = None) -> str:
     """Write EXPERIMENTS.md (default: repository root); returns the path."""
     if path is None:
-        path = os.path.join(os.path.dirname(_results_dir()), "EXPERIMENTS.md")
+        path = os.path.join(os.path.dirname(tables._results_dir()),
+                            "EXPERIMENTS.md")
     content = render_report()
     with open(path, "w") as f:
         f.write(content)

@@ -1,5 +1,6 @@
 """``repro.models`` — the architectures evaluated in the paper, scaled to
-this reproduction's CPU substrate (see DESIGN.md substitution table)."""
+this reproduction's CPU substrate (the scale substitutions are listed in
+the :mod:`repro.experiments.config` docstring)."""
 
 from .densenet import DenseBlock, DenseLayer, DenseNet, Transition
 from .lenet import LeNet

@@ -18,7 +18,6 @@ from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout,
                      Flatten, GlobalAvgPool2d, Identity, Linear, MaxPool2d,
                      ReLU)
 from .module import Module, ModuleList, Parameter, Sequential
-from .norm import GroupNorm, InstanceNorm2d, LayerNorm
 from .optim import Adam, CosineLR, LRScheduler, SGD, StepLR
 from .serialization import load_state, save_state
 from .tensor import (Tensor, concat, enable_grad, get_default_dtype,
@@ -34,7 +33,6 @@ __all__ = [
     "Module", "ModuleList", "Parameter", "Sequential",
     "Linear", "Conv2d", "BatchNorm1d", "BatchNorm2d", "ReLU", "Flatten",
     "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Dropout", "Identity",
-    "LayerNorm", "GroupNorm", "InstanceNorm2d",
     "LeakyReLU", "ELU", "GELU", "Swish", "HardSwish",
     "leaky_relu", "elu", "gelu", "swish", "softplus", "hard_sigmoid",
     "hard_swish",

@@ -72,7 +72,7 @@ import numpy as np
 
 from ..attacks.base import Attack
 from ..attacks.engine import run_tiled
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from . import faults
 from .resilience import (EAGER_LEVEL, CircuitBreaker, Clock, DeadlineError,
                          DeadlineToken, JobError, ServeError)
@@ -229,7 +229,8 @@ def _float_forward(model: Any, xs: np.ndarray, batch_size: int,
     exactly the attribution ambiguity the ladder exists to rule out.
     Chunking is irrelevant to bits here because every float GEMM is
     fixed-order (:mod:`repro.nn.rowrep`): per-row bits do not depend on
-    which rows share a chunk.
+    which rows share a chunk.  The eager branch runs under ``no_grad``,
+    as ``predict_logits`` does: a predict needs no tape.
     """
     was_training = getattr(model, "training", False)
     model.eval()
@@ -240,7 +241,8 @@ def _float_forward(model: Any, xs: np.ndarray, batch_size: int,
             if executor is not None:
                 outs.append(executor.replay(xb))
             else:
-                outs.append(model(Tensor(xb)).data.copy())
+                with no_grad():
+                    outs.append(model(Tensor(xb)).data.copy())
         return np.concatenate(outs, axis=0)
     finally:
         if was_training:

@@ -1,12 +1,11 @@
-"""Extended activations, normalization layers, and losses — values and
-gradient checks."""
+"""Extended activations and losses — values and gradient checks."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (ELU, GELU, GroupNorm, HardSwish, InstanceNorm2d,
-                      LayerNorm, LeakyReLU, Swish, Tensor, elu, gelu,
-                      hard_sigmoid, hard_swish, leaky_relu, softplus, swish)
+from repro.nn import (ELU, GELU, HardSwish, LeakyReLU, Swish, Tensor, elu,
+                      gelu, hard_sigmoid, hard_swish, leaky_relu, softplus,
+                      swish)
 from repro.nn import losses as L
 
 from .conftest import numerical_gradient
@@ -78,45 +77,6 @@ class TestActivations:
         x = Tensor(rng.normal(size=(2, 4)))
         for layer in (LeakyReLU(), ELU(), GELU(), Swish(), HardSwish()):
             assert layer(x).shape == (2, 4)
-
-
-class TestNormLayers:
-    def test_layernorm_normalizes_rows(self, rng):
-        ln = LayerNorm(8)
-        out = ln(Tensor(rng.normal(3.0, 2.0, size=(16, 8))))
-        assert np.allclose(out.data.mean(axis=-1), 0, atol=1e-6)
-        assert np.allclose(out.data.std(axis=-1), 1, atol=1e-2)
-
-    def test_layernorm_batch_independent(self, rng):
-        ln = LayerNorm(6)
-        x = rng.normal(size=(4, 6))
-        full = ln(Tensor(x)).data
-        single = np.concatenate([ln(Tensor(x[i:i + 1])).data for i in range(4)])
-        assert np.allclose(full, single, atol=1e-10)
-
-    def test_groupnorm_shapes_and_stats(self, rng):
-        gn = GroupNorm(2, 8)
-        out = gn(Tensor(rng.normal(5.0, 3.0, size=(3, 8, 4, 4))))
-        assert out.shape == (3, 8, 4, 4)
-        grouped = out.data.reshape(3, 2, 4 * 4 * 4)
-        assert np.allclose(grouped.mean(axis=-1), 0, atol=1e-6)
-
-    def test_groupnorm_validation(self):
-        with pytest.raises(ValueError):
-            GroupNorm(3, 8)
-
-    def test_instancenorm_is_per_channel(self, rng):
-        inorm = InstanceNorm2d(4)
-        out = inorm(Tensor(rng.normal(2.0, 1.5, size=(2, 4, 5, 5))))
-        assert np.allclose(out.data.mean(axis=(2, 3)), 0, atol=1e-6)
-
-    def test_norm_gradients_flow(self, rng):
-        for layer, shape in [(LayerNorm(6), (4, 6)),
-                             (GroupNorm(2, 4), (2, 4, 3, 3))]:
-            x = Tensor(rng.normal(size=shape), requires_grad=True)
-            layer(x).sum().backward()
-            assert x.grad is not None
-            assert layer.weight.grad is not None
 
 
 class TestLosses:

@@ -35,9 +35,7 @@ class TestCLI:
 
     def test_report_command(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        import importlib
         from repro.experiments import report
-        importlib.reload(report)
         out = report.write_report(str(tmp_path / "EXPERIMENTS.md"))
         assert os.path.exists(out)
 
