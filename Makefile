@@ -8,18 +8,19 @@ test:
 
 # the fault-tolerance gate: the full tier-1 suite (which includes the
 # deterministic chaos tests in tests/test_chaos.py) plus a CLI serve
-# replay under the fault injector, both pinned to one seed so failures
-# reproduce bit-for-bit
+# replay under the fault injector, both pinned to one seed (fault draws
+# and hypothesis examples) so failures reproduce bit-for-bit
 chaos:
-	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest -x -q
+	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest -x -q --hypothesis-seed=0
 	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
 		--faults --deadline-ms 400
 
 # the network-chaos gate: the socket-boundary tests plus a CLI loopback
 # replay under seeded frame faults (drop/duplicate/delay/truncate) —
-# every ok result must stay bit-identical to its in-process solo run
+# every ok result must stay bit-identical to its in-process solo run;
+# fault draws and hypothesis examples are pinned to one seed
 serve-net:
-	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest tests/test_net.py -x -q
+	REPRO_FAULT_SEED=0 $(PYTHON) -m pytest tests/test_net.py -x -q --hypothesis-seed=0
 	REPRO_FAULT_SEED=0 $(PYTHON) -m repro.experiments.cli serve --smoke \
 		--net --net-faults --rate 20
 

@@ -302,12 +302,14 @@ def main(argv=None) -> int:
                              "re-reporting)")
     args = parser.parse_args(argv)
 
-    set_default_dtype("float32")
     if args.experiment == "report":
         from .report import write_report
         print(f"wrote {write_report()}")
         return 0
     if args.experiment == "serve":
+        # the experiments run at cfg.dtype, which their Pipeline pins;
+        # serve builds none and replays at deployment precision
+        set_default_dtype("float32")
         return _run_serve(args)
 
     base = (ExperimentConfig.smoke() if args.smoke

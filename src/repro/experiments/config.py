@@ -23,10 +23,11 @@ Scale calibration vs the paper, with its rationale:
   paper's k=5 of 1000 (0.5%); both are reported.
 - dtype policy: the config defaults to float64 (the substrate's native
   precision — keeps results directly comparable to earlier runs), and
-  ``repro-exp`` runs every experiment at ``cfg.dtype``: the CLI sets
-  float32 at start-up, but :class:`~repro.experiments.pipeline.Pipeline`
-  pins the process dtype to ``cfg.dtype`` on construction and around
-  every artifact build and attack set.  ``dtype`` is part of the config,
+  ``repro-exp`` runs every experiment at ``cfg.dtype``:
+  :class:`~repro.experiments.pipeline.Pipeline` pins the process dtype
+  to ``cfg.dtype`` on construction and around every artifact build and
+  attack set.  Only ``repro-exp serve``, which builds no pipeline, sets
+  the process dtype itself (float32).  ``dtype`` is part of the config,
   flows through the pipeline into training and the attack sets, and
   keys the artifact cache, so mixed-precision artifacts never collide.
   Measured fig6 success-rate deltas between the two dtypes are recorded

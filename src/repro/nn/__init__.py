@@ -5,7 +5,7 @@ ships no deep-learning framework; every other subsystem (models, QAT,
 pruning, the attack family) composes these primitives.
 """
 
-from . import functional, losses
+from . import functional
 from .activations import (ELU, GELU, HardSwish, LeakyReLU, Swish, elu, gelu,
                           hard_sigmoid, hard_swish, leaky_relu, softplus,
                           swish)
@@ -39,5 +39,5 @@ __all__ = [
     "SGD", "Adam", "LRScheduler", "StepLR", "CosineLR",
     "save_state", "load_state",
     "kaiming_normal", "kaiming_uniform", "xavier_uniform",
-    "functional", "losses",
+    "functional",
 ]

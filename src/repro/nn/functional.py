@@ -4,6 +4,12 @@ Convolution uses im2col (stride-tricks window extraction + one matmul),
 which is the standard way to keep numpy convs fast; the col2im backward is
 a small loop over kernel taps only (kh*kw iterations), never over pixels.
 All tensors follow the NCHW layout.
+
+The conv and pooling kernels (``_conv_fwd``, ``_conv_dw``, ``_conv_dx``,
+``_max_pool_fwd``, ...) hold each op's arithmetic once: the eager ops
+below and the compiled programs (:mod:`repro.nn.graph`) both call them,
+the programs passing their planned buffers as destinations, so the two
+executors produce the same bytes by construction.
 """
 
 from __future__ import annotations
@@ -146,85 +152,187 @@ def _col2im_flat(dcolsp: np.ndarray, x_shape: Tuple[int, ...], kh: int,
     return dx
 
 
-def _conv_dw_dense(g2: np.ndarray, cols2: np.ndarray) -> np.ndarray:
-    """Dense-conv weight gradient ``dw[f,k] = sum_n,p g2[n,f,p]*cols2[n,k,p]``.
-
-    Two formulations with identical results up to summation order, chosen
-    deterministically by shape (so the eager tape and the compiled
-    executor always agree bit-for-bit): wide spatial extents run the
-    copy-free batched matmul; deep/narrow layers run tensordot's single
-    large GEMM, which wins when the contraction dwarfs the batch axis.
-    """
-    N, F, P = g2.shape
-    K = cols2.shape[1]
-    if P * 4 >= K:
-        return np.matmul(g2, cols2.transpose(0, 2, 1)).sum(axis=0)
-    return np.tensordot(g2, cols2, axes=([0, 2], [0, 2]))
-
-
-def _conv_grouped_fwd(cols2: np.ndarray, wmat: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-    """Grouped-conv forward contraction into ``out`` (N, G, Fg, oh, ow).
-
-    One batched matmul over (row, group) slices: every slice is the
-    same ``(Fg, K) x (K, oh*ow)`` GEMM whatever ``N`` is, so each
-    row's bits are independent of the batch (a BLAS-backed einsum
-    contracts across rows and is not).  Depthwise layers (Fg == 1) run
-    it as a matvec.  The eager tape and the compiled executor share
-    this function.
-    """
-    N, G, oh, ow, K = cols2.shape
-    Fg = wmat.shape[1]
-    cols = cols2.reshape(N, G, oh * ow, K)
-    if Fg == 1:
-        np.matmul(cols, wmat.reshape(1, G, K, 1),
-                  out=out.reshape(N, G, oh * ow, 1))
-        return out
-    np.matmul(wmat.reshape(1, G, Fg, K), cols.transpose(0, 1, 3, 2),
-              out=out.reshape(N, G, Fg, oh * ow))
+def _pad(x: np.ndarray, ph: int, pw: int, value: float = 0.0,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """NCHW ``x`` with ``ph`` rows and ``pw`` columns of ``value`` on
+    each side: written into the interior of ``out``, whose borders must
+    already hold ``value``, or a fresh ``np.pad`` when ``out`` is None.
+    An unpadded ``x`` is returned as is."""
+    if not (ph or pw):
+        return x
+    if out is None:
+        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                      constant_values=value)
+    out[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]] = x
     return out
 
 
-def _conv_dw_grouped(gg: np.ndarray, cols2: np.ndarray) -> np.ndarray:
-    """Grouped-conv weight gradient: (N,G,Fg,oh,ow) x (N,G,oh,ow,K) ->
-    (G, Fg, K); batched matvec for depthwise, einsum otherwise."""
-    N, G, Fg, oh, ow = gg.shape
-    K = cols2.shape[-1]
-    if Fg == 1:
-        return np.matmul(gg.reshape(N, G, 1, oh * ow),
-                         cols2.reshape(N, G, oh * ow, K)).sum(axis=0)
-    return np.einsum("ngfxy,ngxyk->gfk", gg, cols2, optimize=True)
+def _conv_wmat(w: np.ndarray, groups: int) -> np.ndarray:
+    """A conv weight (F, Cg, kh, kw) as its forward contraction matrix:
+    (F, K) for a dense conv, (G, Fg, K) for a grouped one."""
+    F = w.shape[0]
+    K = w.shape[1] * w.shape[2] * w.shape[3]
+    if groups == 1:
+        return w.reshape(F, K)
+    return w.reshape(groups, F // groups, K)
 
 
-def _conv_depthwise_fwd(colsK: np.ndarray, wmat: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Depthwise forward on tap-major windows: (N,C,K,P) x (C,K) ->
-    (N,C,1,P).  Tap-major means the im2col view copies straight into the
-    scratch (no per-group transpose materialization)."""
-    N, C, K, P = colsK.shape
-    return np.matmul(wmat.reshape(1, C, 1, K), colsK, out=out)
+def _conv_wmat_dx(w: np.ndarray, groups: int) -> np.ndarray:
+    """The input-gradient contraction matrix: the dense (F, K) matrix
+    transposed into a contiguous (K, F), the grouped one as is."""
+    wmat = _conv_wmat(w, groups)
+    return np.ascontiguousarray(wmat.T) if groups == 1 else wmat
 
 
-def _conv_dw_depthwise(colsK: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Depthwise weight gradient on tap-major windows: (N,C,K,P) x
-    (N,C,P) -> (C, K)."""
-    N, C, K, P = colsK.shape
-    return np.matmul(colsK, g2.reshape(N, C, P, 1)).sum(axis=0).reshape(C, K)
+def _conv_fwd(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray],
+              kh: int, kw: int, sh: int, sw: int, groups: int,
+              cols: Optional[np.ndarray] = None,
+              out: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Convolution of the padded NCHW input ``xp`` by ``wmat`` (see
+    :func:`_conv_wmat`), plus ``bias`` when given.
+
+    The windows are copied into ``cols`` in the layout the contraction
+    reads.  Dense and depthwise convs stay tap-major, (N, C * kh * kw,
+    OH * OW): the im2col view already is, so the copy runs in long
+    contiguous stretches, and ``(F, K) @ (N, K, P)`` (a batched matvec
+    per channel for depthwise) writes NCHW with no transpose on either
+    side.  Other grouped convs copy (N, G, OH, OW, Cg * kh * kw) windows
+    and run one batched matmul over (row, group) slices: every slice is
+    the same GEMM whatever N is, so each row's bits are independent of
+    the batch (a BLAS-backed einsum contracts across rows and is not).
+    ``cols`` (any shape of that size) and the (N, F, OH, OW) ``out`` are
+    allocated when omitted.  Returns ``(out, cols)``; the weight
+    gradient reads ``cols`` back.
+    """
+    N, C = xp.shape[:2]
+    win, (oh, ow) = _im2col(xp, kh, kw, sh, sw, 0, 0)
+    P = oh * ow
+    if cols is None:
+        cols = np.empty((N, C * kh * kw, P), dtype=xp.dtype)
+    if groups == 1:
+        F = wmat.shape[0]
+        np.copyto(cols.reshape(win.shape), win)
+        res = np.matmul(wmat, cols.reshape(N, C * kh * kw, P),
+                        out=None if out is None else out.reshape(N, F, P))
+    elif wmat.shape[1] == 1 and C == groups:
+        F = C
+        np.copyto(cols.reshape(win.shape), win)
+        res = np.matmul(wmat.reshape(1, C, 1, kh * kw),
+                        cols.reshape(N, C, kh * kw, P),
+                        out=None if out is None else out.reshape(N, C, 1, P))
+    else:
+        G, Fg, K = wmat.shape
+        F = G * Fg
+        # (N, G, Cg, kh, kw, OH, OW) -> (N, G, OH, OW, Cg, kh, kw)
+        np.copyto(cols.reshape(N, G, oh, ow, C // G, kh, kw),
+                  win.reshape(N, G, C // G, kh, kw, oh, ow)
+                  .transpose(0, 1, 5, 6, 2, 3, 4))
+        # a C-contiguous destination keeps downstream reductions
+        # bit-identical whichever caller supplied it
+        res = np.empty((N, G, Fg, oh, ow), dtype=cols.dtype) \
+            if out is None else out
+        colsg = cols.reshape(N, G, P, K)
+        if Fg == 1:
+            np.matmul(colsg, wmat.reshape(1, G, K, 1),
+                      out=res.reshape(N, G, P, 1))
+        else:
+            np.matmul(wmat.reshape(1, G, Fg, K), colsg.transpose(0, 1, 3, 2),
+                      out=res.reshape(N, G, Fg, P))
+    res = res.reshape(N, F, oh, ow)
+    if bias is not None:
+        res += bias.reshape(1, F, 1, 1)
+    return res, cols
 
 
-def _conv_dcols_grouped(ggp: np.ndarray, wmat: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Grouped-conv input-gradient window rows: (N,G,Fg,Q) x (G,Fg,K) ->
-    (N,G,K,Q) in tap-major order.  Depthwise has no contraction at all —
-    a broadcast multiply emits the exact same products as the einsum."""
-    N, G, Fg, Q = ggp.shape
-    K = wmat.shape[-1]
-    if Fg == 1:
-        return np.multiply(ggp.reshape(N, G, 1, Q),
-                           wmat.reshape(1, G, K, 1), out=out)
-    if out is None:
-        return np.einsum("ngfq,gfk->ngkq", ggp, wmat, optimize=True)
-    return np.einsum("ngfq,gfk->ngkq", ggp, wmat, out=out, optimize=True)
+def _conv_db(g: np.ndarray) -> np.ndarray:
+    """Bias gradient of a conv from its output gradient (N, F, OH, OW)."""
+    return g.sum(axis=(0, 2, 3))
+
+
+def _conv_dw_batched(P: int, K: int) -> bool:
+    """Whether a dense conv's weight gradient runs the batched matmul
+    (wide spatial extents) rather than tensordot's one large GEMM (deep,
+    narrow layers, where the contraction dwarfs the batch axis)."""
+    return P * 4 >= K
+
+
+def _conv_dw(g: np.ndarray, cols: np.ndarray, wshape: Tuple[int, ...],
+             groups: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Weight gradient (F, Cg, kh, kw) of a conv from its output gradient
+    ``g`` and the windows :func:`_conv_fwd` left in ``cols``.
+
+    Dense convs contract ``dw[f,k] = sum_n,p g[n,f,p] * cols[n,k,p]`` in
+    one of two formulations chosen by shape (:func:`_conv_dw_batched`);
+    ``out`` is the optional (N, F, K) product of the batched one.
+    Grouped convs with one filter per group run a batched matvec, the
+    others an einsum.
+    """
+    N, F, oh, ow = g.shape
+    _, Cg, kh, kw = wshape
+    P = oh * ow
+    if groups == 1:
+        g2 = np.ascontiguousarray(g).reshape(N, F, P)
+        cols2 = cols.reshape(N, Cg * kh * kw, P)
+        if _conv_dw_batched(P, cols2.shape[1]):
+            dw = np.matmul(g2, cols2.transpose(0, 2, 1), out=out).sum(axis=0)
+        else:
+            dw = np.tensordot(g2, cols2, axes=([0, 2], [0, 2]))
+    elif Cg == 1 and F == groups:
+        g2 = np.ascontiguousarray(g).reshape(N, F, P, 1)
+        dw = np.matmul(cols.reshape(N, F, kh * kw, P), g2).sum(axis=0)
+    else:
+        G, K = groups, Cg * kh * kw
+        gg = g.reshape(N, G, F // G, oh, ow)
+        cols2 = cols.reshape(N, G, oh, ow, K)
+        if F == G:
+            dw = np.matmul(gg.reshape(N, G, 1, P),
+                           cols2.reshape(N, G, P, K)).sum(axis=0)
+        else:
+            dw = np.einsum("ngfxy,ngxyk->gfk", gg, cols2, optimize=True)
+    return dw.reshape(wshape)
+
+
+def _conv_dx(g: np.ndarray, wmat_dx: np.ndarray, x_shape: Tuple[int, ...],
+             kh: int, kw: int, sh: int, sw: int, ph: int, pw: int,
+             groups: int, gpad: Optional[np.ndarray] = None,
+             dcols: Optional[np.ndarray] = None,
+             dx: Optional[np.ndarray] = None,
+             dxi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Input gradient of a conv from its output gradient ``g`` and
+    ``wmat_dx`` (see :func:`_conv_wmat_dx`).
+
+    The output gradient is X-padded into ``gpad`` (N, F, OH, XP), whose
+    pitch columns must hold zeros, so that the contraction emits window
+    rows in tap-major (C, kh, kw) order with the stride-phase image's own
+    pitch and col2im collapses to one contiguous shifted-slice add per
+    tap (:func:`_col2im_flat`, which takes ``dx`` and ``dxi`` as its
+    ``out`` and ``dx_out``).  A grouped conv with one filter per group
+    has no contraction at all: a broadcast multiply emits the same
+    products.  Every buffer is allocated when omitted.  Returns the
+    (N, C, H, W) gradient (a view).
+    """
+    N, F, oh, ow = g.shape
+    C, W = x_shape[1], x_shape[3]
+    Xp = _col2im_xpad(W, pw, sw)
+    QX = oh * Xp
+    if gpad is None:
+        gpad = np.zeros((N, F, oh, Xp), dtype=g.dtype)
+    np.copyto(gpad[..., :ow], g)
+    if groups == 1:
+        dcols = np.matmul(wmat_dx, gpad.reshape(N, F, QX), out=dcols)
+    else:
+        G, Fg, K = wmat_dx.shape
+        ggp = gpad.reshape(N, G, Fg, QX)
+        if dcols is not None:
+            dcols = dcols.reshape(N, G, K, QX)
+        if Fg == 1:
+            dcols = np.multiply(ggp, wmat_dx.reshape(1, G, K, 1), out=dcols)
+        else:
+            dcols = np.einsum("ngfq,gfk->ngkq", ggp, wmat_dx, out=dcols,
+                              optimize=True)
+    return _col2im_flat(dcols.reshape(N, C, kh, kw, QX), x_shape, kh, kw,
+                        sh, sw, ph, pw, oh, ow, out=dx, dx_out=dxi)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -247,103 +355,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if Cg != C // groups:
         raise ValueError(f"weight expects {Cg} in-channels/group, input has {C // groups}")
 
-    cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-
-    if groups == 1:
-        # Tap-major layout: the im2col window view is already
-        # (N, C, kh, kw, OH, OW), so a straight copy is cheap (long
-        # contiguous runs), and (F, K) @ (N, K, P) produces NCHW output
-        # directly — no transposes on either side of the matmul.
-        K = C * kh * kw
-        colsK = np.ascontiguousarray(cols).reshape(N, K, oh * ow)
-        w2 = weight.data.reshape(F, K)
-        out_data = np.matmul(w2, colsK).reshape(N, F, oh, ow)
-        cols2 = colsK                                    # closure capture
-    elif Cg == 1 and F == groups:
-        # pure depthwise: stay tap-major like the dense path — the
-        # im2col view copies straight (long contiguous runs) and the
-        # per-channel contraction is a batched matvec
-        K = kh * kw
-        colsK = np.ascontiguousarray(cols).reshape(N, C, K, oh * ow)
-        out_data = _conv_depthwise_fwd(
-            colsK, weight.data.reshape(C, K)).reshape(N, F, oh, ow)
-        cols2 = colsK
-    else:
-        G = groups
-        Fg = F // G
-        # (N, G, Cg, kh, kw, OH, OW) -> (N, G, OH, OW, Cg*kh*kw)
-        colsg = cols.reshape(N, G, Cg, kh, kw, oh, ow)
-        cols2 = np.ascontiguousarray(colsg.transpose(0, 1, 5, 6, 2, 3, 4)).reshape(N, G, oh, ow, Cg * kh * kw)
-        wmat = weight.data.reshape(G, Fg, Cg * kh * kw)  # (G, Fg, K)
-        # a C-contiguous destination keeps downstream reductions (and the
-        # compiled executor's buffer replays) bit-identical
-        out_data = np.empty((N, G, Fg, oh, ow), dtype=cols2.dtype)
-        _conv_grouped_fwd(cols2, wmat, out_data)
-        out_data = out_data.reshape(N, F, oh, ow)
-
-    if bias is not None:
-        out_data += bias.data.reshape(1, F, 1, 1)
-
+    out_data, cols = _conv_fwd(_pad(x.data, ph, pw),
+                               _conv_wmat(weight.data, groups),
+                               None if bias is None else bias.data,
+                               kh, kw, sh, sw, groups)
     parents = (x, weight) + ((bias,) if bias is not None else ())
     req = any(p.requires_grad for p in parents) and _tensor.is_grad_enabled()
     out = Tensor(out_data, requires_grad=req, _parents=parents if req else ())
     if req:
-        x_shape = x.shape
-
-        def _bw(g, x=x, weight=weight, bias=bias, cols2=cols2):
-            # g: (N, F, OH, OW)
+        def _bw(g, x=x, weight=weight, bias=bias, cols=cols):
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2, 3)))
-            if groups == 1:
-                K = C * kh * kw
-                if weight.requires_grad:
-                    g2 = np.ascontiguousarray(g).reshape(N, F, oh * ow)
-                    dw = _conv_dw_dense(g2, cols2)                       # (F, K)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
-                    w2T = np.ascontiguousarray(weight.data.reshape(F, K).T)
-                    # X-padded logits make every col2im tap a single
-                    # contiguous shifted-slice add into its stride phase
-                    # (see _col2im_flat)
-                    Xp = _col2im_xpad(W, pw, sw)
-                    g2p = np.zeros((N, F, oh, Xp), dtype=g.dtype)
-                    g2p[..., :ow] = g
-                    dcolsp = np.matmul(w2T, g2p.reshape(N, F, oh * Xp))
-                    dx = _col2im_flat(
-                        dcolsp.reshape(N, C, kh, kw, oh * Xp),
-                        x_shape, kh, kw, sh, sw, ph, pw, oh, ow)
-                    x._accumulate(dx, owned=True)
-            else:
-                G = groups
-                Fg = F // G
-                gg = g.reshape(N, G, Fg, oh, ow)
-                if weight.requires_grad:
-                    if Cg == 1 and F == G:
-                        g2 = np.ascontiguousarray(g).reshape(N, C, oh * ow)
-                        dw = _conv_dw_depthwise(cols2, g2)
-                    else:
-                        dw = _conv_dw_grouped(gg, cols2)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
-                    wmat = weight.data.reshape(G, Fg, Cg * kh * kw)
-                    # Same X-padded tap-major path as the dense backward:
-                    # the contraction emits window rows directly in
-                    # (G, K) == (C, kh, kw) tap-major order with the
-                    # phase image's pitch, so no transpose/materialize
-                    # step survives between it and the flat col2im.
-                    Xp = _col2im_xpad(W, pw, sw)
-                    ggp = np.zeros((N, G, Fg, oh, Xp), dtype=g.dtype)
-                    ggp[..., :ow] = gg
-                    dcolsp = _conv_dcols_grouped(
-                        ggp.reshape(N, G, Fg, oh * Xp), wmat)
-                    dx = _col2im_flat(
-                        dcolsp.reshape(N, C, kh, kw, oh * Xp),
-                        x_shape, kh, kw, sh, sw, ph, pw, oh, ow)
-                    x._accumulate(dx, owned=True)
+                bias._accumulate(_conv_db(g))
+            if weight.requires_grad:
+                weight._accumulate(_conv_dw(g, cols, weight.shape, groups),
+                                   owned=True)
+            if x.requires_grad:
+                x._accumulate(_conv_dx(g, _conv_wmat_dx(weight.data, groups),
+                                       x.shape, kh, kw, sh, sw, ph, pw,
+                                       groups), owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
-        inputs = (x, weight) + ((bias,) if bias is not None else ())
-        _tensor._GRAPH_TRACER.emit("conv2d", inputs, out,
+        _tensor._GRAPH_TRACER.emit("conv2d", parents, out,
                                    {"stride": (sh, sw), "padding": (ph, pw),
                                     "groups": groups,
                                     "has_bias": bias is not None})
@@ -358,31 +390,68 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+def _max_pool_fwd(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+                  out: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Max pooling of the (-inf) padded NCHW input ``xp`` into ``out``
+    (allocated when omitted).  Returns ``(out, arg)``, ``arg`` being each
+    window's winning tap, which the backward reads."""
+    win, (oh, ow) = _im2col(xp, kh, kw, sh, sw, 0, 0)
+    N, C = xp.shape[:2]
+    flat = win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C, oh, ow, kh * kw)
+    arg = flat.argmax(axis=-1)
+    val = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    if out is None:
+        return val, arg
+    np.copyto(out, val)
+    return out, arg
+
+
+def _max_pool_bwd(g: np.ndarray, arg: np.ndarray, x_shape: Tuple[int, ...],
+                  kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
+                  ) -> np.ndarray:
+    """Input gradient of max pooling: each window's gradient goes to its
+    winning tap ``arg``."""
+    N, C, oh, ow = g.shape
+    dflat = np.zeros((N, C, oh, ow, kh * kw), dtype=g.dtype)
+    np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
+    dcols = dflat.reshape(N, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
+    return _col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw)
+
+
+def _avg_pool_fwd(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+                  ph: int, pw: int, out: Optional[np.ndarray] = None
+                  ) -> np.ndarray:
+    """Average pooling (zero padding counted) into ``out`` (allocated
+    when omitted)."""
+    win, _ = _im2col(x, kh, kw, sh, sw, ph, pw)
+    return win.mean(axis=(2, 3), out=out)
+
+
+def _avg_pool_bwd(g: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
+                  sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
+    """Input gradient of average pooling."""
+    N, C, oh, ow = g.shape
+    dcols = np.broadcast_to(
+        g[:, :, None, None, :, :] / (kh * kw), (N, C, kh, kw, oh, ow)
+    ).astype(g.dtype)
+    return _col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw)
+
+
 def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
                padding: IntPair = 0) -> Tensor:
     """Max pooling over NCHW windows."""
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
     ph, pw = _pair(padding)
-    xd = x.data
-    if ph or pw:
-        xd = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=-np.inf)
-    cols, (oh, ow) = _im2col(xd, kh, kw, sh, sw, 0, 0)
-    N, C = x.shape[:2]
-    flat = cols.transpose(0, 1, 4, 5, 2, 3).reshape(N, C, oh, ow, kh * kw)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out_data, arg = _max_pool_fwd(_pad(x.data, ph, pw, -np.inf),
+                                  kh, kw, sh, sw)
     req = x.requires_grad and _tensor.is_grad_enabled()
     out = Tensor(out_data, requires_grad=req, _parents=(x,) if req else ())
     if req:
-        x_shape = x.shape
-
         def _bw(g, x=x, arg=arg):
-            dflat = np.zeros((N, C, oh, ow, kh * kw), dtype=g.dtype)
-            np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-            dcols = dflat.reshape(N, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-            x._accumulate(_col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw), owned=True)
+            x._accumulate(_max_pool_bwd(g, arg, x.shape, kh, kw, sh, sw,
+                                        ph, pw), owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
         _tensor._GRAPH_TRACER.emit("max_pool2d", (x,), out,
@@ -397,19 +466,13 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
     ph, pw = _pair(padding)
-    cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    out_data = cols.mean(axis=(2, 3))
+    out_data = _avg_pool_fwd(x.data, kh, kw, sh, sw, ph, pw)
     req = x.requires_grad and _tensor.is_grad_enabled()
     out = Tensor(out_data, requires_grad=req, _parents=(x,) if req else ())
     if req:
-        N, C = x.shape[:2]
-        x_shape = x.shape
-
         def _bw(g, x=x):
-            dcols = np.broadcast_to(
-                g[:, :, None, None, :, :] / (kh * kw), (N, C, kh, kw, oh, ow)
-            ).astype(g.dtype)
-            x._accumulate(_col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw), owned=True)
+            x._accumulate(_avg_pool_bwd(g, x.shape, kh, kw, sh, sw, ph, pw),
+                          owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
         _tensor._GRAPH_TRACER.emit("avg_pool2d", (x,), out,

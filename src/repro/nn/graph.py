@@ -73,10 +73,10 @@ import numpy as np
 
 from . import rowrep
 from . import tensor as _tensor
-from .functional import (_col2im, _col2im_flat, _col2im_xpad,
-                         _conv_dcols_grouped, _conv_depthwise_fwd,
-                         _conv_dw_dense, _conv_dw_depthwise,
-                         _conv_dw_grouped, _conv_grouped_fwd, _im2col)
+from .functional import (_avg_pool_bwd, _avg_pool_fwd, _col2im_xpad,
+                         _conv_db, _conv_dw, _conv_dw_batched, _conv_dx,
+                         _conv_fwd, _conv_wmat, _conv_wmat_dx,
+                         _max_pool_bwd, _max_pool_fwd, _pad)
 from .module import Module, Parameter
 from .tensor import Tensor, _tape_order, _unbroadcast, get_default_dtype
 
@@ -291,18 +291,21 @@ class _Tracer:
 
 
 def _check_input_path(roots, out: Tensor, tracer: _Tracer) -> None:
-    """Every tape node that depends on a root tensor must have been traced.
+    """Every tape node that depends on a root tensor must have been
+    traced as an op's output.
 
     A missed emit on the input (or, for training programs, parameter)
-    path would silently freeze an input-dependent value as a constant;
-    this walk turns that into a loud :class:`GraphUnsupported` instead.
+    path would silently freeze an input-dependent value as a constant (a
+    traced op reading it registers it as a leaf); this walk turns that
+    into a loud :class:`GraphUnsupported` instead.
     """
     dep: Dict[int, bool] = {id(t): True for t in roots}
     for node in _tape_order(out):      # parents come before children
         if id(node) in dep:
             continue
         dep[id(node)] = any(dep.get(id(p), False) for p in node._parents)
-        if dep[id(node)] and id(node) not in tracer.ids:
+        nid = tracer.ids.get(id(node))
+        if dep[id(node)] and (nid is None or nid in tracer.leaves):
             raise GraphUnsupported(
                 "forward used an untraced operation on the input path "
                 f"(tensor shape {node.shape}); cannot compile")
@@ -318,10 +321,11 @@ def _trace(module, example: np.ndarray, train: bool = False
     ``x`` being ``example`` in the session dtype.
 
     ``train`` traces for the training compiler: side effects are
-    recorded, not refused; the input takes no gradient, as in the
-    training loops (so the compiled backward skips e.g. the stem conv's
-    input gradient, as the eager tape does); and the parameters join
-    the input as roots of the input-path check.  A caller that must
+    recorded, not refused, and the parameters join the input as roots of
+    the input-path check.  The input is traced with a gradient either
+    way, so the tape records every op on its path and the check sees an
+    untraced one (the training program still takes no input gradient:
+    its gradients flow from the parameters only).  A caller that must
     restore module state does so around this call.
     """
     x = np.asarray(example)
@@ -331,7 +335,7 @@ def _trace(module, example: np.ndarray, train: bool = False
         raise GraphUnsupported("example batch must be non-empty")
     if _tensor._GRAPH_TRACER is not None:
         raise GraphUnsupported("nested tracing is not supported")
-    xt = Tensor(x, requires_grad=not train)
+    xt = Tensor(x, requires_grad=True)
     tracer = _Tracer(xt, allow_effects=train)
     _tensor._GRAPH_TRACER = tracer
     try:
@@ -646,7 +650,7 @@ class _Program:
             for nid, t in self._leaves.items():
                 env[nid] = t.data
             for ctx in self._ctx.values():
-                for key in ("wmat", "wmat_g", "w2", "w2T"):
+                for key in ("wmat", "wmat_dx"):
                     ctx.pop(key, None)
             for op in self._const_ops:
                 val = _eval_const(op, env)
@@ -1533,112 +1537,59 @@ def _b_pad2d(prog, op):
 # ---- fake quantization ------------------------------------------------ #
 @_register("fake_quant")
 def _f_fake_quant(prog, op):
+    from ..quantization.affine import fake_quantize_array
     a, = op.inputs
     qp = op.attrs["qp"]
-    ndim = len(op.in_shapes[0])
-    s = qp.scale_for(ndim)
-    z = qp.zero_point_for(ndim)
     env = prog._env
-    if not prog._variable_batch:
-        # Training program: the quantization grid moves every step (QAT
-        # observers keep observing, weights keep changing), so re-read
-        # the provider's params per replay and run the exact eager
-        # kernel — bit-parity with the tape beats the fused round trip.
-        from ..quantization.affine import fake_quantize_array
-        fq = op.attrs.get("fq")
-        ctx = prog._ctx[op.out]
+    ctx = prog._ctx[op.out]
+    dtype = prog._dtype
+    # The forward executor folds the traced grid and rounds in the arena.
+    # A training program re-reads its provider's grid every replay (QAT
+    # observers keep observing, weights keep changing) and allocates, as
+    # it may quantize weight-shaped values.
+    train = not prog._variable_batch
+    fq = op.attrs.get("fq") if train else None
+    if not train:
+        prog._register_buf(op.out, op.out_shape[1:])
+        prog._register_buf(("fq64", op.out), op.out_shape[1:],
+                           dtype=np.float64)
 
-        dtype = prog._dtype
-
-        def run(n, a=a, o=op.out, fq=fq, qp=qp, ctx=ctx, dtype=dtype):
-            cur = fq.qparams() if fq is not None else qp
-            ctx["qp"] = cur
-            arr = fake_quantize_array(env[a], cur)
-            if arr.dtype != dtype:
-                # the eager tape wraps this result in a Tensor, which
-                # casts back to the session dtype — mirror that, or a
-                # float32 run drifts by one rounding step
-                arr = arr.astype(dtype)
-            env[o] = arr
-        return run
-    if not prog._batched(op.out_shape):  # pragma: no cover - defensive
-        from ..quantization.affine import fake_quantize_array
-
-        def run(n, a=a, o=op.out, qp=qp):
-            env[o] = fake_quantize_array(env[a], qp)
-        return run
-    # Fused in-place round trip.  ``fake_quantize_array`` detours through
-    # int32, but round+clip already leaves exactly integral float64
-    # values, so skipping the integer cast is bitwise-identical — while a
-    # single float64 scratch buffer replaces its eight temporaries.
-    prog._register_buf(op.out, op.out_shape[1:])
-    prog._register_buf(("fq64", op.out), op.out_shape[1:], dtype=np.float64)
-
-    def run(n, a=a, o=op.out, s=s, z=z, lo=qp.qmin, hi=qp.qmax):
-        t = prog._slot(("fq64", o), n)
-        np.divide(env[a], s, out=t)
-        np.round(t, out=t)
-        t += z
-        np.clip(t, lo, hi, out=t)
-        t -= z
-        t *= s
+    def run(n, a=a, o=op.out):
+        cur = fq.qparams() if fq is not None else qp
+        ctx["qp"] = cur           # the grid this step's backward masks by
+        if train:
+            # the eager tape wraps the result in a Tensor, which casts
+            # to the session dtype
+            env[o] = fake_quantize_array(env[a], cur).astype(dtype,
+                                                             copy=False)
+            return
         out = prog._slot(o, n)
-        np.copyto(out, t)
+        np.copyto(out, fake_quantize_array(env[a], cur,
+                                           prog._slot(("fq64", o), n)))
         env[o] = out
     return run
 
 
 @_register_bwd("fake_quant")
 def _b_fake_quant(prog, op):
+    from ..quantization.affine import ste_mask
     a, = op.inputs
-    qp = op.attrs["qp"]
-    ndim = len(op.in_shapes[0])
     env = prog._env
-    if not prog._variable_batch:
-        # STE mask under the grid the forward half of THIS step used
-        ctx = prog._ctx[op.out]
+    ctx = prog._ctx[op.out]
 
-        def run(g, genv, gowned, n, a=a, qp=qp, ctx=ctx, ndim=ndim):
-            cur = ctx.get("qp", qp)
-            s = cur.scale_for(ndim)
-            z = cur.zero_point_for(ndim)
-            lo = (cur.qmin - z) * s
-            hi = (cur.qmax - z) * s
-            x = env[a]
-            _gacc(genv, gowned, a, g * ((x >= lo) & (x <= hi)), True)
-        return run
-    s = qp.scale_for(ndim)
-    z = qp.zero_point_for(ndim)
-    lo = (qp.qmin - z) * s
-    hi = (qp.qmax - z) * s
-
-    def run(g, genv, gowned, n, a=a, lo=lo, hi=hi):
-        x = env[a]
-        _gacc(genv, gowned, a, g * ((x >= lo) & (x <= hi)), True)
+    def run(g, genv, gowned, n, a=a):
+        _gacc(genv, gowned, a, g * ste_mask(env[a], ctx["qp"]), True)
     return run
 
 
 # ---- convolution ------------------------------------------------------ #
 def _conv_wmats(prog, op, ctx) -> None:
-    """(Re)build the cached weight matrices for a conv node.
-
-    The folded weight is constant across replays, so the
-    ``weight.reshape(F, K)`` matrix (and the transposed copy the
-    backward matmul consumes) is built once per compile/refresh instead
-    of per step — the same arrays the eager kernel builds, so the BLAS
-    calls stay bitwise-identical to the tape.
-    """
+    """(Re)build the cached weight matrices of a conv node: the folded
+    weight is constant across replays, so its forward and input-gradient
+    matrices are built once per compile/refresh instead of per step."""
     w = prog._env[op.inputs[1]]
-    F, Cg, kh, kw = w.shape
-    if op.attrs["groups"] == 1:
-        w2 = np.ascontiguousarray(w.reshape(F, Cg * kh * kw))
-        ctx["w2"] = w2
-        ctx["w2T"] = np.ascontiguousarray(w2.T)
-    else:
-        G = op.attrs["groups"]
-        wmat_g = w.reshape(G, F // G, Cg * kh * kw)
-        ctx["wmat"] = wmat_g
-        ctx["wmat_g"] = wmat_g          # gradient layout
+    ctx["wmat"] = _conv_wmat(w, op.attrs["groups"])
+    ctx["wmat_dx"] = _conv_wmat_dx(w, op.attrs["groups"])
 
 
 @_register("conv2d")
@@ -1659,86 +1610,24 @@ def _f_conv2d(prog, op):
     # The im2col scratch dies inside this closure, except in training
     # programs, where the weight gradient reads it back (_BWD_READS).
     # Borders of the padded input are constant zeros: keep a pre-filled
-    # padded buffer and write only the interior each replay (cheaper
-    # than np.pad, bitwise-identical values).  The buffer is read back
-    # out inside this op only, so it is keyed by geometry and shared by
-    # same-geometry convs.
+    # padded buffer and write only the interior each replay.  The buffer
+    # is read back inside this op only, so it is keyed by geometry and
+    # shared by same-geometry convs.
     if ph or pw:
         prog._register_buf(("conv_pad", op.out),
                            (C, H + 2 * ph, W + 2 * pw), fill=0.0,
                            pool_key=("conv_pad", C, H, W, ph, pw))
+    prog._register_buf(("conv_cols", op.out), (C * kh * kw, oh * ow))
+    prog._register_buf(op.out, (F, oh, ow))
 
-    def padded_input(n, x_id=x_id, o=op.out):
-        if not (ph or pw):
-            return env[x_id]
-        pb = prog._slot(("conv_pad", o), n)
-        pb[:, :, ph:ph + H, pw:pw + W] = env[x_id]
-        return pb
-
-    if groups == 1:
-        # Tap-major layout (mirrors the eager kernel exactly): the
-        # im2col window view is already (n, C, kh, kw, oh, ow), so the
-        # scratch fill is a cheap straight copy, and (F, K) @ (n, K, P)
-        # writes NCHW output with no transposes around the matmul.
-        K = C * kh * kw
-        P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (K, P))
-        prog._register_buf(op.out, (F, P))
-
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "w2" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, C, kh, kw, oh, ow), cols)
-            obuf = prog._slot(o, n)
-            np.matmul(ctx["w2"], scratch, out=obuf)
-            if b_id is not None:
-                obuf += env[b_id][:, None]
-            env[o] = obuf.reshape(n, F, oh, ow)
-    elif Cg == 1 and F == groups:
-        # pure depthwise mirrors the eager tap-major path: the scratch
-        # holds (C, kh*kw, P) windows filled by a straight copy, and the
-        # contraction is a batched matvec
-        K = kh * kw
-        P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (C * K, P))
-        prog._register_buf(op.out, (F, P))
-
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "wmat_g" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, C, kh, kw, oh, ow), cols)
-            obuf = prog._slot(o, n)
-            _conv_depthwise_fwd(scratch.reshape(n, C, K, P),
-                                ctx["wmat_g"].reshape(C, K),
-                                out=obuf.reshape(n, C, 1, P))
-            out = obuf.reshape(n, F, oh, ow)
-            if b_id is not None:
-                out = out + env[b_id].reshape(1, F, 1, 1)
-            env[o] = out
-    else:
-        G = groups
-        Fg = F // G
-        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw))
-        prog._register_buf(op.out, (G, Fg, oh, ow))
-
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "wmat" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            colsg = cols.reshape(n, G, Cg, kh, kw, oh, ow)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, G, oh, ow, Cg, kh, kw),
-                      colsg.transpose(0, 1, 5, 6, 2, 3, 4))
-            obuf = prog._slot(o, n)
-            _conv_grouped_fwd(scratch, ctx["wmat"], obuf)
-            out = obuf.reshape(n, F, oh, ow)
-            if b_id is not None:
-                out = out + env[b_id].reshape(1, F, 1, 1)
-            env[o] = out
+    def run(n, x_id=x_id, b_id=b_id, o=op.out):
+        if dyn_w or "wmat" not in ctx:
+            _conv_wmats(prog, op, ctx)
+        pad = prog._slot(("conv_pad", o), n) if ph or pw else None
+        env[o], _ = _conv_fwd(
+            _pad(env[x_id], ph, pw, out=pad), ctx["wmat"],
+            None if b_id is None else env[b_id], kh, kw, sh, sw, groups,
+            cols=prog._slot(("conv_cols", o), n), out=prog._slot(o, n))
     return run
 
 
@@ -1751,93 +1640,46 @@ def _b_conv2d(prog, op):
     ph, pw = op.attrs["padding"]
     groups = op.attrs["groups"]
     _, C, H, W = op.in_shapes[0]
-    F, Cg, kh, kw = op.in_shapes[1]
+    wshape = F, Cg, kh, kw = op.in_shapes[1]
     oh, ow = op.out_shape[2], op.out_shape[3]
     ctx = prog._ctx[op.out]
-    # Tap-major X-padded backward (mirrors the eager kernel, all strides
-    # and groups): the producing matmul/einsum emits window rows with
-    # the stride-phase image's own pitch, so col2im collapses to one
-    # contiguous shifted-slice add per tap (see
-    # ``functional._col2im_flat``).  The input gradient is a view of the
-    # accumulator, so it stays live until that gradient is consumed; the
-    # zero-bordered padded gradient is a keyed fill buffer.
+    # The input gradient is a view of the col2im accumulator, so it stays
+    # live until that gradient is consumed; the zero-bordered X-padded
+    # output gradient is a keyed fill buffer.
     Xp = _col2im_xpad(W, pw, sw)
-    QX = oh * Xp
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    Hq = -(-Hp // sh)
+    Hq = -(-(H + 2 * ph) // sh)
     phases = sh * sw
+    K = C * kh * kw
     prog._register_buf(("conv_gpad", op.out), (F, oh, Xp), fill=0.0,
                        pool_key=("conv_gpad", F, oh, Xp))
+    dcols_key = ("conv_dcols" if groups == 1 else "conv_gdcols", op.out)
+    prog._register_buf(dcols_key, (K, oh * Xp))
     # stride 1 hands back a view of the flat accumulator itself, larger
     # strides a view of the interleaved image
     prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp),
                        grad_of=x_id if phases == 1 else None)
     if phases > 1:
-        prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp), grad_of=x_id)
+        prog._register_buf(("conv_dxi", op.out), (C, H + 2 * ph, W + 2 * pw),
+                           grad_of=x_id)
+    dwm = groups == 1 and w_id in var and _conv_dw_batched(oh * ow, K)
+    if dwm:
+        prog._register_buf(("conv_dwm", op.out), (F, K))
 
-    def flat_col2im(dcolsp, n, o=op.out):
-        dxi = (prog._slot(("conv_dxi", o), n) if phases > 1 else None)
-        return _col2im_flat(dcolsp.reshape(n, C, kh, kw, QX),
-                            (n, C, H, W), kh, kw, sh, sw, ph, pw, oh, ow,
-                            out=prog._slot(("conv_dx", o), n), dx_out=dxi)
-
-    if groups == 1:
-        K = C * kh * kw
-        prog._register_buf(("conv_dcols", op.out), (K, QX))
-        # same shape gate as the eager _conv_dw_dense, with the batched
-        # product landing in planned scratch (bitwise-identical GEMMs)
-        dw_bm = (oh * ow) * 4 >= K
-        if w_id in var and dw_bm:
-            prog._register_buf(("conv_dwm", op.out), (F, K))
-
-        def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
-                o=op.out):
-            if b_id is not None and b_id in var:
-                _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
-            if w_id in var:
-                g2 = np.ascontiguousarray(g).reshape(n, F, oh * ow)
-                cols2 = prog._slot(("conv_cols", o), n)
-                if dw_bm:
-                    mm = prog._slot(("conv_dwm", o), n)
-                    np.matmul(g2, cols2.transpose(0, 2, 1), out=mm)
-                    dw = mm.sum(axis=0)
-                else:
-                    dw = _conv_dw_dense(g2, cols2)
-                _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
-            if x_id in var:
-                g2p = prog._slot(("conv_gpad", o), n)
-                np.copyto(g2p[..., :ow], g)
-                dcolsp = prog._slot(("conv_dcols", o), n)
-                np.matmul(ctx["w2T"], g2p.reshape(n, F, QX), out=dcolsp)
-                _gacc(genv, gowned, x_id, flat_col2im(dcolsp, n), False)
-    else:
-        G = groups
-        Fg = F // G
-        K = Cg * kh * kw
-        dwise = Cg == 1 and F == G
-        prog._register_buf(("conv_gdcols", op.out), (G, K, QX))
-
-        def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
-                o=op.out):
-            if b_id is not None and b_id in var:
-                _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
-            gg = g.reshape(n, G, Fg, oh, ow)
-            if w_id in var:
-                cols2 = prog._slot(("conv_cols", o), n)
-                if dwise:
-                    g2 = np.ascontiguousarray(g).reshape(n, C, oh * ow)
-                    dw = _conv_dw_depthwise(
-                        cols2.reshape(n, C, K, oh * ow), g2)
-                else:
-                    dw = _conv_dw_grouped(gg, cols2)
-                _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
-            if x_id in var:
-                ggp = prog._slot(("conv_gpad", o), n)
-                np.copyto(ggp.reshape(n, G, Fg, oh, Xp)[..., :ow], gg)
-                dcolsp = prog._slot(("conv_gdcols", o), n)
-                _conv_dcols_grouped(ggp.reshape(n, G, Fg, QX),
-                                    ctx["wmat_g"], out=dcolsp)
-                _gacc(genv, gowned, x_id, flat_col2im(dcolsp, n), False)
+    def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id, o=op.out):
+        if b_id is not None and b_id in var:
+            _gacc(genv, gowned, b_id, _conv_db(g), True)
+        if w_id in var:
+            _gacc(genv, gowned, w_id, _conv_dw(
+                g, prog._slot(("conv_cols", o), n), wshape, groups,
+                out=prog._slot(("conv_dwm", o), n) if dwm else None), True)
+        if x_id in var:
+            _gacc(genv, gowned, x_id, _conv_dx(
+                g, ctx["wmat_dx"], (n, C, H, W), kh, kw, sh, sw, ph, pw,
+                groups, gpad=prog._slot(("conv_gpad", o), n),
+                dcols=prog._slot(dcols_key, n),
+                dx=prog._slot(("conv_dx", o), n),
+                dxi=prog._slot(("conv_dxi", o), n) if phases > 1 else None),
+                False)
     return run
 
 
@@ -1848,9 +1690,7 @@ def _f_max_pool2d(prog, op):
     kh, kw = op.attrs["kernel"]
     sh, sw = op.attrs["stride"]
     ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    _, C, H, W = op.in_shapes[0]
     env = prog._env
     ctx = prog._ctx[op.out]
     prog._register_buf(op.out, op.out_shape[1:])
@@ -1861,18 +1701,10 @@ def _f_max_pool2d(prog, op):
                            pool_key=("pool_pad", C, H, W, ph, pw))
 
     def run(n, a=a, o=op.out):
-        xd = env[a]
-        if ph or pw:
-            pb = prog._slot(("pool_pad", o), n)
-            pb[:, :, ph:ph + H, pw:pw + W] = xd
-            xd = pb
-        cols, _ = _im2col(xd, kh, kw, sh, sw, 0, 0)
-        flat = cols.transpose(0, 1, 4, 5, 2, 3).reshape(n, C, oh, ow, kh * kw)
-        arg = flat.argmax(axis=-1)
-        ctx["arg"] = arg
-        out = prog._slot(o, n)
-        np.copyto(out, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
-        env[o] = out
+        pad = prog._slot(("pool_pad", o), n) if ph or pw else None
+        env[o], ctx["arg"] = _max_pool_fwd(
+            _pad(env[a], ph, pw, -np.inf, out=pad), kh, kw, sh, sw,
+            out=prog._slot(o, n))
     return run
 
 
@@ -1882,18 +1714,12 @@ def _b_max_pool2d(prog, op):
     kh, kw = op.attrs["kernel"]
     sh, sw = op.attrs["stride"]
     ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    _, C, H, W = op.in_shapes[0]
     ctx = prog._ctx[op.out]
 
     def run(g, genv, gowned, n, a=a):
-        arg = ctx["arg"]
-        dflat = np.zeros((n, C, oh, ow, kh * kw), dtype=g.dtype)
-        np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-        dcols = dflat.reshape(n, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-        _gacc(genv, gowned, a,
-              _col2im(dcols, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
+        _gacc(genv, gowned, a, _max_pool_bwd(
+            g, ctx["arg"], (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
     return run
 
 
@@ -1907,10 +1733,8 @@ def _f_avg_pool2d(prog, op):
     prog._register_buf(op.out, op.out_shape[1:])
 
     def run(n, a=a, o=op.out):
-        cols, _ = _im2col(env[a], kh, kw, sh, sw, ph, pw)
-        out = prog._slot(o, n)
-        cols.mean(axis=(2, 3), out=out)
-        env[o] = out
+        env[o] = _avg_pool_fwd(env[a], kh, kw, sh, sw, ph, pw,
+                               out=prog._slot(o, n))
     return run
 
 
@@ -1920,14 +1744,9 @@ def _b_avg_pool2d(prog, op):
     kh, kw = op.attrs["kernel"]
     sh, sw = op.attrs["stride"]
     ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    _, C, H, W = op.in_shapes[0]
 
     def run(g, genv, gowned, n, a=a):
-        dcols = np.broadcast_to(
-            g[:, :, None, None, :, :] / (kh * kw), (n, C, kh, kw, oh, ow)
-        ).astype(g.dtype)
-        _gacc(genv, gowned, a,
-              _col2im(dcols, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
+        _gacc(genv, gowned, a, _avg_pool_bwd(
+            g, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
     return run

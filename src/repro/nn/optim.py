@@ -22,24 +22,16 @@ class Optimizer:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> None:  # pragma: no cover - abstract
+    def step(self) -> None:
+        """Apply the gradients the tape left in ``p.grad``."""
+        self.apply_gradients([(p, p.grad) for p in self.params])
+
+    def apply_gradients(self, pairs) -> None:  # pragma: no cover - abstract
+        """Update each parameter from its gradient, in place: the one
+        update of eager steps (:meth:`step`) and compiled training steps,
+        which hand their gradients over directly.  ``pairs`` is a
+        sequence of ``(parameter, gradient-or-None)``."""
         raise NotImplementedError
-
-    def apply_gradients(self, pairs) -> None:
-        """Apply externally computed gradients (compiled training steps).
-
-        ``pairs`` is a sequence of ``(parameter, gradient-or-None)``.
-        The base implementation adopts the gradients and runs
-        :meth:`step`, then clears them; SGD/Adam override with fused
-        in-place updates whose arithmetic is element-for-element
-        identical to ``step()`` (bit-identical parameters), just without
-        the per-step grad adoption and state reallocation.
-        """
-        for p, g in pairs:
-            p.grad = g
-        self.step()
-        for p, _ in pairs:
-            p.grad = None
 
 
 class SGD(Optimizer):
@@ -54,25 +46,10 @@ class SGD(Optimizer):
         self.nesterov = nesterov
         self._velocity: Dict[int, np.ndarray] = {}
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                v = self.momentum * v + g if v is not None else g.copy()
-                self._velocity[id(p)] = v
-                g = g + self.momentum * v if self.nesterov else v
-            p.data -= self.lr * g
-
     def apply_gradients(self, pairs) -> None:
-        """Fused update: ``v *= m; v += g`` evaluates ``fl(fl(m*v) + g)``
-        per element exactly as ``m*v + g`` does, so the velocity — and
-        therefore every parameter — matches :meth:`step` bit-for-bit
-        while reusing the velocity buffers in place."""
+        """The velocity recurrence runs in place: ``v *= m; v += g``
+        evaluates ``fl(fl(m*v) + g)`` per element exactly as ``m*v + g``
+        does, without a fresh velocity per step."""
         lr, mom, wd = self.lr, self.momentum, self.weight_decay
         vel = self._velocity
         for p, g in pairs:
@@ -107,32 +84,11 @@ class Adam(Optimizer):
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
 
-    def step(self) -> None:
-        self._t += 1
-        b1t = 1.0 - self.b1 ** self._t
-        b2t = 1.0 - self.b2 ** self._t
-        for p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p.data
-            m = self._m.get(id(p))
-            v = self._v.get(id(p))
-            m = self.b1 * m + (1 - self.b1) * g if m is not None else (1 - self.b1) * g
-            v = self.b2 * v + (1 - self.b2) * g * g if v is not None else (1 - self.b2) * g * g
-            self._m[id(p)], self._v[id(p)] = m, v
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
-
     def apply_gradients(self, pairs) -> None:
-        """Fused update: the moment recurrences run in place
-        (``m *= b1; m += (1-b1)*g`` is element-wise ``fl(fl(b1*m) +
-        fl((1-b1)*g))``, identical to :meth:`step`'s fresh-array form),
-        so parameters stay bit-identical while the per-step moment
-        reallocation disappears."""
+        """The moment recurrences run in place: ``m *= b1; m +=
+        (1-b1)*g`` is element-wise ``fl(fl(b1*m) + fl((1-b1)*g))``,
+        exactly the fresh-array ``b1*m + (1-b1)*g``, without fresh
+        moments per step."""
         self._t += 1
         b1t = 1.0 - self.b1 ** self._t
         b2t = 1.0 - self.b2 ** self._t

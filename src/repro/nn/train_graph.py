@@ -34,9 +34,9 @@ module's kernel factories into a :class:`CompiledTrainStep` whose
   and re-executed at the same position in every replay, so buffers and
   quantization grids evolve exactly as they do eagerly;
 - **fused optimizer update** — gradients are handed straight to
-  :meth:`Optimizer.apply_gradients` (in-place fused SGD/Adam updates,
-  bit-identical to ``step()``), so a warm training step allocates no
-  tape nodes, no closures and no optimizer state.
+  :meth:`Optimizer.apply_gradients` (the optimizer's one in-place
+  update, which the eager ``step()`` runs too), so a warm training step
+  allocates no tape nodes, no closures and no optimizer state.
 
 Safety mirrors the forward executor: compilation *validates itself* by
 running one eager step and one compiled step from identical module
@@ -225,8 +225,10 @@ class CompiledTrainStep(_Program):
         # on the traced tape, so gradient contributions accumulate in the
         # same floating-point order as the eager step (bit-parity is
         # checked, not hoped for).  The kernel factories bind against
-        # the gradient set.
-        op_by_tensor = {id(tracer.keep[op.out]): op for op in self._var_ops}
+        # the gradient set; ops off it (on the input's path only) have
+        # no backward, as the input takes no gradient in training.
+        op_by_tensor = {id(tracer.keep[op.out]): op for op in self._var_ops
+                        if op.out in grad}
         self._build(fwd, [op_by_tensor[id(t)] for t in
                           reversed(_tape_order(tracer.keep[out_id]))
                           if id(t) in op_by_tensor], grad)

@@ -17,7 +17,7 @@ import numpy as np
 from ..nn import tensor as _tensor
 from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .affine import QuantParams, fake_quantize_array
+from .affine import QuantParams, fake_quantize_array, ste_mask
 from .observers import (MinMaxObserver, MovingAverageMinMaxObserver, Observer,
                         PerChannelMinMaxObserver)
 
@@ -35,11 +35,7 @@ def fake_quant_ste(x: Tensor, qp: QuantParams,
     req = x.requires_grad and _tensor.is_grad_enabled()
     out = Tensor(data, requires_grad=req, _parents=(x,) if req else ())
     if req:
-        s = qp.scale_for(x.data.ndim)
-        z = qp.zero_point_for(x.data.ndim)
-        lo = (qp.qmin - z) * s
-        hi = (qp.qmax - z) * s
-        mask = (x.data >= lo) & (x.data <= hi)
+        mask = ste_mask(x.data, qp)
 
         def _bw(g, x=x, m=mask):
             if x.requires_grad:

@@ -316,6 +316,52 @@ class TestFallback:
                                rng.integers(0, 4, size=4),
                                SGD(m.parameters(), lr=0.01))
 
+    def test_untraced_op_on_the_input_path_is_refused_by_name(self):
+        """The input-path check sees an untraced op (``__getitem__``)
+        applied to the traced input of either compiler, and the compiled
+        training backward still takes no input gradient."""
+        from repro.nn.graph import compile_forward
+        from repro.nn.layers import Conv2d, Linear
+
+        class TwoBranch(Module):
+            def __init__(self):
+                super().__init__()
+                self.a = Linear(8, 4)
+                self.b = Linear(16, 4)
+
+            def forward(self, x):
+                return self.a(x[:, :8]) + self.b(x)
+
+        rng = np.random.default_rng(0)
+        m = TwoBranch()
+        m.train()
+        x = rng.random((4, 16))
+        with pytest.raises(GraphUnsupported,
+                           match="untraced operation on the input path"):
+            compile_train_step(m, F.cross_entropy, x,
+                               rng.integers(0, 4, size=4),
+                               SGD(m.parameters(), lr=0.01))
+        m.eval()
+        with pytest.raises(GraphUnsupported,
+                           match="untraced operation on the input path"):
+            compile_forward(m, x)
+
+        class Stem(Module):
+            def __init__(self):
+                super().__init__()
+                self.conv = Conv2d(3, 4, 3, padding=1)
+
+            def forward(self, x):
+                return self.conv(x).sum(axis=(2, 3))
+
+        m = Stem()
+        m.train()
+        x, y = rng.random((4, 3, 6, 6)), rng.integers(0, 4, size=4)
+        prog = compile_train_step(m, F.cross_entropy, x, y,
+                                  SGD(m.parameters(), lr=0.01))
+        _, _, genv = prog._forward_backward(x, y)
+        assert genv[prog._input_id] is None
+
     def test_or_none_swallows_and_fit_still_trains(self):
         rng = np.random.default_rng(0)
         x = rng.random((24, 16))
@@ -466,7 +512,41 @@ class TestTapMajorColim:
 
 
 class TestFusedOptimizers:
-    """apply_gradients must be bit-identical to assign-grads-then-step."""
+    """The in-place updates must be bit-identical to the fresh-array
+    arithmetic they replaced (copied here as the reference)."""
+
+    @staticmethod
+    def _fresh_step(opt, params, state):
+        """One step of the fresh-array SGD/Adam update on ``p.grad``."""
+        if isinstance(opt, SGD):
+            for p in params:
+                g = p.grad
+                if opt.weight_decay:
+                    g = g + opt.weight_decay * p.data
+                if opt.momentum:
+                    v = state.get(id(p))
+                    v = opt.momentum * v + g if v is not None else g.copy()
+                    state[id(p)] = v
+                    g = g + opt.momentum * v if opt.nesterov else v
+                p.data -= opt.lr * g
+            return
+        t = state["t"] = state.get("t", 0) + 1
+        b1t = 1.0 - opt.b1 ** t
+        b2t = 1.0 - opt.b2 ** t
+        for p in params:
+            g = p.grad
+            if opt.weight_decay and not opt.decoupled:
+                g = g + opt.weight_decay * p.data
+            m, v = state.get(("m", id(p))), state.get(("v", id(p)))
+            m = (opt.b1 * m + (1 - opt.b1) * g if m is not None
+                 else (1 - opt.b1) * g)
+            v = (opt.b2 * v + (1 - opt.b2) * g * g if v is not None
+                 else (1 - opt.b2) * g * g)
+            state[("m", id(p))], state[("v", id(p))] = m, v
+            update = (m / b1t) / (np.sqrt(v / b2t) + opt.eps)
+            if opt.weight_decay and opt.decoupled:
+                update = update + opt.weight_decay * p.data
+            p.data -= opt.lr * update
 
     @pytest.mark.parametrize("opt_fn", [
         lambda p: SGD(p, lr=0.05),
@@ -482,12 +562,13 @@ class TestFusedOptimizers:
         shapes = [(4, 3), (7,), (2, 3, 3, 3)]
         pa = [Parameter(rng.normal(size=s)) for s in shapes]
         pb = [Parameter(p.data.copy()) for p in pa]
-        oa, ob = opt_fn(pa), opt_fn(pb)
+        ref, state = opt_fn(pa), {}
+        ob = opt_fn(pb)
         for _ in range(4):
             grads = [rng.normal(size=s) for s in shapes]
             for p, g in zip(pa, grads):
                 p.grad = g.copy()
-            oa.step()
+            self._fresh_step(ref, pa, state)
             ob.apply_gradients([(p, g.copy()) for p, g in zip(pb, grads)])
             for p, q in zip(pa, pb):
                 np.testing.assert_array_equal(p.data, q.data)
